@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kgstore import TripleStore
-from .model import ModelParams
+from .model import ModelParams, RelationGroups
 
 
 @dataclass
@@ -106,10 +106,9 @@ def relation_scores(params: ModelParams, pairs) -> np.ndarray:
     """Relation-module scores for (h, r) pairs, float64."""
     hs = np.asarray([p[0] for p in pairs], dtype=np.int64)
     rs = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    ent = params.entity_emb.astype(np.float64)
-    rel = params.relation_emb.astype(np.float64)
-    mats = params.transfer.astype(np.float64)[rs]
-    resid = np.einsum("bij,bj->bi", mats, ent[hs]) - rel[rs]
+    heads = params.entity_emb[hs].astype(np.float64)
+    resid = (RelationGroups(rs).forward(params.transfer.astype(np.float64), heads)
+             - params.relation_emb[rs].astype(np.float64))
     return np.abs(resid).sum(axis=1)
 
 

@@ -98,11 +98,17 @@ def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRela
                 entity, rels = line.split("\t")
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected 2 TAB-separated fields")
-            rel_ids = tuple(relation_vocab.id(tok) for tok in rels.split(","))
+            try:
+                rel_ids = tuple(relation_vocab.id(tok) for tok in rels.split(","))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: unknown relation token "
+                                 f"{exc.args[0]!r}") from None
             if k is None:
                 k = len(rel_ids)
             elif len(rel_ids) != k:
                 raise ValueError(f"{path}: line {lineno}: expected {k} relations, got {len(rel_ids)}")
+            if entity not in entity_vocab:
+                raise ValueError(f"{path}: line {lineno}: unknown entity token {entity!r}")
             rows[entity_vocab.id(entity)] = rel_ids
     if k is None:
         raise ValueError(f"{path}: empty key relation table")

@@ -82,6 +82,57 @@ def init_params(n_entities: int, n_relations: int, dim: int, rng: np.random.Gene
     return ModelParams(dim=dim, entity_emb=ent, relation_emb=rel, transfer=transfer)
 
 
+def _all_distinct(ids: np.ndarray) -> bool:
+    # stops at the first repeat, which a batch longer than the relation
+    # count has within its first n_relations + 1 ids
+    seen = set()
+    for r in ids:
+        if r in seen:
+            return False
+        seen.add(r)
+    return True
+
+
+class RelationGroups:
+    """The rows of a batch split into one group per relation id.
+
+    The relation count is small, so applying each transfer matrix M_r to
+    its own rows as one matrix product needs no (B, d, d) gather of the
+    transfer tensor, and the transfer gradient becomes one product per
+    relation instead of a scatter of B outer products (the block-wise
+    relation operator of PyTorch-BigGraph).
+    """
+
+    def __init__(self, rel_ids):
+        rel_ids = np.asarray(rel_ids, dtype=np.int64)
+        if _all_distinct(rel_ids):
+            # one entity's key relations: one-row slices select by view,
+            # with no sort, split or gather
+            self.groups = [(r, slice(i, i + 1)) for i, r in enumerate(rel_ids.tolist())]
+            return
+        order = np.argsort(rel_ids, kind="stable")
+        ordered = rel_ids[order]
+        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        self.groups = [(int(rel_ids[idx[0]]), idx) for idx in np.split(order, cuts)]
+
+    def forward(self, transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row i of the result is M_r x_i for the relation r of row i."""
+        out = np.empty(x.shape, dtype=np.result_type(x, transfer))
+        for r, idx in self.groups:
+            out[idx] = x[idx] @ transfer[r].T
+        return out
+
+    def backward(self, transfer: np.ndarray, grad_out: np.ndarray, x: np.ndarray,
+                 grad_transfer: np.ndarray) -> np.ndarray:
+        """Return the rows M_r^T g_i and add sum_i g_i x_i^T into grad_transfer[r]."""
+        back = np.empty(grad_out.shape, dtype=np.result_type(grad_out, transfer))
+        for r, idx in self.groups:
+            g = grad_out[idx]
+            back[idx] = g @ transfer[r]
+            grad_transfer[r] += g.T @ x[idx]
+        return back
+
+
 def _check_index(idx: int, size: int, kind: str) -> None:
     # negative ids would silently wrap under numpy indexing
     if not 0 <= idx < size:
@@ -170,15 +221,22 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
     ckpt_dir = Path(ckpt_dir)
-    header = json.loads((ckpt_dir / HEADER_FILE).read_text(encoding="utf-8"))
-    if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {header['format_version']}")
-    dim = header["dim"]
-    n_e = header["n_entities"]
-    n_r = header["n_relations"]
+    header_path = ckpt_dir / HEADER_FILE
+    header = json.loads(header_path.read_text(encoding="utf-8"))
+    try:
+        version = header["format_version"]
+        dim, n_e, n_r = header["dim"], header["n_entities"], header["n_relations"]
+        blobs = {name: header["blobs"][name] for name in ("entity_emb", "relation_emb", "transfer")}
+        vocab_files = header["entity_vocab"], header["relation_vocab"]
+    except KeyError as exc:
+        raise ValueError(f"{header_path}: missing header key {exc.args[0]!r}") from None
+    except TypeError:
+        raise ValueError(f"{header_path}: header is not a JSON object of the expected shape") from None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format_version {version}")
 
     def blob(name, shape):
-        raw = (ckpt_dir / header["blobs"][name]).read_bytes()
+        raw = (ckpt_dir / blobs[name]).read_bytes()
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
         # frombuffer views are read-only; training needs writable copies
         return arr.astype(np.float32)
@@ -189,8 +247,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
         relation_emb=blob("relation_emb", (n_r, dim)),
         transfer=blob("transfer", (n_r, dim, dim)),
     )
-    entity_vocab = Vocab.read_tsv(ckpt_dir / header["entity_vocab"])
-    relation_vocab = Vocab.read_tsv(ckpt_dir / header["relation_vocab"])
+    entity_vocab = Vocab.read_tsv(ckpt_dir / vocab_files[0])
+    relation_vocab = Vocab.read_tsv(ckpt_dir / vocab_files[1])
     if len(entity_vocab) != n_e or len(relation_vocab) != n_r:
         raise ValueError("vocab sizes do not match checkpoint header")
     return params, entity_vocab, relation_vocab

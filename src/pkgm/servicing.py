@@ -18,7 +18,7 @@ import numpy as np
 
 from .keyrel import KeyRelationTable
 from .kgstore import Vocab
-from .model import ModelParams, _check_index
+from .model import ModelParams, RelationGroups, _check_index
 
 VARIANTS = ("item", "all", "T", "R")
 
@@ -58,20 +58,25 @@ class ServiceBundle:
         return _ROWS_PER_ENTITY[self.variant](self.k)
 
 
-def _entity_vectors(params: ModelParams, rels: tuple[int, ...], e: int,
+def _entity_vectors(params: ModelParams, entities: np.ndarray, rels: np.ndarray,
                     variant: str) -> np.ndarray:
-    rel_ids = np.asarray(rels, dtype=np.int64)
+    """Service rows of each entity under its key relations, (n, rows, d).
+
+    entities is (n,) entity ids and rels is (n, k) relation ids.
+    """
+    heads = params.entity_emb[entities]
     if variant == "item":
-        return params.entity_emb[e][None, :].copy()
-    t_vecs = params.entity_emb[e][None, :] + params.relation_emb[rel_ids]
-    r_vecs = params.transfer[rel_ids] @ params.entity_emb[e] - params.relation_emb[rel_ids]
-    if variant == "T":
-        return t_vecs
-    if variant == "R":
-        return r_vecs
-    if variant == "all":
-        return np.concatenate([t_vecs, r_vecs], axis=0)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return heads[:, None, :]
+    n, k = rels.shape
+    rs = rels.reshape(-1)
+    heads = np.repeat(heads, k, axis=0)
+    rel = params.relation_emb[rs]
+    parts = []
+    if variant in ("T", "all"):
+        parts.append(heads + rel)
+    if variant in ("R", "all"):
+        parts.append(RelationGroups(rs).forward(params.transfer, heads) - rel)
+    return np.concatenate([p.reshape(n, k, params.dim) for p in parts], axis=1)
 
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
@@ -79,12 +84,14 @@ def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
     """Materialize frozen service vectors for every entity in the table."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    vectors = {}
-    for e in sorted(keyrels.rows):
-        arr = np.ascontiguousarray(_entity_vectors(params, keyrels.rows[e], e, variant),
-                                   dtype=np.float32)
-        arr.setflags(write=False)
-        vectors[e] = arr
+    entities = sorted(keyrels.rows)
+    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
+    block = np.ascontiguousarray(
+        _entity_vectors(params, np.asarray(entities, dtype=np.int64),
+                        rels.reshape(len(entities), keyrels.k), variant),
+        dtype=np.float32)
+    block.setflags(write=False)
+    vectors = {e: block[i] for i, e in enumerate(entities)}
     return ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, vectors=vectors)
 
 
@@ -193,8 +200,8 @@ class QueryService:
             if variant != "item" and e not in snap.keyrels.rows:
                 # in vocabulary but not serviceable (no key relations)
                 return {"error": "unknown_id"}
-            rels = snap.keyrels.rows.get(e, ())
-            vecs = _entity_vectors(snap.params, rels, e, variant)
+            rels = np.asarray(snap.keyrels.rows.get(e, ()), dtype=np.int64)
+            vecs = _entity_vectors(snap.params, np.asarray([e]), rels[None, :], variant)[0]
             return {"vectors": np.asarray(vecs, dtype=np.float32).tolist()}
         return {"error": "bad_request"}
 

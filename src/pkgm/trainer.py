@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .kgstore import TripleStore
-from .model import ModelParams, init_params
+from .model import ModelParams, RelationGroups, init_params
 from .optim import Adam
 
 
@@ -48,9 +49,18 @@ class TrainConfig:
             )
 
 
+PHASES = ("sample", "score", "accumulate", "adam", "project")
+
+
 @dataclass
 class TrainReport:
+    """What a training run did. active_fraction is, per epoch, the share of
+    (positive, negative) pairs whose hinge is nonzero; phase_s holds wall
+    seconds per step phase (PHASES) summed over all steps."""
+
     epoch_losses: list[float] = field(default_factory=list)
+    active_fraction: list[float] = field(default_factory=list)
+    phase_s: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     checkpoint_path: str | None = None
     config: dict = field(default_factory=dict)
@@ -109,29 +119,38 @@ def sample_negative(store: TripleStore, positive: tuple[int, int, int],
     raise ValueError("store admits no corrupted triple")
 
 
-def _batch_terms(params: ModelParams, hs, rs, ts):
-    """Scores plus the intermediates the subgradients reuse."""
-    h = params.entity_emb[hs]
-    r = params.relation_emb[rs]
-    m = params.transfer[rs]
-    diff = h + r - params.entity_emb[ts]
-    resid = np.einsum("bij,bj->bi", m, h) - r
+class BatchTerms(NamedTuple):
+    """Scores of a batch plus the intermediates the subgradients reuse."""
+
+    scores: np.ndarray
+    diff: np.ndarray
+    resid: np.ndarray
+    heads: np.ndarray
+    groups: RelationGroups
+
+
+def _batch_terms(params: ModelParams, hs, rs, ts) -> BatchTerms:
+    groups = RelationGroups(rs)
+    heads = params.entity_emb[hs]
+    rel = params.relation_emb[rs]
+    diff = heads + rel - params.entity_emb[ts]
+    resid = groups.forward(params.transfer, heads) - rel
     scores = np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1)
-    return scores, diff, resid, m, h
+    return BatchTerms(scores, diff, resid, heads, groups)
 
 
-def _accumulate(grads, hs, rs, ts, diff, resid, m, h, weight) -> None:
+def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weight) -> None:
     """Add weighted subgradients for a batch of triples into dense tables.
 
     weight is per-triple: positive for positives, negative for negatives,
     zero where the hinge is inactive.
     """
-    s_t = np.sign(diff) * weight[:, None]
-    s_r = np.sign(resid) * weight[:, None]
-    np.add.at(grads["entity_emb"], hs, s_t + np.einsum("bji,bj->bi", m, s_r))
+    s_t = np.sign(terms.diff) * weight[:, None]
+    s_r = np.sign(terms.resid) * weight[:, None]
+    back = terms.groups.backward(params.transfer, s_r, terms.heads, grads["transfer"])
+    np.add.at(grads["entity_emb"], hs, s_t + back)
     np.add.at(grads["entity_emb"], ts, -s_t)
     np.add.at(grads["relation_emb"], rs, s_t - s_r)
-    np.add.at(grads["transfer"], rs, np.einsum("bi,bj->bij", s_r, h))
 
 
 def _project_entity_rows(entity_emb: np.ndarray) -> None:
@@ -168,12 +187,16 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
     n = len(triples)
     neg_k = config.negatives_per_positive
     epoch_losses: list[float] = []
+    active_fraction: list[float] = []
+    phase_s = dict.fromkeys(PHASES, 0.0)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
+        active = 0
         pair_count = 0
         for step, lo in enumerate(range(0, n, config.batch_size)):
+            stamps = [time.perf_counter()]
             pos = triples[order[lo:lo + config.batch_size]]
             neg_rows = [
                 sample_negative(store, (int(p[0]), int(p[1]), int(p[2])), rng,
@@ -181,37 +204,48 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
                 for p in pos
                 for _ in range(neg_k)
             ]
-            neg = np.asarray(neg_rows, dtype=np.int64)
-            pos_rep = np.repeat(pos, neg_k, axis=0)
+            # each positive is scored once; its neg_k negatives follow in the
+            # order of np.repeat(pos, neg_k), which the pair losses rely on
+            rows = np.concatenate([pos, np.asarray(neg_rows, dtype=np.int64)])
+            hs, rs, ts = rows[:, 0], rows[:, 1], rows[:, 2]
+            stamps.append(time.perf_counter())
 
-            pos_s, pos_diff, pos_resid, pos_m, pos_h = _batch_terms(
-                params, pos_rep[:, 0], pos_rep[:, 1], pos_rep[:, 2])
-            neg_s, neg_diff, neg_resid, neg_m, neg_h = _batch_terms(
-                params, neg[:, 0], neg[:, 1], neg[:, 2])
-            losses = np.maximum(0.0, pos_s + config.margin - neg_s)
+            n_pos = len(pos)
+            terms = _batch_terms(params, hs, rs, ts)
+            losses = np.maximum(
+                0.0, np.repeat(terms.scores[:n_pos], neg_k) + config.margin - terms.scores[n_pos:])
             if not np.isfinite(losses).all():
                 raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
+            stamps.append(time.perf_counter())
 
             n_pairs = len(losses)
-            weight = (losses > 0).astype(np.float32) / np.float32(n_pairs)
+            hinge = losses > 0
+            pair_weight = hinge.astype(np.float32) / np.float32(n_pairs)
+            weight = np.concatenate([pair_weight.reshape(n_pos, neg_k).sum(axis=1), -pair_weight])
             grads = {
                 "entity_emb": np.zeros_like(params.entity_emb),
                 "relation_emb": np.zeros_like(params.relation_emb),
                 "transfer": np.zeros_like(params.transfer),
             }
-            _accumulate(grads, pos_rep[:, 0], pos_rep[:, 1], pos_rep[:, 2],
-                        pos_diff, pos_resid, pos_m, pos_h, weight)
-            _accumulate(grads, neg[:, 0], neg[:, 1], neg[:, 2],
-                        neg_diff, neg_resid, neg_m, neg_h, -weight)
+            _accumulate(grads, params, hs, rs, ts, terms, weight)
+            stamps.append(time.perf_counter())
             adam.step(grads)
+            stamps.append(time.perf_counter())
             _project_entity_rows(params.entity_emb)
+            stamps.append(time.perf_counter())
+            for name, begin, end in zip(PHASES, stamps, stamps[1:]):
+                phase_s[name] += end - begin
 
             loss_sum += float(losses.sum())
+            active += int(hinge.sum())
             pair_count += n_pairs
         epoch_losses.append(loss_sum / pair_count)
+        active_fraction.append(active / pair_count)
 
     report = TrainReport(
         epoch_losses=epoch_losses,
+        active_fraction=active_fraction,
+        phase_s=phase_s,
         wall_time_s=time.perf_counter() - start,
         config=asdict(config),
     )

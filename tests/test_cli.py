@@ -174,6 +174,53 @@ def test_eval_lp_rejects_unknown_tokens(tmp_path, kg_file, capsys):
     assert "unknown entity token 'nosuch'" in capsys.readouterr().err
 
 
+@pytest.fixture
+def ckpt_and_keyrels(tmp_path, kg_file):
+    path, _ = kg_file
+    ckpt = tmp_path / "ckpt"
+    keyrels = tmp_path / "keyrels.tsv"
+    assert dispatch(["train", "--triples", str(path), "--out", str(ckpt),
+                     "--dim", "4", "--epochs", "0"]) == 0
+    assert dispatch(["keyrel", "--triples", str(path), "--k", "2",
+                     "--out", str(keyrels)]) == 0
+    return ckpt, keyrels
+
+
+def services_args(command, ckpt, keyrels, tmp_path):
+    if command == "export-services":
+        return ["export-services", "--checkpoint", str(ckpt), "--keyrel", str(keyrels),
+                "--variant", "all", "--out", str(tmp_path / "services.bin")]
+    return ["serve", "--checkpoint", str(ckpt), "--keyrel", str(keyrels), "--port", "0"]
+
+
+@pytest.mark.parametrize("command", ["export-services", "serve"])
+def test_unknown_keyrel_token_is_named_error(tmp_path, ckpt_and_keyrels, capsys, command):
+    ckpt, keyrels = ckpt_and_keyrels
+    lines = keyrels.read_text(encoding="utf-8").splitlines()
+    entity, rels = lines[1].split("\t")
+    lines[1] = f"{entity}\tnosuch,{rels.split(',')[1]}"
+    keyrels.write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(services_args(command, ckpt, keyrels, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pkgm: error: ")
+    assert "line 2: unknown relation token 'nosuch'" in err
+
+
+@pytest.mark.parametrize("command", ["export-services", "serve"])
+def test_missing_checkpoint_header_key_is_named_error(tmp_path, ckpt_and_keyrels, capsys,
+                                                      command):
+    ckpt, keyrels = ckpt_and_keyrels
+    header = json.loads((ckpt / "header.json").read_text())
+    del header["n_entities"]
+    (ckpt / "header.json").write_text(json.dumps(header))
+    capsys.readouterr()
+    assert dispatch(services_args(command, ckpt, keyrels, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pkgm: error: ")
+    assert "missing header key 'n_entities'" in err
+
+
 def test_repeated_training_is_byte_identical(tmp_path, kg_file):
     path, _ = kg_file
     outs = []

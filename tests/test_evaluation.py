@@ -10,7 +10,7 @@ from pkgm.evaluation import (
     relation_scores,
 )
 from pkgm.kgstore import store_from_triples
-from pkgm.model import ModelParams, init_params
+from pkgm.model import ModelParams, init_params, score_relation
 
 
 def random_graph(rng, n_entities=12, n_relations=3, n_rows=25):
@@ -120,8 +120,10 @@ def test_invalid_thread_env_rejected(ranking_setup, monkeypatch, value):
 
 
 def test_relation_scores_match_loop(rng):
-    params = init_params(8, 3, 5, rng)
-    pairs = [(0, 0), (3, 2), (7, 1), (4, 0)]
+    # float32 tables as in a checkpoint, relations out of order and repeated;
+    # the 1e-12 bound holds only if the scores are computed in float64
+    params = init_params(8, 4, 5, rng)
+    pairs = [(5, 3), (0, 1), (2, 3), (7, 0), (5, 1), (1, 3)]
     got = relation_scores(params, pairs)
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
@@ -129,6 +131,16 @@ def test_relation_scores_match_loop(rng):
     for i, (h, r) in enumerate(pairs):
         want = np.abs(mats[r] @ ent[h] - rel[r]).sum()
         assert got[i] == pytest.approx(want, rel=1e-12)
+
+
+def test_relation_scores_match_score_relation(rng):
+    # float64 tables make the per-pair score_relation loop exact to 1e-12
+    params = init_params(8, 4, 5, rng, dtype=np.float64)
+    pairs = [(5, 3), (0, 1), (2, 3), (7, 0), (5, 1), (1, 3)]
+    want = [score_relation(params, h, r) for h, r in pairs]
+    np.testing.assert_allclose(relation_scores(params, pairs), want, rtol=1e-12)
+    assert relation_scores(params, [(6, 2)])[0] == pytest.approx(score_relation(params, 6, 2),
+                                                                 rel=1e-12)
 
 
 def test_threshold_separable_case():

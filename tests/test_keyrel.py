@@ -122,3 +122,13 @@ def test_tsv_read_errors(tmp_path, toy_store):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty key relation table"):
         keyrel.read_keyrel_tsv(empty, toy_store.entities, toy_store.relations)
+
+    unknown_rel = tmp_path / "unknown_rel.tsv"
+    unknown_rel.write_text("apple\tcolor,isA\nlemon\tcolor,smells\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: unknown relation token 'smells'"):
+        keyrel.read_keyrel_tsv(unknown_rel, toy_store.entities, toy_store.relations)
+
+    unknown_ent = tmp_path / "unknown_ent.tsv"
+    unknown_ent.write_text("pear\tcolor,isA\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: unknown entity token 'pear'"):
+        keyrel.read_keyrel_tsv(unknown_ent, toy_store.entities, toy_store.relations)

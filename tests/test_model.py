@@ -197,6 +197,27 @@ def test_checkpoint_rejects_future_format(tmp_path, rng):
         load_checkpoint(out)
 
 
+@pytest.mark.parametrize("drop", ["dim", "format_version", "blobs.transfer", "relation_vocab"])
+def test_checkpoint_rejects_missing_header_key(tmp_path, rng, drop):
+    _, _, _, out = checkpoint_fixture(tmp_path, rng)
+    header = json.loads((out / "header.json").read_text())
+    *parents, key = drop.split(".")
+    table = header
+    for name in parents:
+        table = table[name]
+    del table[key]
+    (out / "header.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=f"header.json: missing header key '{key}'"):
+        load_checkpoint(out)
+
+
+def test_checkpoint_rejects_non_object_header(tmp_path, rng):
+    _, _, _, out = checkpoint_fixture(tmp_path, rng)
+    (out / "header.json").write_text("[1, 2]")
+    with pytest.raises(ValueError, match="header.json: header is not a JSON object"):
+        load_checkpoint(out)
+
+
 def test_checkpoint_rejects_vocab_mismatch(tmp_path, rng):
     params = init_params(4, 2, 3, rng)
     with pytest.raises(ValueError, match="vocab sizes"):

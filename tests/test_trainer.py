@@ -76,40 +76,51 @@ def test_negative_impossible_on_single_triple_self_loop():
         sample_negative(store, store.triples[0], np.random.default_rng(0))
 
 
+# relations out of order and repeated, a batch of one row, a batch where
+# relation 2 of 4 is absent, and one whose relations are all distinct
+# (the one-row-per-relation grouping that bundle queries use)
+BATCHES = [
+    ([0, 3, 5, 7, 2, 0], [1, 0, 3, 2, 3, 1], [2, 4, 8, 1, 6, 2]),
+    ([4], [2], [7]),
+    ([0, 3, 5, 0, 8], [3, 0, 3, 1, 0], [2, 4, 8, 2, 1]),
+    ([6, 1, 4], [3, 0, 2], [0, 5, 7]),
+]
+
+
 def test_batch_terms_match_single_scores(rng):
     params = init_params(9, 4, 6, rng)
-    hs = np.array([0, 3, 5, 7])
-    rs = np.array([1, 0, 3, 2])
-    ts = np.array([2, 4, 8, 1])
-    scores, *_ = trainer._batch_terms(params, hs, rs, ts)
-    for i in range(4):
-        want = score_combined(params, int(hs[i]), int(rs[i]), int(ts[i])).value
-        assert scores[i] == pytest.approx(want, rel=1e-6)
+    for hs, rs, ts in BATCHES:
+        scores = trainer._batch_terms(params, np.array(hs), np.array(rs), np.array(ts))[0]
+        assert scores.shape == (len(hs),)
+        for i in range(len(hs)):
+            want = score_combined(params, hs[i], rs[i], ts[i]).value
+            assert scores[i] == pytest.approx(want, rel=1e-6)
 
 
 def test_batched_gradients_match_per_triple(rng):
     params = init_params(9, 4, 6, rng)
-    hs = np.array([0, 3, 5, 0])
-    rs = np.array([1, 0, 3, 1])
-    ts = np.array([2, 4, 8, 2])
-    weight = np.array([0.5, -0.25, 0.0, 1.0], dtype=np.float32)
-    _, diff, resid, m, h = trainer._batch_terms(params, hs, rs, ts)
-    got = {
-        "entity_emb": np.zeros_like(params.entity_emb),
-        "relation_emb": np.zeros_like(params.relation_emb),
-        "transfer": np.zeros_like(params.transfer),
-    }
-    trainer._accumulate(got, hs, rs, ts, diff, resid, m, h, weight)
+    for hs, rs, ts in BATCHES:
+        weight = np.resize(np.array([0.5, -0.25, 0.0, 1.0], dtype=np.float32), len(hs))
+        hs, rs, ts = np.array(hs), np.array(rs), np.array(ts)
+        terms = trainer._batch_terms(params, hs, rs, ts)
+        got = {
+            "entity_emb": np.zeros_like(params.entity_emb),
+            "relation_emb": np.zeros_like(params.relation_emb),
+            "transfer": np.zeros_like(params.transfer),
+        }
+        trainer._accumulate(got, params, hs, rs, ts, terms, weight)
 
-    want = {k: np.zeros_like(v) for k, v in got.items()}
-    for i in range(4):
-        g = gradients(params, int(hs[i]), int(rs[i]), int(ts[i]))
-        want["entity_emb"][hs[i]] += weight[i] * g.d_head
-        want["entity_emb"][ts[i]] += weight[i] * g.d_tail
-        want["relation_emb"][rs[i]] += weight[i] * g.d_relation
-        want["transfer"][rs[i]] += weight[i] * g.d_transfer
-    for name in got:
-        np.testing.assert_allclose(got[name], want[name], rtol=1e-5, atol=1e-6)
+        want = {k: np.zeros_like(v) for k, v in got.items()}
+        for i in range(len(hs)):
+            g = gradients(params, int(hs[i]), int(rs[i]), int(ts[i]))
+            want["entity_emb"][hs[i]] += weight[i] * g.d_head
+            want["entity_emb"][ts[i]] += weight[i] * g.d_tail
+            want["relation_emb"][rs[i]] += weight[i] * g.d_relation
+            want["transfer"][rs[i]] += weight[i] * g.d_transfer
+        for name in got:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-5, atol=1e-6)
+        for r in set(range(params.n_relations)) - set(rs.tolist()):
+            assert not got["transfer"][r].any()  # an absent relation gets exactly zero
 
 
 def planted_store(n_entities=20):
@@ -148,6 +159,22 @@ def test_loss_decreases_and_report_filled():
     assert report.config["dim"] == 8
     norms = np.linalg.norm(params.entity_emb, axis=1)
     assert norms.max() <= 1.0 + 1e-6
+
+
+def test_report_records_phases_and_active_fraction():
+    store = planted_store()
+    config = TrainConfig(dim=8, learning_rate=2e-2, batch_size=8, epochs=5,
+                         negatives_per_positive=2, seed=0)
+    _, report = train(store, config)
+    assert len(report.active_fraction) == 5
+    assert all(0.0 <= f <= 1.0 for f in report.active_fraction)
+    assert set(report.phase_s) == set(trainer.PHASES)
+    assert all(v >= 0.0 for v in report.phase_s.values())
+    assert sum(report.phase_s.values()) <= report.wall_time_s
+
+    # no negative can clear a margin this wide, so every hinge is active
+    _, wide = train(store, dataclasses.replace(config, margin=1e6))
+    assert wide.active_fraction == [1.0] * 5
 
 
 def test_empty_store_rejected(toy_store):
