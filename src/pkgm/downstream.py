@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluation import EvalReport
-from .kgstore import Vocab
+from .kgstore import Vocab, sorted_contains
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
@@ -202,11 +202,19 @@ def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
     return prob, gmf, activations, feat
 
 
+def _segment_sum(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Dense (n_rows, d) float32 table whose row k sums the rows where idx == k."""
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d)
+    return sums.reshape(n_rows, d).astype(np.float32)
+
+
 def _backward(model: RecModel, users, items, labels, prob, gmf, activations, feat,
               l2: float) -> dict[str, np.ndarray]:
     p = model.params
     batch = len(labels)
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
 
     dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
     grads["w_out"] = feat.T @ dlogit
@@ -220,31 +228,45 @@ def _backward(model: RecModel, users, items, labels, prob, gmf, activations, fea
         grads[f"b{layer}"] = dz.sum(axis=0)
         dz = dz @ p[f"w{layer}"].T
     mdim = p["mlp_user"].shape[1]
-    # the service slice of dz is dropped: service vectors get no gradient
-    np.add.at(grads["mlp_user"], users, dz[:, :mdim])
-    np.add.at(grads["mlp_item"], items, dz[:, mdim:2 * mdim])
-    np.add.at(grads["gmf_user"], users, dgmf * p["gmf_item"][items])
-    np.add.at(grads["gmf_item"], items, dgmf * p["gmf_user"][users])
-    if l2 > 0:
-        # weight decay on embedding rows seen in the batch
-        for name, idx in (("gmf_user", users), ("gmf_item", items),
-                          ("mlp_user", users), ("mlp_item", items)):
-            np.add.at(grads[name], idx, l2 * p[name][idx])
+    # the service slice of dz is dropped: service vectors get no gradient;
+    # l2 is weight decay on the embedding rows seen in the batch
+    row_grads = (
+        ("gmf_user", users, dgmf * p["gmf_item"][items]),
+        ("gmf_item", items, dgmf * p["gmf_user"][users]),
+        ("mlp_user", users, dz[:, :mdim]),
+        ("mlp_item", items, dz[:, mdim:2 * mdim]),
+    )
+    for name, idx, rows in row_grads:
+        grads[name] = _segment_sum(idx, rows + l2 * p[name][idx], len(p[name]))
     return grads
 
 
-def _sample_unobserved(user_items: set[int], n_items: int, rng: np.random.Generator,
-                       exclude: int) -> int:
+def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
+                       observed: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One item per row that user users[i] has not interacted with.
+
+    observed holds the sorted keys u*n_items + i of the observed pairs. A
+    draw of an observed item is redrawn, capped at 100 attempts; a row
+    still open after that belongs to a dense user and takes any item other
+    than its positive exclude[i] (another 100 attempts, then exclude[i]).
+    """
+    items = np.empty(len(users), dtype=np.int64)
+    todo = np.arange(len(users))
     for _ in range(100):
-        j = int(rng.integers(n_items))
-        if j not in user_items:
-            return j
-    # dense user; accept any item other than the positive
+        if not len(todo):
+            break
+        draw = rng.integers(n_items, size=len(todo))
+        items[todo] = draw
+        todo = todo[sorted_contains(observed, users[todo] * n_items + draw)]
+    # dense users; accept any item other than the positive
     for _ in range(100):
-        j = int(rng.integers(n_items))
-        if j != exclude:
-            return j
-    return exclude
+        if not len(todo):
+            break
+        draw = rng.integers(n_items, size=len(todo))
+        items[todo] = draw
+        todo = todo[draw == exclude[todo]]
+    items[todo] = exclude[todo]
+    return items
 
 
 def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
@@ -252,7 +274,7 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     """Train on the given interactions (callers hold out test data first).
 
     Per positive, neg_ratio unobserved items are sampled fresh each epoch
-    and labeled 0. Updates use Adam with weight decay on the embedding
+    (one draw for the whole epoch) and labeled 0. Updates use Adam with weight decay on the embedding
     rows of each batch. When service_table is given, row i is the frozen
     condensed service vector of item i.
     """
@@ -270,26 +292,22 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     model = RecModel(params=params, hidden=tuple(config.hidden), service=service_table)
     optimizer = Adam(params, lr=config.learning_rate)
 
-    positives = [(u, i) for u, i, _ in data.interactions]
-    user_items: dict[int, set[int]] = {}
-    for u, i in positives:
-        user_items.setdefault(u, set()).add(i)
+    pos_users, pos_items, _ = np.asarray(data.interactions, dtype=np.int64).reshape(-1, 3).T
+    observed = np.unique(pos_users * data.n_items + pos_items)
+    # each positive is followed by its neg_ratio negatives
+    width = 1 + config.neg_ratio
+    users_arr = np.repeat(pos_users, width)
+    labels_arr = np.tile(np.eye(1, width, dtype=np.float32)[0], len(pos_users))
+    neg_users = np.repeat(pos_users, config.neg_ratio)
+    neg_exclude = np.repeat(pos_items, config.neg_ratio)
+    items_ep = np.empty((len(pos_items), width), dtype=np.int64)
+    items_ep[:, 0] = pos_items
+    items_arr = items_ep.ravel()  # a view: each epoch refills the negative columns
 
     for _ in range(config.epochs):
-        users_ep = []
-        items_ep = []
-        labels_ep = []
-        for u, i in positives:
-            users_ep.append(u)
-            items_ep.append(i)
-            labels_ep.append(1.0)
-            for _ in range(config.neg_ratio):
-                users_ep.append(u)
-                items_ep.append(_sample_unobserved(user_items[u], data.n_items, rng, i))
-                labels_ep.append(0.0)
-        users_arr = np.asarray(users_ep, dtype=np.int64)
-        items_arr = np.asarray(items_ep, dtype=np.int64)
-        labels_arr = np.asarray(labels_ep, dtype=np.float32)
+        items_ep[:, 1:] = _sample_unobserved(
+            neg_users, neg_exclude, data.n_items, observed, rng
+        ).reshape(len(pos_items), config.neg_ratio)
         order = rng.permutation(len(labels_arr))
 
         loss_sum = 0.0
@@ -348,8 +366,11 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
         observed.setdefault(u, set()).add(i)
     rng = np.random.default_rng(seed)
     ranks = np.zeros(data.n_users, dtype=np.int64)
+    unobserved = np.empty(data.n_items, dtype=bool)
     for u in range(data.n_users):
-        pool = np.setdiff1d(np.arange(data.n_items), sorted(observed[u]))
+        unobserved.fill(True)
+        unobserved[list(observed[u])] = False
+        pool = np.flatnonzero(unobserved)
         if len(pool) > n_negatives:
             negatives = rng.choice(pool, size=n_negatives, replace=False)
         else:

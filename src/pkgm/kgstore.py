@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class Vocab:
     """Dense string-to-id interning, ids assigned in first-appearance order."""
@@ -110,6 +112,12 @@ class TripleStore:
         """Stored triples externalized back to tokens, in storage order."""
         ent, rel = self.entities.token, self.relations.token
         return [(ent(h), rel(r), ent(t)) for h, r, t in self.triples]
+
+
+def sorted_contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the queries found in keys, a sorted non-empty int64 array."""
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return keys[at] == queries
 
 
 def store_from_triples(

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kgstore import TripleStore
+from .kgstore import TripleStore, sorted_contains
 from .model import ModelParams, RelationGroups, init_params
 from .optim import Adam
 
@@ -69,54 +69,66 @@ class TrainReport:
         return asdict(self)
 
 
-def hinge_loss(pos_score: float, neg_score: float, margin: float) -> float:
-    return max(0.0, pos_score + margin - neg_score)
+def _triple_keys(rows: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
+    return (rows[:, 0] * n_r + rows[:, 1]) * n_e + rows[:, 2]
 
 
-def sample_negative(store: TripleStore, positive: tuple[int, int, int],
+def stored_keys(store: TripleStore) -> np.ndarray:
+    """Sorted int64 keys (h*n_r + r)*n_e + t of the stored triples."""
+    triples = np.asarray(store.triples, dtype=np.int64).reshape(-1, 3)
+    return np.sort(_triple_keys(triples, store.n_entities, store.n_relations))
+
+
+def sample_negative(store: TripleStore, positives: np.ndarray,
                     rng: np.random.Generator,
-                    corrupt_relation_prob: float = 1.0 / 3.0) -> tuple[int, int, int]:
-    """Corrupt exactly one slot of a positive triple.
+                    corrupt_relation_prob: float = 1.0 / 3.0,
+                    keys: np.ndarray | None = None) -> np.ndarray:
+    """Corrupt exactly one slot of each row of an (n, 3) array of positives.
 
-    The relation slot is chosen with probability corrupt_relation_prob,
-    otherwise head or tail with equal probability. Candidates that are
-    stored positives are rejected and resampled, capped at 100 attempts;
-    after the cap the last differing candidate is returned unfiltered.
+    Per row, the relation slot is chosen with probability
+    corrupt_relation_prob, otherwise head or tail with equal probability;
+    a slot with fewer than two values is redrawn. The replacement is
+    uniform over the slot's other values. Candidates that are stored
+    positives (looked up in keys, from stored_keys(store) when omitted)
+    are redrawn, capped at 100 attempts; after the cap the last differing
+    candidate is returned unfiltered. Row i of the result corrupts row i.
     """
-    h, r, t = positive
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     n_e = store.n_entities
     n_r = store.n_relations
-    fallback = None
+    if keys is None:
+        keys = stored_keys(store)
+    p = corrupt_relation_prob
+    neg = positives.copy()
+    todo = np.ones(len(neg), dtype=bool)
     for _ in range(100):
-        u = rng.random()
-        if u < corrupt_relation_prob:
-            slot, orig, size = 1, r, n_r
-        elif u < corrupt_relation_prob + (1.0 - corrupt_relation_prob) / 2.0:
-            slot, orig, size = 0, h, n_e
-        else:
-            slot, orig, size = 2, t, n_e
-        if size < 2:
-            # this slot cannot change; redraw the slot
-            continue
+        rows = np.flatnonzero(todo)
+        if not len(rows):
+            break
+        u = rng.random(len(rows))
+        slot = np.where(u < p, 1, np.where(u < p + (1.0 - p) / 2.0, 0, 2))
+        size = np.where(slot == 1, n_r, n_e)
+        # a slot that cannot change stays to be redrawn on the next attempt
+        movable = size >= 2
+        rows, slot, size = rows[movable], slot[movable], size[movable]
         # draw uniformly over the size-1 values other than the original
-        repl = int(rng.integers(size - 1))
-        if repl >= orig:
-            repl += 1
-        cand = tuple(repl if i == slot else v for i, v in enumerate(positive))
-        if cand in store.triple_set:
-            fallback = cand
-            continue
-        return cand
-    if fallback is not None:
-        return fallback
-    # degenerate vocab where random draws never produced a change
-    for e in range(n_e):
-        if e != t:
-            return (h, r, e)
-    for rr in range(n_r):
-        if rr != r:
-            return (h, rr, t)
-    raise ValueError("store admits no corrupted triple")
+        repl = rng.integers(size - 1)
+        repl += repl >= positives[rows, slot]
+        cand = positives[rows]
+        cand[np.arange(len(rows)), slot] = repl
+        neg[rows] = cand
+        todo[rows] = sorted_contains(keys, _triple_keys(cand, n_e, n_r))
+    # rows never given a differing candidate: degenerate vocab where random
+    # draws never produced a change; take the first other tail, else relation
+    stuck = todo & (neg == positives).all(axis=1)
+    if stuck.any():
+        if n_e >= 2:
+            neg[stuck, 2] = positives[stuck, 2] == 0
+        elif n_r >= 2:
+            neg[stuck, 1] = positives[stuck, 1] == 0
+        else:
+            raise ValueError("store admits no corrupted triple")
+    return neg
 
 
 class BatchTerms(NamedTuple):
@@ -164,7 +176,8 @@ def _project_entity_rows(entity_emb: np.ndarray) -> None:
 def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Optimize model parameters on the stored triples.
 
-    Each step accumulates hinge-loss subgradients over one batch (mean over
+    Negatives are drawn once per epoch, right after the shuffle. Each step
+    accumulates hinge-loss subgradients over one batch (mean over
     positive/negative pairs), applies an Adam update to all three tables,
     and re-projects entity rows to L2 norm <= 1. Deterministic for a fixed
     (store, config) in this single-worker implementation.
@@ -190,23 +203,22 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
     active_fraction: list[float] = []
     phase_s = dict.fromkeys(PHASES, 0.0)
 
+    keys = stored_keys(store)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        begin = time.perf_counter()
+        # one draw per epoch; the neg_k negatives of a positive follow it in
+        # the order of np.repeat, which each step's slice and pair losses keep
+        negatives = sample_negative(store, np.repeat(triples[order], neg_k, axis=0), rng,
+                                    config.corrupt_relation_prob, keys=keys)
+        phase_s["sample"] += time.perf_counter() - begin
         loss_sum = 0.0
         active = 0
         pair_count = 0
         for step, lo in enumerate(range(0, n, config.batch_size)):
             stamps = [time.perf_counter()]
             pos = triples[order[lo:lo + config.batch_size]]
-            neg_rows = [
-                sample_negative(store, (int(p[0]), int(p[1]), int(p[2])), rng,
-                                config.corrupt_relation_prob)
-                for p in pos
-                for _ in range(neg_k)
-            ]
-            # each positive is scored once; its neg_k negatives follow in the
-            # order of np.repeat(pos, neg_k), which the pair losses rely on
-            rows = np.concatenate([pos, np.asarray(neg_rows, dtype=np.int64)])
+            rows = np.concatenate([pos, negatives[lo * neg_k:(lo + len(pos)) * neg_k]])
             hs, rs, ts = rows[:, 0], rows[:, 1], rows[:, 2]
             stamps.append(time.perf_counter())
 

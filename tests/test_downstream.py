@@ -189,6 +189,81 @@ def test_service_table_size_checked():
         train_recommender(data, service, small_config())
 
 
+def sample_unobserved_oracle(user_items, n_items, rng, exclude):
+    """Per-row reference for downstream._sample_unobserved."""
+    for _ in range(100):
+        j = int(rng.integers(n_items))
+        if j not in user_items:
+            return j
+    for _ in range(100):
+        j = int(rng.integers(n_items))
+        if j != exclude:
+            return j
+    return exclude
+
+
+def test_unobserved_sampler_skips_observed_items():
+    n_items = 12
+    # user 0 sparse, user 1 has seen all but items 10 and 11, user 2 all
+    observed_sets = {0: {0, 3, 4}, 1: set(range(10)), 2: set(range(n_items))}
+    keys = np.unique([u * n_items + i for u, items in observed_sets.items() for i in items])
+    users = np.resize(np.array([0, 1, 2], dtype=np.int64), 3000)
+    exclude = np.resize(np.array([3, 5, 7], dtype=np.int64), 3000)
+    got = downstream._sample_unobserved(users, exclude, n_items, keys,
+                                        np.random.default_rng(0))
+    assert got.shape == users.shape
+    rng = np.random.default_rng(1)
+    for u in (0, 1):
+        want = {sample_unobserved_oracle(observed_sets[u], n_items, rng, -1)
+                for _ in range(300)}
+        assert set(got[users == u].tolist()) == want == set(range(n_items)) - observed_sets[u]
+    dense = got[users == 2]
+    assert (dense != 7).all()
+    assert set(dense.tolist()) == set(range(n_items)) - {7}
+    assert sample_unobserved_oracle(observed_sets[2], n_items, rng, 7) != 7
+
+
+def test_unobserved_sampler_dense_fallback_returns_positive_when_alone():
+    keys = np.array([0], dtype=np.int64)
+    got = downstream._sample_unobserved(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                                        1, keys, np.random.default_rng(0))
+    np.testing.assert_array_equal(got, [0, 0, 0, 0])
+    assert sample_unobserved_oracle({0}, 1, np.random.default_rng(0), 0) == 0
+
+
+def test_recommender_draws_negatives_once_per_epoch(monkeypatch):
+    data = block_interactions()
+    calls = []
+    original = downstream._sample_unobserved
+
+    def spy(users, exclude, *args):
+        out = original(users, exclude, *args)
+        calls.append((users, exclude, out))
+        return out
+
+    monkeypatch.setattr(downstream, "_sample_unobserved", spy)
+    train_recommender(data, None, small_config(epochs=3))
+    assert len(calls) == 3
+    pos = np.asarray(data.interactions)[:, :2]
+    observed = set(map(tuple, pos.tolist()))
+    for users, exclude, out in calls:
+        np.testing.assert_array_equal(users, np.repeat(pos[:, 0], 2))
+        np.testing.assert_array_equal(exclude, np.repeat(pos[:, 1], 2))
+        assert not any((u, i) in observed for u, i in zip(users.tolist(), out.tolist()))
+
+
+def test_segment_sum_matches_add_at_on_repeated_indices():
+    rng = np.random.default_rng(8)
+    idx = rng.integers(5, size=400)
+    rows = rng.normal(size=(400, 6)).astype(np.float32)
+    want = np.zeros((7, 6), dtype=np.float32)
+    np.add.at(want, idx, rows)
+    got = downstream._segment_sum(idx, rows, 7)
+    assert got.dtype == np.float32 and got.shape == (7, 6)
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    assert not got[5:].any()
+
+
 def test_split_holds_out_latest_with_tie_to_later_line():
     data = interactions_from_rows(
         [("u", "a", 0), ("u", "b", 2), ("u", "c", 2), ("v", "a", 5), ("v", "b", 1)]
@@ -273,6 +348,29 @@ def test_candidates_are_paired_across_models():
     assert len(seen[0]) == len(seen[1]) == data.n_users
     for a, b in zip(seen[0], seen[1]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_candidate_pool_matches_setdiff_formulation():
+    # the reference builds each user's pool with np.setdiff1d; both draw
+    # the same candidates from the same seed, so the ranks agree
+    data = ranking_data()
+    _, held = leave_one_out_split(data)
+    observed = {}
+    for u, i, _ in data.interactions:
+        observed.setdefault(u, set()).add(i)
+
+    def score_fn(u, candidates):
+        return np.sin(1.7 * np.asarray(candidates) + u)
+
+    rng = np.random.default_rng(7)
+    want = []
+    for u in range(data.n_users):
+        pool = np.setdiff1d(np.arange(data.n_items), sorted(observed[u]))
+        negatives = rng.choice(pool, size=15, replace=False)
+        scores = score_fn(u, np.concatenate([[held[u]], negatives]))
+        want.append(1 + int((scores[1:] >= scores[0]).sum()))
+    got = leave_one_out_ranks(score_fn, data, n_negatives=15, seed=7)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_ndcg_hand_values():

@@ -6,7 +6,46 @@ import pytest
 from pkgm import synth, trainer
 from pkgm.kgstore import store_from_triples
 from pkgm.model import gradients, init_params, score_combined
-from pkgm.trainer import TrainConfig, hinge_loss, sample_negative, train
+from pkgm.trainer import TrainConfig, sample_negative, train
+
+
+def hinge_loss(pos_score: float, neg_score: float, margin: float) -> float:
+    return max(0.0, pos_score + margin - neg_score)
+
+
+def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0):
+    """Per-triple reference for trainer.sample_negative (one row per call)."""
+    h, r, t = positive
+    n_e = store.n_entities
+    n_r = store.n_relations
+    fallback = None
+    for _ in range(100):
+        u = rng.random()
+        if u < corrupt_relation_prob:
+            slot, orig, size = 1, r, n_r
+        elif u < corrupt_relation_prob + (1.0 - corrupt_relation_prob) / 2.0:
+            slot, orig, size = 0, h, n_e
+        else:
+            slot, orig, size = 2, t, n_e
+        if size < 2:
+            continue
+        repl = int(rng.integers(size - 1))
+        if repl >= orig:
+            repl += 1
+        cand = tuple(repl if i == slot else v for i, v in enumerate(positive))
+        if cand in store.triple_set:
+            fallback = cand
+            continue
+        return cand
+    if fallback is not None:
+        return fallback
+    for e in range(n_e):
+        if e != t:
+            return (h, r, e)
+    for rr in range(n_r):
+        if rr != r:
+            return (h, rr, t)
+    raise ValueError("store admits no corrupted triple")
 
 
 def test_hinge_values():
@@ -32,48 +71,140 @@ def test_config_validation(kwargs, msg):
         TrainConfig(**kwargs).validate()
 
 
+def repeated_positives(store, n=3000):
+    return np.resize(np.asarray(store.triples, dtype=np.int64), (n, 3))
+
+
 def test_negative_differs_in_exactly_one_slot(toy_store):
-    rng = np.random.default_rng(2)
-    pos = toy_store.triples[0]
-    for _ in range(300):
-        neg = sample_negative(toy_store, pos, rng)
-        assert neg not in toy_store.triple_set
-        assert sum(a != b for a, b in zip(neg, pos)) == 1
+    pos = repeated_positives(toy_store)
+    neg = sample_negative(toy_store, pos, np.random.default_rng(2))
+    assert neg.shape == pos.shape and neg.dtype == np.int64
+    assert ((neg != pos).sum(axis=1) == 1).all()
+    assert not any(tuple(row) in toy_store.triple_set for row in neg.tolist())
 
 
-def test_negative_slot_frequencies():
+def slot_counts(pos, neg):
+    return np.bincount(np.argmax(neg != pos, axis=1), minlength=3)
+
+
+def random_store():
     rng = np.random.default_rng(1)
     rows = {
         (f"e{rng.integers(30)}", f"r{rng.integers(5)}", f"e{rng.integers(30)}")
         for _ in range(60)
     }
-    store = store_from_triples(sorted(rows))
-    pos = store.triples[0]
-    counts = [0, 0, 0]
+    return store_from_triples(sorted(rows))
+
+
+def test_negative_slot_frequencies():
+    store = random_store()
     n = 3000
-    for _ in range(n):
-        neg = sample_negative(store, pos, rng, corrupt_relation_prob=0.5)
-        slot = next(i for i in range(3) if neg[i] != pos[i])
-        counts[slot] += 1
+    pos = repeated_positives(store, n)
+    neg = sample_negative(store, pos, np.random.default_rng(1), corrupt_relation_prob=0.5)
+    counts = slot_counts(pos, neg)
     for slot, p in ((0, 0.25), (1, 0.5), (2, 0.25)):
         sigma = (n * p * (1 - p)) ** 0.5
         assert abs(counts[slot] - n * p) < 3 * sigma, counts
+
+
+def test_negatives_match_scalar_oracle_in_distribution():
+    # same support (every one-slot corruption that is not stored) and slot
+    # shares within 3 sigma of the per-triple reference's
+    store = random_store()
+    positive = store.triples[0]
+    n = 3000
+    neg = sample_negative(store, np.tile(positive, (n, 1)), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    want = np.array([sample_negative_oracle(store, positive, rng) for _ in range(n)])
+    h, r, t = positive
+    support = {(e, r, t) for e in range(store.n_entities) if e != h}
+    support |= {(h, rr, t) for rr in range(store.n_relations) if rr != r}
+    support |= {(h, r, e) for e in range(store.n_entities) if e != t}
+    support -= store.triple_set
+    assert {tuple(row) for row in neg.tolist()} == support
+    assert {tuple(row) for row in want.tolist()} == support
+    got_counts = slot_counts(np.tile(positive, (n, 1)), neg)
+    want_counts = slot_counts(np.tile(positive, (n, 1)), want)
+    for slot in range(3):
+        p = want_counts[slot] / n
+        assert abs(got_counts[slot] - want_counts[slot]) < 3 * (2 * n * p * (1 - p)) ** 0.5
 
 
 def test_negative_falls_back_when_all_candidates_positive():
     # every one-slot corruption is itself stored, so the filter must give up
     rows = [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")]
     store = store_from_triples(rows)
-    rng = np.random.default_rng(0)
-    neg = sample_negative(store, store.triples[0], rng)
-    assert neg in store.triple_set
-    assert neg != store.triples[0]
+    pos = repeated_positives(store)
+    neg = sample_negative(store, pos, np.random.default_rng(0))
+    assert all(tuple(row) in store.triple_set for row in neg.tolist())
+    assert ((neg != pos).sum(axis=1) == 1).all()
+    want = sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
+    assert want in store.triple_set and want != store.triples[0]
+
+
+def test_negative_degenerate_slots_take_first_other_value():
+    # one entity: only the relation can change, and random draws never move
+    # an entity slot, so the scan picks the first other relation
+    store = store_from_triples([("a", "r", "a"), ("a", "q", "a")])
+    pos = np.zeros((5, 3), dtype=np.int64)
+    neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=0.0)
+    np.testing.assert_array_equal(neg, [[0, 1, 0]] * 5)
+    assert sample_negative_oracle(store, (0, 0, 0), np.random.default_rng(0), 0.0) == (0, 1, 0)
 
 
 def test_negative_impossible_on_single_triple_self_loop():
     store = store_from_triples([("a", "r", "a")])
+    pos = repeated_positives(store)
     with pytest.raises(ValueError, match="no corrupted triple"):
-        sample_negative(store, store.triples[0], np.random.default_rng(0))
+        sample_negative(store, pos, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no corrupted triple"):
+        sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
+
+
+def test_negatives_drawn_once_per_epoch_after_positives(monkeypatch):
+    # train looks the sampler up as a module global, once per epoch, on
+    # np.repeat(positives, neg_k): negatives of positive p sit at rows
+    # p*neg_k .. p*neg_k + neg_k - 1
+    store = planted_store()
+    calls = []
+    original = trainer.sample_negative
+
+    def spy(store_, positives, *args, **kwargs):
+        out = original(store_, positives, *args, **kwargs)
+        calls.append((positives.copy(), out))
+        return out
+
+    monkeypatch.setattr(trainer, "sample_negative", spy)
+    config = TrainConfig(dim=4, batch_size=7, epochs=3, negatives_per_positive=3, seed=2)
+    train(store, config)
+    assert len(calls) == 3
+    n = len(store.triples)
+    for positives, negatives in calls:
+        assert positives.shape == (3 * n, 3)
+        blocks = positives.reshape(n, 3, 3)
+        assert (blocks == blocks[:, :1]).all()
+        assert sorted(map(tuple, blocks[:, 0].tolist())) == sorted(store.triples)
+        assert ((negatives != positives).sum(axis=1) == 1).all()
+
+
+def test_epoch_loss_matches_oracle_hinge():
+    # one step per epoch: the first epoch's loss is the mean oracle hinge at
+    # the initial parameters over the replayed shuffle and negatives
+    store = planted_store()
+    config = TrainConfig(dim=6, margin=2.0, batch_size=10_000, epochs=1,
+                         negatives_per_positive=2, seed=5)
+    _, report = train(store, config)
+    rng = np.random.default_rng(config.seed)
+    params = init_params(store.n_entities, store.n_relations, config.dim, rng)
+    stored = np.asarray(store.triples, dtype=np.int64)
+    pos = np.repeat(stored[rng.permutation(len(stored))], 2, axis=0)
+    neg = sample_negative(store, pos, rng, config.corrupt_relation_prob)
+    losses = [
+        hinge_loss(score_combined(params, *map(int, p)).value,
+                   score_combined(params, *map(int, q)).value, config.margin)
+        for p, q in zip(pos, neg)
+    ]
+    assert report.epoch_losses[0] == pytest.approx(np.mean(losses), rel=1e-5)
 
 
 # relations out of order and repeated, a batch of one row, a batch where
