@@ -4,8 +4,7 @@ Subcommands: train, keyrel, export-services, serve, eval-lp, eval-rel,
 recsys. Every subcommand accepts --config pointing at a JSON file whose
 keys mirror the flag names (dashes or underscores); explicit flags
 override config values, which override built-in defaults. All reports
-are JSON with a top-level schema_version. PKGM_THREADS caps worker
-parallelism during evaluation.
+are JSON with a top-level schema_version.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import asyncio
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import downstream, evaluation, keyrel, kgstore, model, servicing, trainer
@@ -59,22 +57,6 @@ def _map_token(vocab: kgstore.Vocab, token: str, kind: str) -> int:
     if token not in vocab:
         raise ValueError(f"unknown {kind} token {token!r}")
     return vocab.id(token)
-
-
-def _read_token_triples(path) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 TAB-separated fields, got {len(fields)}"
-                )
-            rows.append(tuple(fields))
-    return rows
 
 
 def cmd_train(args) -> int:
@@ -122,15 +104,11 @@ def cmd_export_services(args) -> int:
         "checkpoint": _REQUIRED, "keyrel": _REQUIRED, "variant": _REQUIRED,
         "out": _REQUIRED,
     })
-    if settings["variant"] not in servicing.VARIANTS:
-        raise ValueError(
-            f"unknown variant {settings['variant']!r}; expected one of {servicing.VARIANTS}"
-        )
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
     table = keyrel.read_keyrel_tsv(settings["keyrel"], entity_vocab, relation_vocab)
     bundle = servicing.build_bundle(params, table, settings["variant"])
     servicing.write_services(settings["out"], bundle)
-    print(f"{len(bundle.vectors)} service records written to {settings['out']}")
+    print(f"{len(bundle.ids)} service records written to {settings['out']}")
     return 0
 
 
@@ -141,24 +119,20 @@ def cmd_eval_lp(args) -> int:
     })
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
 
-    def map_rows(rows):
-        return [
-            (
-                _map_token(entity_vocab, h, "entity"),
+    def triple_ids(fields):
+        h, r, t = fields
+        return (_map_token(entity_vocab, h, "entity"),
                 _map_token(relation_vocab, r, "relation"),
-                _map_token(entity_vocab, t, "entity"),
-            )
-            for h, r, t in rows
-        ]
+                _map_token(entity_vocab, t, "entity"))
 
-    test = map_rows(_read_token_triples(settings["test"]))
-    known = map_rows(_read_token_triples(settings["triples"])) if settings["triples"] else []
+    test = kgstore.read_tsv(settings["test"], 3, triple_ids)
+    known = kgstore.read_tsv(settings["triples"], 3, triple_ids) if settings["triples"] else []
     store = kgstore.TripleStore(
         entities=entity_vocab,
         relations=relation_vocab,
         triples=known,
         category_of={},
-        relation_counts=dict(Counter(r for _, r, _ in known)),
+        relation_counts={},  # link prediction reads only the triples
     )
     report = evaluation.link_prediction(params, store, test)
     _write_report(settings["report"], report.as_dict())
@@ -171,23 +145,15 @@ def cmd_eval_rel(args) -> int:
         "checkpoint": _REQUIRED, "pairs": _REQUIRED, "report": _REQUIRED,
     })
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
-    pairs = []
-    path = settings["pairs"]
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or fields[2] not in ("0", "1"):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected head<TAB>relation<TAB>label(0|1)"
-                )
-            pairs.append((
-                _map_token(entity_vocab, fields[0], "entity"),
-                _map_token(relation_vocab, fields[1], "relation"),
-                fields[2] == "1",
-            ))
+
+    def labeled_pair(fields):
+        h, r, label = fields
+        if label not in ("0", "1"):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        return (_map_token(entity_vocab, h, "entity"),
+                _map_token(relation_vocab, r, "relation"), label == "1")
+
+    pairs = kgstore.read_tsv(settings["pairs"], 3, labeled_pair)
     report = evaluation.existence_prediction(params, None, pairs)
     _write_report(settings["report"], report.as_dict())
     print(f"existence prediction report written to {settings['report']}")
@@ -207,10 +173,6 @@ def cmd_recsys(args) -> int:
             raise ValueError("--checkpoint is required when --services is a file "
                              "(it supplies the entity vocabulary)")
         bundle = servicing.read_services(settings["services"])
-        if bundle.variant != "all":
-            raise ValueError(
-                f"recsys integration needs a variant 'all' export, got {bundle.variant!r}"
-            )
         _, entity_vocab, _ = model.load_checkpoint(settings["checkpoint"])
         service_table = downstream.service_table_for_items(data, bundle, entity_vocab)
     config = downstream.RecConfig(
@@ -259,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pkgm",
         description="Knowledge graph pre-training and knowledge serving toolkit.",
-        epilog="PKGM_THREADS caps evaluation worker parallelism (default 1).",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

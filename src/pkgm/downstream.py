@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluation import EvalReport
-from .kgstore import Vocab, sorted_contains
+from .kgstore import Vocab, read_tsv, sorted_contains
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
@@ -48,23 +48,15 @@ def interactions_from_rows(rows: Iterable[tuple[str, str, int]]) -> InteractionS
 
 def load_interactions(path) -> InteractionSet:
     """Parse "user<TAB>item<TAB>order_index" lines."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 TAB-separated fields, got {len(fields)}"
-                )
-            try:
-                order = int(fields[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: order index must be an integer")
-            rows.append((fields[0], fields[1], order))
-    return interactions_from_rows(rows)
+
+    def row(fields):
+        user, item, order = fields
+        try:
+            return user, item, int(order)
+        except ValueError:
+            raise ValueError("order index must be an integer") from None
+
+    return interactions_from_rows(read_tsv(path, 3, row))
 
 
 def write_interactions(path, rows: Iterable[tuple[str, str, int]]) -> None:
@@ -87,11 +79,13 @@ def integrate_sequence(seq: list[np.ndarray], bundle: ServiceBundle,
     """Append the entity's triple-module then relation-module vectors."""
     if bundle.variant != "all":
         raise ValueError(f"integrate_sequence requires variant 'all', got {bundle.variant!r}")
-    vecs = bundle.vectors_for(entity_id)
+    (at,) = bundle.index([entity_id])
+    if at < 0:
+        raise ValueError(f"entity {entity_id} has no service vector")
     for pos, v in enumerate(seq):
         if np.shape(v) != (bundle.dim,):
             raise ValueError(f"seq[{pos}] has shape {np.shape(v)}, expected ({bundle.dim},)")
-    return list(seq) + [vecs[i] for i in range(vecs.shape[0])]
+    return list(seq) + list(bundle.block[at])
 
 
 def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
@@ -101,13 +95,11 @@ def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
     Items are matched to KG entities by token. Raises when any item has
     no service vector.
     """
-    rows = []
-    for idx in range(data.n_items):
-        token = data.items.token(idx)
-        if token not in entity_vocab or entity_vocab.id(token) not in bundle.vectors:
-            raise ValueError(f"item {token!r} has no service vector")
-        rows.append(condense_single(bundle, entity_vocab.id(token)))
-    table = np.asarray(rows, dtype=np.float32)
+    tokens = list(data.items)
+    at = bundle.index([entity_vocab.id(t) if t in entity_vocab else -1 for t in tokens])
+    if (at < 0).any():
+        raise ValueError(f"item {tokens[np.argmax(at < 0)]!r} has no service vector")
+    table = condense_single(bundle)[at]
     table.setflags(write=False)
     return table
 

@@ -2,14 +2,11 @@
 
 Scoring runs in float64 regardless of parameter dtype so that rank
 comparisons are stable. Ranks are pessimistic: candidates scoring equal
-to the target count against it. PKGM_THREADS caps worker parallelism
-for the per-triple ranking loop (default 1).
+to the target count against it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,19 +24,6 @@ class EvalReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PKGM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PKGM_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"PKGM_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
@@ -63,27 +47,14 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
             known_tails.setdefault((h, r), []).append(t)
 
     ranks = np.zeros(len(test), dtype=np.int64)
-
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            h, r, t = test[i]
-            scores = np.abs(ent[h] + rel[r] - ent).sum(axis=1)
-            target = scores[t]
-            if filtered:
-                others = [e for e in known_tails[(h, r)] if e != t]
-                if others:
-                    scores[others] = np.inf
-            ranks[i] = int((scores <= target).sum())
-
-    workers = min(_worker_count(), len(test))
-    if workers <= 1:
-        work(0, len(test))
-    else:
-        bounds = np.linspace(0, len(test), workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, bounds[j], bounds[j + 1]) for j in range(workers)]
-            for fut in futures:
-                fut.result()
+    for i, (h, r, t) in enumerate(test):
+        scores = np.abs(ent[h] + rel[r] - ent).sum(axis=1)
+        target = scores[t]
+        if filtered:
+            others = [e for e in known_tails[(h, r)] if e != t]
+            if others:
+                scores[others] = np.inf
+        ranks[i] = int((scores <= target).sum())
     return ranks
 
 
@@ -98,7 +69,7 @@ def link_prediction(params: ModelParams, store: TripleStore, test_triples,
         metrics=metrics,
         sizes={"n_test": len(ranks), "n_entities": params.n_entities,
                "n_relations": params.n_relations},
-        config={"filtered": True, "ks": list(ks), "workers": _worker_count()},
+        config={"filtered": True, "ks": list(ks)},
     )
 
 

@@ -18,21 +18,6 @@ class KeyRelationTable:
     k: int
     rows: dict[int, tuple[int, ...]]
 
-    def __contains__(self, entity_id: int) -> bool:
-        return entity_id in self.rows
-
-    def relations_for(self, entity_id: int) -> tuple[int, ...]:
-        return self.rows[entity_id]
-
-
-def relation_frequency(store: TripleStore, r: int, e: int) -> int:
-    """Count category members of e that have any triple under relation r."""
-    cat = store.category_of.get(e)
-    if cat is None:
-        raise ValueError(f"uncategorized entity {store.entities.token(e)!r}")
-    heads_with_r = {h for h, rr, _ in store.triples if rr == r}
-    return sum(1 for m, c in store.category_of.items() if c == cat and m in heads_with_r)
-
 
 def select_key_relations(store: TripleStore, k: int, entities=None) -> KeyRelationTable:
     """Pick the k key relations for every categorized entity.

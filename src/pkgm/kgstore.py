@@ -1,16 +1,16 @@
 """Triple file ingestion, id interning, and the category index.
 
 Triple files are UTF-8 text, one triple per line, fields separated by a
-single TAB, no header. Lines starting with "#" are ignored. Category
-membership is encoded as ordinary triples under a configurable relation
-name (default "isA"), i.e. (entity, isA, category).
+single TAB, no header. Lines starting with "#" are ignored. read_tsv is
+the one parser for these "#"-commented inputs (triples, existence pairs,
+interactions). Category membership is encoded as ordinary triples under a
+configurable relation name (default "isA"), i.e. (entity, isA, category).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -61,13 +61,17 @@ class Vocab:
     def read_tsv(cls, path) -> "Vocab":
         vocab = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                tok, idx = line.split("\t")
-                got = vocab.add(tok)
-                if got != int(idx):
+                try:
+                    tok, idx = line.split("\t")
+                    idx = int(idx)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected token<TAB>integer id") from None
+                if vocab.add(tok) != idx:
                     raise ValueError(f"vocab file {path} is not dense: {tok} -> {idx}")
         return vocab
 
@@ -87,7 +91,6 @@ class TripleStore:
     category_of: dict[int, int]
     relation_counts: dict[int, int]
     category_relation: str = "isA"
-    min_relation_count: int = 1
     triple_set: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -101,12 +104,6 @@ class TripleStore:
     @property
     def n_relations(self) -> int:
         return len(self.relations)
-
-    @property
-    def category_relation_id(self) -> int | None:
-        if self.category_relation in self.relations:
-            return self.relations.id(self.category_relation)
-        return None
 
     def token_triples(self) -> list[tuple[str, str, str]]:
         """Stored triples externalized back to tokens, in storage order."""
@@ -123,7 +120,6 @@ def sorted_contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def store_from_triples(
     rows: Iterable[tuple[str, str, str]],
     category_relation: str = "isA",
-    min_relation_count: int = 1,
 ) -> TripleStore:
     """Build a TripleStore from (head, relation, tail) token rows.
 
@@ -159,8 +155,32 @@ def store_from_triples(
         category_of=category_of,
         relation_counts=counts,
         category_relation=category_relation,
-        min_relation_count=min_relation_count,
     )
+
+
+def read_tsv(path, n_fields: int, convert: Callable[[list[str]], object] = tuple) -> list:
+    """Rows of a TAB-separated UTF-8 file, convert(fields) for each data line.
+
+    A carriage return before a line's newline is dropped. Blank lines and
+    lines starting with "#" are skipped. A line that is not UTF-8, has other than
+    n_fields fields, or makes convert raise ValueError ends the read in
+    ValueError prefixed with "path: line N:".
+    """
+    rows = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields:
+                    raise ValueError(
+                        f"expected {n_fields} TAB-separated fields, got {len(fields)}")
+                rows.append(convert(fields))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return rows
 
 
 def load_triples(path, category_relation: str = "isA") -> TripleStore:
@@ -169,19 +189,7 @@ def load_triples(path, category_relation: str = "isA") -> TripleStore:
     Raises ValueError naming the line number for malformed lines and
     ValueError("no triples") when the file holds no data lines.
     """
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 TAB-separated fields, got {len(fields)}"
-                )
-            rows.append(tuple(fields))
-    return store_from_triples(rows, category_relation=category_relation)
+    return store_from_triples(read_tsv(path, 3), category_relation=category_relation)
 
 
 def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
@@ -199,16 +207,11 @@ def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
             keep.append((head, rel, tail))
     if not keep:
         raise ValueError("all relations filtered")
-    return store_from_triples(
-        keep,
-        category_relation=store.category_relation,
-        min_relation_count=min_count,
-    )
+    return store_from_triples(keep, category_relation=store.category_relation)
 
 
 def write_triples(path, rows: Iterable[tuple[str, str, str]]) -> None:
     """Write token triples in the TAB-separated file format."""
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         for head, rel, tail in rows:
             fh.write(f"{head}\t{rel}\t{tail}\n")

@@ -18,9 +18,8 @@ from .kgstore import Vocab
 
 CHECKPOINT_FORMAT_VERSION = 1
 HEADER_FILE = "header.json"
-ENTITY_BLOB = "entity_emb.f32"
-RELATION_BLOB = "relation_emb.f32"
-TRANSFER_BLOB = "transfer.f32"
+BLOBS = {"entity_emb": "entity_emb.f32", "relation_emb": "relation_emb.f32",
+         "transfer": "transfer.f32"}
 ENTITY_VOCAB_FILE = "entities.tsv"
 RELATION_VOCAB_FILE = "relations.tsv"
 
@@ -204,16 +203,12 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
         "n_relations": params.n_relations,
         "entity_vocab": ENTITY_VOCAB_FILE,
         "relation_vocab": RELATION_VOCAB_FILE,
-        "blobs": {
-            "entity_emb": ENTITY_BLOB,
-            "relation_emb": RELATION_BLOB,
-            "transfer": TRANSFER_BLOB,
-        },
+        "blobs": BLOBS,
     }
     (out_dir / HEADER_FILE).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-    (out_dir / ENTITY_BLOB).write_bytes(np.ascontiguousarray(params.entity_emb, dtype="<f4").tobytes())
-    (out_dir / RELATION_BLOB).write_bytes(np.ascontiguousarray(params.relation_emb, dtype="<f4").tobytes())
-    (out_dir / TRANSFER_BLOB).write_bytes(np.ascontiguousarray(params.transfer, dtype="<f4").tobytes())
+    for name, file_name in BLOBS.items():
+        table = np.ascontiguousarray(getattr(params, name), dtype="<f4")
+        (out_dir / file_name).write_bytes(table.tobytes())
     entity_vocab.write_tsv(out_dir / ENTITY_VOCAB_FILE)
     relation_vocab.write_tsv(out_dir / RELATION_VOCAB_FILE)
     return out_dir

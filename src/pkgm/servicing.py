@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,11 @@ from .model import ModelParams, RelationGroups, _check_index
 
 VARIANTS = ("item", "all", "T", "R")
 
-_ROWS_PER_ENTITY = {"item": lambda k: 1, "T": lambda k: k, "R": lambda k: k,
-                    "all": lambda k: 2 * k}
+
+def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
+    """One export record: uint32 entity id, then its service rows as float32."""
+    rows = {"item": 1, "T": k, "R": k, "all": 2 * k}[variant]
+    return np.dtype([("id", "<u4"), ("vec", "<f4", (rows, dim))])
 
 
 def service_triple(params: ModelParams, h: int, r: int) -> np.ndarray:
@@ -40,22 +42,23 @@ def service_relation(params: ModelParams, h: int, r: int) -> np.ndarray:
 
 @dataclass
 class ServiceBundle:
-    """Per-entity service vectors under one variant.
+    """Service vectors of the entities in ids under one variant.
 
-    vectors[e] is (2k, d) for "all" (triple-module rows first), (k, d)
-    for "T"/"R", and (1, d) for "item". Arrays are non-writeable.
+    ids is ascending uint32, (count,). block[i] holds the rows of entity
+    ids[i]: (2k, d) for "all" (triple-module rows first), (k, d) for
+    "T"/"R", and (1, d) for "item". block is read-only float32.
     """
 
     variant: str
     k: int
     dim: int
-    vectors: dict[int, np.ndarray]
+    ids: np.ndarray
+    block: np.ndarray
 
-    def vectors_for(self, entity_id: int) -> np.ndarray:
-        return self.vectors[entity_id]
-
-    def rows_per_entity(self) -> int:
-        return _ROWS_PER_ENTITY[self.variant](self.k)
+    def index(self, entity_ids) -> np.ndarray:
+        """Position in ids of each entity id, -1 where it has no service vector."""
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        return np.where(np.isin(entity_ids, self.ids), np.searchsorted(self.ids, entity_ids), -1)
 
 
 def _entity_vectors(params: ModelParams, entities: np.ndarray, rels: np.ndarray,
@@ -86,29 +89,28 @@ def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     entities = sorted(keyrels.rows)
     rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
+    ids = np.asarray(entities, dtype=np.uint32)
     block = np.ascontiguousarray(
-        _entity_vectors(params, np.asarray(entities, dtype=np.int64),
-                        rels.reshape(len(entities), keyrels.k), variant),
+        _entity_vectors(params, ids, rels.reshape(len(entities), keyrels.k), variant),
         dtype=np.float32)
+    ids.setflags(write=False)
     block.setflags(write=False)
-    vectors = {e: block[i] for i, e in enumerate(entities)}
-    return ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, vectors=vectors)
+    return ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, ids=ids, block=block)
 
 
-def condense_single(bundle: ServiceBundle, entity_id: int) -> np.ndarray:
-    """Mean over i of [S_i ; S_{i+k}], a 2d summary of an "all" bundle."""
+def condense_single(bundle: ServiceBundle) -> np.ndarray:
+    """Mean over i of [S_i ; S_{i+k}] per entity of an "all" bundle, (count, 2d)."""
     if bundle.variant != "all":
         raise ValueError(f"condense_single requires variant 'all', got {bundle.variant!r}")
-    arr = bundle.vectors[entity_id]
     k = bundle.k
-    return np.concatenate([arr[:k], arr[k:]], axis=1).mean(axis=0)
+    return np.concatenate([bundle.block[:, :k], bundle.block[:, k:]], axis=2).mean(axis=1)
 
 
-def condense_full(bundle: ServiceBundle, entity_id: int) -> np.ndarray:
-    """All 2k vectors concatenated in bundle order, a 2kd vector."""
+def condense_full(bundle: ServiceBundle) -> np.ndarray:
+    """All 2k vectors per entity of an "all" bundle in row order, (count, 2kd)."""
     if bundle.variant != "all":
         raise ValueError(f"condense_full requires variant 'all', got {bundle.variant!r}")
-    return bundle.vectors[entity_id].reshape(-1).copy()
+    return bundle.block.reshape(len(bundle.ids), -1).copy()
 
 
 def write_services(path, bundle: ServiceBundle) -> None:
@@ -119,37 +121,49 @@ def write_services(path, bundle: ServiceBundle) -> None:
     entity's vectors as little-endian float32, row order.
     """
     header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
-              "count": len(bundle.vectors)}
+              "count": len(bundle.ids)}
+    records = np.empty(len(bundle.ids), dtype=_record_dtype(bundle.variant, bundle.k, bundle.dim))
+    records["id"], records["vec"] = bundle.ids, bundle.block
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for e in sorted(bundle.vectors):
-            fh.write(struct.pack("<I", e))
-            fh.write(np.ascontiguousarray(bundle.vectors[e], dtype="<f4").tobytes())
+        fh.write(records)  # the array's own buffer, no bytes copy
 
 
 def read_services(path) -> ServiceBundle:
+    """Read a bundle written by write_services; ValueError names what is malformed."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        variant, k, dim, count = header["variant"], header["k"], header["d"], header["count"]
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r} in {path}")
-        rows = _ROWS_PER_ENTITY[variant](k)
-        rec_floats = rows * dim
-        vectors = {}
-        for _ in range(count):
-            raw_id = fh.read(4)
-            if len(raw_id) != 4:
-                raise ValueError(f"{path}: truncated record")
-            (e,) = struct.unpack("<I", raw_id)
-            raw = fh.read(4 * rec_floats)
-            if len(raw) != 4 * rec_floats:
-                raise ValueError(f"{path}: truncated record for entity {e}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(rows, dim).astype(np.float32)
-            arr.setflags(write=False)
-            vectors[e] = arr
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after {count} records")
-    return ServiceBundle(variant=variant, k=k, dim=dim, vectors=vectors)
+        raw = fh.read()
+    start = raw.find(b"\n") + 1 or len(raw)  # the records follow the header line
+    try:
+        header = json.loads(raw[:start].decode("utf-8"))
+    except (ValueError, RecursionError):
+        raise ValueError(f"{path}: header line is not JSON") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header must be a JSON object")
+    for key in ("k", "d", "count"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise ValueError(f"{path}: header key {key!r} must be a non-negative integer")
+    variant, k, dim, count = header.get("variant"), header["k"], header["d"], header["count"]
+    if variant not in VARIANTS:
+        raise ValueError(f"{path}: header key 'variant': unknown variant {variant!r}")
+    try:
+        dtype = _record_dtype(variant, k, dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header keys 'k' and 'd': {exc}") from None
+    size = len(raw) - start
+    if size < count * dtype.itemsize:
+        raise ValueError(f"{path}: truncated record; {count} records need "
+                         f"{count * dtype.itemsize} bytes after the header, got {size}")
+    if size > count * dtype.itemsize:
+        raise ValueError(f"{path}: trailing bytes after {count} records")
+    # read-only views into the immutable file bytes, no copy
+    records = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+    ids, block = records["id"], records["vec"]
+    if (ids[1:] <= ids[:-1]).any():
+        i = int(np.argmax(ids[1:] <= ids[:-1])) + 1
+        raise ValueError(f"{path}: record {i}: entity id {ids[i]} follows {ids[i - 1]}; "
+                         f"ids must be strictly ascending")
+    return ServiceBundle(variant=variant, k=k, dim=dim, ids=ids, block=block)
 
 
 @dataclass
@@ -208,17 +222,30 @@ class QueryService:
 
 async def _handle_connection(service: QueryService, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+    oversized = False
     try:
         while True:
-            line = await reader.readline()
-            if not line:
-                break
             try:
-                request = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                response = {"error": "bad_request"}
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial
+            except asyncio.LimitOverrunError as exc:
+                # drop what is buffered of a line over the reader's limit and
+                # answer it once its end has been read
+                await reader.readexactly(exc.consumed)
+                oversized = True
+                continue
+            if not line and not oversized:
+                break
+            if oversized:
+                response, oversized = {"error": "bad_request"}, False
             else:
-                response = service.handle(request)
+                try:
+                    request = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):
+                    response = {"error": "bad_request"}
+                else:
+                    response = service.handle(request)
             writer.write((json.dumps(response) + "\n").encode("utf-8"))
             await writer.drain()
     finally:

@@ -101,7 +101,7 @@ def test_full_pipeline(tmp_path, kg_file, capsys):
                      "--out", str(services)]) == 0
     bundle = read_services(services)
     assert (bundle.variant, bundle.k, bundle.dim) == ("all", 2, 8)
-    assert len(bundle.vectors) == 30
+    assert len(bundle.ids) == 30
 
     test_file = tmp_path / "test.tsv"
     write_triples(test_file, kg.relation_triples[:10])
@@ -161,6 +161,35 @@ def test_recsys_services_need_checkpoint(tmp_path, capsys):
     assert "--checkpoint is required" in capsys.readouterr().err
 
 
+def test_recsys_malformed_services_header_is_named_error(tmp_path, capsys):
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("u\ti\t0\nu\tj\t1\n", encoding="utf-8")
+    svc = tmp_path / "svc.bin"
+    svc.write_bytes(b'{"variant": "all", "d": 2, "count": 0}\n')
+    code = dispatch(["recsys", "--interactions", str(inter), "--services", str(svc),
+                     "--checkpoint", str(tmp_path / "ckpt"), "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pkgm: error: {svc}: header key 'k'")
+
+
+def test_eval_rel_errors_name_path_and_line(tmp_path, kg_file, capsys):
+    path, _ = kg_file
+    ckpt = tmp_path / "ckpt"
+    assert dispatch(["train", "--triples", str(path), "--out", str(ckpt),
+                     "--dim", "4", "--epochs", "0"]) == 0
+    pairs = tmp_path / "pairs.tsv"
+    for body, message in [("e001\tr1\t1\n# c\nnosuch\tr1\t0\n",
+                           "line 3: unknown entity token 'nosuch'"),
+                          ("e001\tr1\tyes\n", "line 1: label must be 0 or 1, got 'yes'"),
+                          ("e001\tr1\n", "line 1: expected 3 TAB-separated fields, got 2")]:
+        pairs.write_text(body, encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["eval-rel", "--checkpoint", str(ckpt), "--pairs", str(pairs),
+                         "--report", str(tmp_path / "r.json")]) == 1
+        assert f"pkgm: error: {pairs}: {message}" in capsys.readouterr().err
+
+
 def test_eval_lp_rejects_unknown_tokens(tmp_path, kg_file, capsys):
     path, _ = kg_file
     ckpt = tmp_path / "ckpt"
@@ -171,7 +200,7 @@ def test_eval_lp_rejects_unknown_tokens(tmp_path, kg_file, capsys):
     code = dispatch(["eval-lp", "--checkpoint", str(ckpt), "--test", str(test_file),
                      "--report", str(tmp_path / "r.json")])
     assert code == 1
-    assert "unknown entity token 'nosuch'" in capsys.readouterr().err
+    assert f"{test_file}: line 1: unknown entity token 'nosuch'" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -78,8 +78,9 @@ def test_integrate_sequence_appends_service_vectors(item_bundle):
     out = integrate_sequence(seq, bundle, 1)
     assert len(out) == 2 + 4  # 2k with k=2
     np.testing.assert_array_equal(out[0], seq[0])
+    (at,) = bundle.index([1])
     for i in range(4):
-        np.testing.assert_array_equal(out[2 + i], bundle.vectors[1][i])
+        np.testing.assert_array_equal(out[2 + i], bundle.block[at, i])
     assert len(seq) == 2  # input list untouched
 
 
@@ -94,6 +95,8 @@ def test_integrate_sequence_validates(item_bundle):
     )
     with pytest.raises(ValueError, match="variant 'all'"):
         integrate_sequence([], t_only, 0)
+    with pytest.raises(ValueError, match="entity 3 has no service vector"):
+        integrate_sequence([], bundle, 3)
 
 
 def test_service_table_rows_follow_item_ids(item_bundle):
@@ -104,9 +107,14 @@ def test_service_table_rows_follow_item_ids(item_bundle):
     table = service_table_for_items(data, bundle, vocab)
     assert table.shape == (3, 2 * bundle.dim)
     assert not table.flags.writeable
+    np.testing.assert_array_equal(table, condense_single(bundle)[[0, 1, 2]])
+    k = bundle.k
     for idx in range(3):
-        entity = vocab.id(data.items.token(idx))
-        np.testing.assert_allclose(table[idx], condense_single(bundle, entity), rtol=1e-6)
+        # the per-entity mean, bit for bit
+        (at,) = bundle.index([vocab.id(data.items.token(idx))])
+        arr = bundle.block[at]
+        np.testing.assert_array_equal(
+            table[idx], np.concatenate([arr[:k], arr[k:]], axis=1).mean(axis=0))
 
 
 def test_service_table_rejects_unserved_items(item_bundle):

@@ -103,22 +103,6 @@ def test_link_prediction_metrics_consistent(ranking_setup):
     assert report.as_dict()["config"]["ks"] == [1, 5]
 
 
-def test_worker_count_does_not_change_ranks(ranking_setup, monkeypatch):
-    params, store, test = ranking_setup
-    monkeypatch.delenv("PKGM_THREADS", raising=False)
-    base = link_prediction_ranks(params, store, test)
-    monkeypatch.setenv("PKGM_THREADS", "4")
-    np.testing.assert_array_equal(link_prediction_ranks(params, store, test), base)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_invalid_thread_env_rejected(ranking_setup, monkeypatch, value):
-    params, store, test = ranking_setup
-    monkeypatch.setenv("PKGM_THREADS", value)
-    with pytest.raises(ValueError, match="PKGM_THREADS"):
-        link_prediction_ranks(params, store, test)
-
-
 def test_relation_scores_match_loop(rng):
     # float32 tables as in a checkpoint, relations out of order and repeated;
     # the 1e-12 bound holds only if the scores are computed in float64

@@ -5,18 +5,25 @@ from pkgm import keyrel
 from pkgm.kgstore import store_from_triples
 
 
+def relation_frequency(store, r, e):
+    """Count category members of e that have any triple under relation r."""
+    cat = store.category_of.get(e)
+    if cat is None:
+        raise ValueError(f"uncategorized entity {store.entities.token(e)!r}")
+    heads_with_r = {h for h, rr, _ in store.triples if rr == r}
+    return sum(1 for m, c in store.category_of.items() if c == cat and m in heads_with_r)
+
+
 def oracle_rows(store, k):
     """Recompute key relations per entity by brute force."""
-    pairs = {(h, r) for h, r, _ in store.triples}
     global_order = sorted(
         store.relation_counts, key=lambda r: (-store.relation_counts[r], r)
     )
     rows = {}
-    for e, cat in store.category_of.items():
-        members = [m for m, c in store.category_of.items() if c == cat]
+    for e in store.category_of:
         freq = {}
         for r in range(store.n_relations):
-            n = sum(1 for m in members if (m, r) in pairs)
+            n = relation_frequency(store, r, e)
             if n:
                 freq[r] = n
         ranked = sorted(freq, key=lambda r: (-freq[r], r))[:k]
@@ -28,25 +35,25 @@ def oracle_rows(store, k):
 def test_toy_store_hand_ranking(toy_store):
     # ids: color=0, tastes=1, isA=2; apple=0, carrot=6
     table = keyrel.select_key_relations(toy_store, k=2)
-    assert table.relations_for(0) == (0, 2)  # fruits: color and isA tie at 2, id order
-    assert table.relations_for(6) == (2, 0)  # vegetables: isA 2 beats color 1
+    assert table.rows[0] == (0, 2)  # fruits: color and isA tie at 2, id order
+    assert table.rows[6] == (2, 0)  # vegetables: isA 2 beats color 1
     assert set(table.rows) == {0, 4, 6, 9}
-    assert 0 in table and 1 not in table
+    assert 0 in table.rows and 1 not in table.rows
 
     table1 = keyrel.select_key_relations(toy_store, k=1)
-    assert table1.relations_for(0) == (0,)
-    assert table1.relations_for(6) == (2,)
+    assert table1.rows[0] == (0,)
+    assert table1.rows[6] == (2,)
 
 
 def test_relation_frequency_counts_category_members(toy_store):
-    assert keyrel.relation_frequency(toy_store, 0, 0) == 2  # both fruits have color
-    assert keyrel.relation_frequency(toy_store, 1, 4) == 1  # apple tastes, lemon asks
-    assert keyrel.relation_frequency(toy_store, 1, 6) == 0  # no vegetable tastes
+    assert relation_frequency(toy_store, 0, 0) == 2  # both fruits have color
+    assert relation_frequency(toy_store, 1, 4) == 1  # apple tastes, lemon asks
+    assert relation_frequency(toy_store, 1, 6) == 0  # no vegetable tastes
 
 
 def test_relation_frequency_requires_category(toy_store):
     with pytest.raises(ValueError, match="uncategorized"):
-        keyrel.relation_frequency(toy_store, 0, 3)  # "fruit" itself
+        relation_frequency(toy_store, 0, 3)  # "fruit" itself
 
 
 def test_select_rejects_uncategorized_entity(toy_store):
@@ -72,7 +79,7 @@ def test_thin_category_padded_from_global_ranking():
     store = store_from_triples(rows)
     table = keyrel.select_key_relations(store, k=3)
     for e in table.rows:
-        rels = table.relations_for(e)
+        rels = table.rows[e]
         assert len(rels) == 3
         assert len(set(rels)) == 3
     assert table.rows == oracle_rows(store, 3)

@@ -1,7 +1,17 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgm import kgstore
-from pkgm.kgstore import Vocab, filter_rare_relations, load_triples, store_from_triples
+from pkgm.kgstore import (
+    Vocab,
+    filter_rare_relations,
+    load_triples,
+    read_tsv,
+    store_from_triples,
+)
 
 
 def test_vocab_interning_order():
@@ -34,6 +44,56 @@ def test_vocab_tsv_rejects_sparse_ids(tmp_path):
     path.write_text("alpha\t0\nbeta\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not dense"):
         Vocab.read_tsv(path)
+
+
+@pytest.mark.parametrize("text,bad_line", [("alpha\t0\nbeta\n", 2),
+                                           ("alpha\tzero\n", 1),
+                                           ("alpha\t0\n\nbeta\t1\tx\n", 3)])
+def test_vocab_tsv_names_path_and_line(tmp_path, text, bad_line):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {bad_line}: expected token<TAB>integer id") as info:
+        Vocab.read_tsv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_read_tsv_skips_comments_and_blanks_and_converts(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"# a\tb\n\nx\t1\r\n#\n\r\ny\t2")
+    assert read_tsv(path, 2) == [("x", "1"), ("y", "2")]
+    assert read_tsv(path, 2, lambda f: (f[0], int(f[1]))) == [("x", 1), ("y", 2)]
+
+
+def test_read_tsv_prefixes_errors_with_path_and_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("# c\nx\t1\ny\tz\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 3 TAB-separated fields, got 2") as info:
+        read_tsv(path, 3)
+    assert str(info.value).startswith(f"{path}: line 2: ")
+
+    def convert(fields):
+        return fields[0], int(fields[1])
+
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: invalid literal"):
+        read_tsv(path, 2, convert)
+
+    path.write_bytes(b"x\t1\n# \xff\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 2: 'utf-8' codec"):
+        read_tsv(path, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.text().map(str.encode), st.binary()), n_fields=st.integers(1, 4))
+def test_read_tsv_on_arbitrary_bytes_returns_rows_or_names_a_line(tmp_path_factory, data,
+                                                                  n_fields):
+    path = tmp_path_factory.mktemp("tsv") / "any.tsv"
+    path.write_bytes(data)
+    try:
+        rows = read_tsv(path, n_fields)
+    except ValueError as exc:
+        assert re.search(r": line \d+: ", str(exc))
+    else:
+        assert all(len(row) == n_fields for row in rows)
 
 
 def test_store_interning_and_counts(toy_store):
@@ -83,7 +143,7 @@ def test_store_custom_category_relation():
     store = store_from_triples(rows, category_relation="memberOf")
     a = store.entities.id("a")
     assert store.entities.token(store.category_of[a]) == "g"
-    assert store.category_relation_id == store.relations.id("memberOf")
+    assert store.category_relation == "memberOf"
 
 
 def test_token_triples_round_trip(toy_rows, toy_store):
@@ -116,7 +176,6 @@ def test_filter_rare_relations(toy_store):
     filtered = filter_rare_relations(toy_store, min_count=2)
     assert "tastes" not in filtered.relations
     assert "color" in filtered.relations
-    assert filtered.min_relation_count == 2
     # re-interned ids stay dense
     assert sorted(filtered.relations.id(tok) for tok in filtered.relations) == [0, 1]
 

@@ -1,8 +1,11 @@
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgm import servicing
 from pkgm.keyrel import KeyRelationTable, select_key_relations
@@ -78,30 +81,43 @@ def test_bundle_matches_direct_recomputation(bundle_setup):
     r = build_bundle(params, table, "R")
     both = build_bundle(params, table, "all")
     item = build_bundle(params, table, "item")
-    for e, rels in table.rows.items():
-        for i, rel in enumerate(rels):
-            np.testing.assert_allclose(t.vectors[e][i], service_triple(params, e, rel))
+    for bundle in (t, r, both, item):
+        assert bundle.ids.dtype == np.uint32
+        np.testing.assert_array_equal(bundle.ids, [0, 3, 5])
+    for at, e in enumerate(sorted(table.rows)):
+        for i, rel in enumerate(table.rows[e]):
+            np.testing.assert_allclose(t.block[at, i], service_triple(params, e, rel))
             # the bundle applies M_r to all rows of relation r in one matrix
             # product, whose float32 sums may round apart from a single
             # matrix-vector product, so it is checked against the float64
             # value within the float32 error bound of its summands
             exact, bound = _relation_error_bound(params, e, rel)
-            assert np.all(np.abs(r.vectors[e][i] - exact) <= bound)
+            assert np.all(np.abs(r.block[at, i] - exact) <= bound)
         # "all" is the T bundle followed by the R bundle
-        np.testing.assert_array_equal(both.vectors[e][:3], t.vectors[e])
-        np.testing.assert_array_equal(both.vectors[e][3:], r.vectors[e])
-        np.testing.assert_array_equal(item.vectors[e][0], params.entity_emb[e])
-        assert item.vectors[e].shape == (1, 5)
-    assert both.rows_per_entity() == 6
-    assert t.rows_per_entity() == r.rows_per_entity() == 3
-    assert item.rows_per_entity() == 1
+        np.testing.assert_array_equal(both.block[at, :3], t.block[at])
+        np.testing.assert_array_equal(both.block[at, 3:], r.block[at])
+        np.testing.assert_array_equal(item.block[at, 0], params.entity_emb[e])
+    assert both.block.shape == (3, 6, 5)
+    assert t.block.shape == r.block.shape == (3, 3, 5)
+    assert item.block.shape == (3, 1, 5)
 
 
 def test_bundle_vectors_frozen(bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "all")
     with pytest.raises(ValueError):
-        bundle.vectors[0][0, 0] = 99.0
+        bundle.block[0, 0, 0] = 99.0
+    with pytest.raises(ValueError):
+        bundle.ids[0] = 7
+
+
+def test_bundle_index_finds_served_entities(bundle_setup):
+    params, table = bundle_setup
+    bundle = build_bundle(params, table, "T")
+    np.testing.assert_array_equal(bundle.index([5, 0, 1, 3, 6, -1]), [2, 0, -1, 1, -1, -1])
+    empty = ServiceBundle(variant="T", k=3, dim=5, ids=np.empty(0, dtype=np.uint32),
+                          block=np.empty((0, 3, 5), dtype=np.float32))
+    np.testing.assert_array_equal(empty.index([0, 2]), [-1, -1])
 
 
 def test_bundle_rejects_unknown_variant(bundle_setup):
@@ -113,25 +129,30 @@ def test_bundle_rejects_unknown_variant(bundle_setup):
 def test_condense_single_matches_loop_oracle(bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "all")
-    for e in table.rows:
-        arr = bundle.vectors[e]
+    condensed = condense_single(bundle)
+    assert condensed.shape == (3, 2 * bundle.dim)
+    for at in range(len(bundle.ids)):
+        arr = bundle.block[at]
         acc = np.zeros(2 * bundle.dim)
         for i in range(bundle.k):
             acc += np.concatenate([arr[i], arr[i + bundle.k]])
-        np.testing.assert_allclose(condense_single(bundle, e), acc / bundle.k, rtol=1e-6)
+        np.testing.assert_allclose(condensed[at], acc / bundle.k, rtol=1e-6)
+
+
+def _one_entity_bundle(k, block):
+    return ServiceBundle(variant="all", k=k, dim=block.shape[-1],
+                         ids=np.zeros(1, dtype=np.uint32), block=block[None])
 
 
 def test_condense_single_k1_is_plain_concatenation():
-    arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-    bundle = ServiceBundle(variant="all", k=1, dim=2, vectors={0: arr})
-    np.testing.assert_array_equal(condense_single(bundle, 0), [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(condense_full(bundle, 0), [1.0, 2.0, 3.0, 4.0])
+    bundle = _one_entity_bundle(1, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+    np.testing.assert_array_equal(condense_single(bundle), [[1.0, 2.0, 3.0, 4.0]])
+    np.testing.assert_array_equal(condense_full(bundle), [[1.0, 2.0, 3.0, 4.0]])
 
 
 def test_condense_single_zero_bundle():
-    bundle = ServiceBundle(variant="all", k=2, dim=3,
-                           vectors={0: np.zeros((4, 3), dtype=np.float32)})
-    np.testing.assert_array_equal(condense_single(bundle, 0), np.zeros(6))
+    bundle = _one_entity_bundle(2, np.zeros((4, 3), dtype=np.float32))
+    np.testing.assert_array_equal(condense_single(bundle), np.zeros((1, 6)))
 
 
 def test_condense_single_linear_in_bundle(bundle_setup):
@@ -144,31 +165,26 @@ def test_condense_single_linear_in_bundle(bundle_setup):
     )
     a = build_bundle(params, table, "all")
     b = build_bundle(scaled, table, "all")
-    for e in table.rows:
-        np.testing.assert_allclose(
-            condense_single(b, e), 3.0 * condense_single(a, e), rtol=1e-5
-        )
+    np.testing.assert_allclose(condense_single(b), 3.0 * condense_single(a), rtol=1e-5)
 
 
 def test_condense_full_slices_recover_rows(bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "all")
-    for e in table.rows:
-        flat = condense_full(bundle, e)
-        assert flat.shape == (2 * bundle.k * bundle.dim,)
-        back = flat.reshape(2 * bundle.k, bundle.dim)
-        np.testing.assert_array_equal(back, bundle.vectors[e])
-    flat[0] = -1.0  # the output is a copy, the bundle stays frozen
-    assert bundle.vectors[e][0, 0] != -1.0
+    flat = condense_full(bundle)
+    assert flat.shape == (3, 2 * bundle.k * bundle.dim)
+    np.testing.assert_array_equal(flat.reshape(3, 2 * bundle.k, bundle.dim), bundle.block)
+    flat[0, 0] = -1.0  # the output is a copy, the bundle stays frozen
+    assert bundle.block[0, 0, 0] != -1.0
 
 
 def test_condense_requires_all_variant(bundle_setup):
     params, table = bundle_setup
     t = build_bundle(params, table, "T")
     with pytest.raises(ValueError, match="variant 'all'"):
-        condense_single(t, 0)
+        condense_single(t)
     with pytest.raises(ValueError, match="variant 'all'"):
-        condense_full(t, 0)
+        condense_full(t)
 
 
 def test_services_file_round_trip(tmp_path, bundle_setup):
@@ -183,10 +199,31 @@ def test_services_file_round_trip(tmp_path, bundle_setup):
 
     back = read_services(path)
     assert (back.variant, back.k, back.dim) == ("all", 3, 5)
-    assert sorted(back.vectors) == sorted(bundle.vectors)
-    for e in bundle.vectors:
-        np.testing.assert_array_equal(back.vectors[e], bundle.vectors[e])
-        assert not back.vectors[e].flags.writeable
+    assert back.ids.dtype == bundle.ids.dtype
+    np.testing.assert_array_equal(back.ids, bundle.ids)
+    assert back.block.dtype == np.float32
+    np.testing.assert_array_equal(back.block, bundle.block)
+    assert not back.block.flags.writeable
+    assert not back.ids.flags.writeable
+
+
+def _per_record_bytes(bundle):
+    """The export layout written record by record, as the format states it."""
+    header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
+              "count": len(bundle.ids)}
+    out = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+    for e, rows in zip(bundle.ids.tolist(), bundle.block):
+        out += struct.pack("<I", e) + np.ascontiguousarray(rows, dtype="<f4").tobytes()
+    return out
+
+
+@pytest.mark.parametrize("variant", servicing.VARIANTS)
+def test_services_bytes_match_per_record_layout(tmp_path, bundle_setup, variant):
+    params, table = bundle_setup
+    bundle = build_bundle(params, table, variant)
+    path = tmp_path / "services.bin"
+    write_services(path, bundle)
+    assert path.read_bytes() == _per_record_bytes(bundle)
 
 
 def test_services_file_rejects_truncation(tmp_path, bundle_setup):
@@ -213,6 +250,88 @@ def test_services_file_rejects_unknown_variant(tmp_path):
     path.write_bytes(b'{"variant": "weird", "k": 1, "d": 2, "count": 0}\n')
     with pytest.raises(ValueError, match="unknown variant"):
         read_services(path)
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        (b'{"variant": "all", "d": 2, "count": 0}', "header key 'k'"),
+        (b'{"variant": "all", "k": "1", "d": 2, "count": 0}', "header key 'k'"),
+        (b'{"variant": "all", "k": 1, "d": 2.0, "count": 0}', "header key 'd'"),
+        (b'{"variant": "all", "k": 1, "d": 2, "count": true}', "header key 'count'"),
+        (b'{"variant": "all", "k": 1, "d": 2, "count": -1}', "header key 'count'"),
+        (b'{"k": 1, "d": 2, "count": 0}', "header key 'variant'"),
+        (b'{"variant": "all", "k": 1000000000000, "d": 2, "count": 0}', "header keys 'k' and 'd'"),
+        (b'["all", 1, 2, 0]', "header must be a JSON object"),
+        (b'"all"', "header must be a JSON object"),
+        (b"not json", "header line is not JSON"),
+        (b"\xff\xfe", "header line is not JSON"),
+    ],
+)
+def test_services_file_header_errors_name_path_and_key(tmp_path, header, message):
+    path = tmp_path / "services.bin"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(ValueError, match=message) as info:
+        read_services(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def _raw_services(ids, k=1, d=2):
+    header = json.dumps({"count": len(ids), "d": d, "k": k, "variant": "T"}).encode() + b"\n"
+    return header + b"".join(struct.pack("<I", e) + bytes(4 * k * d) for e in ids)
+
+
+@pytest.mark.parametrize("ids,at", [([4, 4], "record 1: entity id 4 follows 4"),
+                                    ([1, 3, 2], "record 2: entity id 2 follows 3")])
+def test_services_file_rejects_duplicate_and_unordered_ids(tmp_path, ids, at):
+    path = tmp_path / "services.bin"
+    path.write_bytes(_raw_services(ids))
+    with pytest.raises(ValueError, match=f"{at}; ids must be strictly ascending"):
+        read_services(path)
+    path.write_bytes(_raw_services(sorted(set(ids))))
+    np.testing.assert_array_equal(read_services(path).ids, sorted(set(ids)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(servicing.VARIANTS),
+    k=st.integers(1, 3),
+    dim=st.integers(1, 4),
+    ids=st.sets(st.integers(0, 2**32 - 1), max_size=6).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_services_round_trip_is_bit_exact(tmp_path_factory, variant, k, dim, ids, seed):
+    rows = {"item": 1, "T": k, "R": k, "all": 2 * k}[variant]
+    raw = np.random.default_rng(seed).integers(0, 2**32, size=(len(ids), rows, dim),
+                                               dtype=np.uint32)
+    # arbitrary bit patterns, NaN payloads and infinities included
+    block = raw.view(np.float32)
+    bundle = ServiceBundle(variant=variant, k=k, dim=dim,
+                           ids=np.asarray(ids, dtype=np.uint32), block=block)
+    path = tmp_path_factory.mktemp("svc") / "services.bin"
+    write_services(path, bundle)
+    back = read_services(path)
+    assert (back.variant, back.k, back.dim) == (variant, k, dim)
+    assert back.ids.tobytes() == bundle.ids.tobytes()
+    assert back.block.shape == block.shape and back.block.tobytes() == block.tobytes()
+    assert path.read_bytes() == _per_record_bytes(bundle)
+
+
+def test_services_file_truncated_anywhere_is_value_error(tmp_path, bundle_setup):
+    params, table = bundle_setup
+    path = tmp_path / "services.bin"
+    write_services(path, build_bundle(params, table, "all"))
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, len(data) - 1))
+    def check(offset):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(ValueError):
+            read_services(cut)
+
+    check()
 
 
 @pytest.fixture
@@ -266,7 +385,8 @@ def test_handle_bundle_variants(query_service):
     service, params, keyrels, store = query_service
     bundle = build_bundle(params, keyrels, "all")
     resp = service.handle({"op": "bundle", "e": "apple", "variant": "all"})
-    np.testing.assert_allclose(resp["vectors"], bundle.vectors[0], rtol=1e-6)
+    (at,) = bundle.index([store.entities.id("apple")])
+    np.testing.assert_allclose(resp["vectors"], bundle.block[at], rtol=1e-6)
 
     # "fruit" is in the vocabulary but has no key relations: item still works
     resp = service.handle({"op": "bundle", "e": "fruit", "variant": "item"})
@@ -327,6 +447,35 @@ def test_serve_round_trip(query_service):
     np.testing.assert_allclose(first["vector"], service_triple(params, 0, 0), rtol=1e-6)
     assert second == {"error": "bad_request"}
     assert third == {"error": "unknown_id"}
+
+
+def test_serve_answers_oversized_line_and_keeps_connection(query_service):
+    service, params, *_ = query_service
+
+    async def scenario(oversized):
+        server = await serve(service, port=0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(oversized)
+            writer.write(b'{"op": "triple", "h": "apple", "r": "color"}\n')
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            second = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return first, second
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    # one line over the 64 KiB reader limit, sent whole, and a still longer
+    # one whose end arrives only after the limit is passed
+    for oversized in (b'{"op": "triple", "h": "' + b"x" * 70_000 + b'"}\n',
+                      b"[" * 300_000 + b"\n"):
+        first, second = asyncio.run(scenario(oversized))
+        assert first == {"error": "bad_request"}
+        np.testing.assert_allclose(second["vector"], service_triple(params, 0, 0), rtol=1e-6)
 
 
 def test_serve_1000_concurrent_identical_requests(query_service):
