@@ -194,30 +194,29 @@ def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
     return prob, gmf, activations, feat
 
 
-def _segment_sum(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """Dense (n_rows, d) float32 table whose row k sums the rows where idx == k."""
-    d = rows.shape[1]
+def _segment_sum(idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (n_rows, d) table out, row k the sum of the rows where idx == k."""
+    n_rows, d = out.shape
     flat = (idx[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d)
-    return sums.reshape(n_rows, d).astype(np.float32)
+    out[...] = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-def _backward(model: RecModel, users, items, labels, prob, gmf, activations, feat,
-              l2: float) -> dict[str, np.ndarray]:
+def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, labels, prob,
+              gmf, activations, feat, l2: float) -> None:
+    """Write the batch's gradient into grads, the optimizer's gradient views."""
     p = model.params
     batch = len(labels)
-    grads = {}
 
     dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
-    grads["w_out"] = feat.T @ dlogit
+    np.matmul(feat.T, dlogit, out=grads["w_out"])
     dfeat = np.outer(dlogit, p["w_out"])
     gdim = gmf.shape[1]
     dgmf = dfeat[:, :gdim]
     dz = dfeat[:, gdim:]
     for layer in range(len(model.hidden), 0, -1):
         dz = dz * (activations[layer] > 0)
-        grads[f"w{layer}"] = activations[layer - 1].T @ dz
-        grads[f"b{layer}"] = dz.sum(axis=0)
+        np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
+        dz.sum(axis=0, out=grads[f"b{layer}"])
         dz = dz @ p[f"w{layer}"].T
     mdim = p["mlp_user"].shape[1]
     # the service slice of dz is dropped: service vectors get no gradient;
@@ -229,8 +228,7 @@ def _backward(model: RecModel, users, items, labels, prob, gmf, activations, fea
         ("mlp_item", items, dz[:, mdim:2 * mdim]),
     )
     for name, idx, rows in row_grads:
-        grads[name] = _segment_sum(idx, rows + l2 * p[name][idx], len(p[name]))
-    return grads
+        _segment_sum(idx, rows + l2 * p[name][idx], grads[name])
 
 
 def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
@@ -280,9 +278,10 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
         service_table.setflags(write=False)
     rng = np.random.default_rng(config.seed)
     service_dim = 0 if service_table is None else service_table.shape[1]
-    params = _init_rec_params(data.n_users, data.n_items, config, service_dim, rng)
-    model = RecModel(params=params, hidden=tuple(config.hidden), service=service_table)
-    optimizer = Adam(params, lr=config.learning_rate)
+    adam = Adam(_init_rec_params(data.n_users, data.n_items, config, service_dim, rng),
+                lr=config.learning_rate)
+    # the model's tables are views of the optimizer's flat buffer
+    model = RecModel(params=adam.params, hidden=tuple(config.hidden), service=service_table)
 
     pos_users, pos_items, _ = np.asarray(data.interactions, dtype=np.int64).reshape(-1, 3).T
     observed = np.unique(pos_users * data.n_items + pos_items)
@@ -310,8 +309,8 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
             clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
             loss_sum += float(-(y_b * np.log(clipped)
                                 + (1.0 - y_b) * np.log(1.0 - clipped)).sum())
-            grads = _backward(model, u_b, i_b, y_b, prob, gmf, acts, feat, config.l2)
-            optimizer.step(grads)
+            _backward(model, adam.grads, u_b, i_b, y_b, prob, gmf, acts, feat, config.l2)
+            adam.step()
         model.train_losses.append(loss_sum / len(order))
     return model
 

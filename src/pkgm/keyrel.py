@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kgstore import TripleStore, Vocab
+from .kgstore import TripleStore, Vocab, read_tsv
 
 
 @dataclass
@@ -72,29 +72,31 @@ def write_keyrel_tsv(path, table: KeyRelationTable, entity_vocab: Vocab,
 
 
 def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRelationTable:
+    """Read "entity<TAB>r1,...,rk" lines: every line lists k distinct
+    relations, the same k on every line, and no entity is listed twice."""
     rows: dict[int, tuple[int, ...]] = {}
-    k = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                entity, rels = line.split("\t")
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 2 TAB-separated fields")
-            try:
-                rel_ids = tuple(relation_vocab.id(tok) for tok in rels.split(","))
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: unknown relation token "
-                                 f"{exc.args[0]!r}") from None
-            if k is None:
-                k = len(rel_ids)
-            elif len(rel_ids) != k:
-                raise ValueError(f"{path}: line {lineno}: expected {k} relations, got {len(rel_ids)}")
-            if entity not in entity_vocab:
-                raise ValueError(f"{path}: line {lineno}: unknown entity token {entity!r}")
-            rows[entity_vocab.id(entity)] = rel_ids
-    if k is None:
+
+    def add(fields):
+        entity, rels = fields
+        tokens = rels.split(",")
+        try:
+            rel_ids = tuple(relation_vocab.id(tok) for tok in tokens)
+        except KeyError as exc:
+            raise ValueError(f"unknown relation token {exc.args[0]!r}") from None
+        k = len(next(iter(rows.values()), rel_ids))  # the first line sets k
+        if len(rel_ids) != k:
+            raise ValueError(f"expected {k} relations, got {len(rel_ids)}")
+        if len(set(rel_ids)) != k:
+            twice = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
+            raise ValueError(f"relation {twice!r} listed twice")
+        if entity not in entity_vocab:
+            raise ValueError(f"unknown entity token {entity!r}")
+        e = entity_vocab.id(entity)
+        if e in rows:
+            raise ValueError(f"entity {entity!r} listed twice")
+        rows[e] = rel_ids
+
+    read_tsv(path, 2, add, comments=False)
+    if not rows:
         raise ValueError(f"{path}: empty key relation table")
-    return KeyRelationTable(k=k, rows=rows)
+    return KeyRelationTable(k=len(next(iter(rows.values()))), rows=rows)

@@ -2,8 +2,9 @@
 
 Triple files are UTF-8 text, one triple per line, fields separated by a
 single TAB, no header. Lines starting with "#" are ignored. read_tsv is
-the one parser for these "#"-commented inputs (triples, existence pairs,
-interactions). Category membership is encoded as ordinary triples under a
+the one parser of TAB files: these "#"-commented inputs (triples,
+existence pairs, interactions) and, with comments off, the vocabulary and
+key-relation files. Category membership is encoded as ordinary triples under a
 configurable relation name (default "isA"), i.e. (entity, isA, category).
 """
 
@@ -59,20 +60,19 @@ class Vocab:
 
     @classmethod
     def read_tsv(cls, path) -> "Vocab":
+        """Read "token<TAB>id" lines whose ids count up from 0."""
         vocab = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, idx = line.split("\t")
-                    idx = int(idx)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected token<TAB>integer id") from None
-                if vocab.add(tok) != idx:
-                    raise ValueError(f"vocab file {path} is not dense: {tok} -> {idx}")
+
+        def add(fields):
+            try:
+                tok, idx = fields
+                idx = int(idx)
+            except ValueError:
+                raise ValueError("expected token<TAB>integer id") from None
+            if vocab.add(tok) != idx:
+                raise ValueError(f"ids are not dense: {tok} -> {idx}")
+
+        read_tsv(path, None, add, comments=False)
         return vocab
 
 
@@ -158,23 +158,25 @@ def store_from_triples(
     )
 
 
-def read_tsv(path, n_fields: int, convert: Callable[[list[str]], object] = tuple) -> list:
+def read_tsv(path, n_fields: int | None, convert: Callable[[list[str]], object] = tuple,
+             comments: bool = True) -> list:
     """Rows of a TAB-separated UTF-8 file, convert(fields) for each data line.
 
-    A carriage return before a line's newline is dropped. Blank lines and
-    lines starting with "#" are skipped. A line that is not UTF-8, has other than
-    n_fields fields, or makes convert raise ValueError ends the read in
-    ValueError prefixed with "path: line N:".
+    A carriage return before a line's newline is dropped. Blank lines are
+    skipped, and so are lines starting with "#" unless comments is False.
+    A line that is not UTF-8, has other than n_fields fields (any count
+    when n_fields is None), or makes convert raise ValueError ends the read
+    in ValueError prefixed with "path: line N:".
     """
     rows = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
-                if not line or line.startswith("#"):
+                if not line or comments and line.startswith("#"):
                     continue
                 fields = line.split("\t")
-                if len(fields) != n_fields:
+                if n_fields is not None and len(fields) != n_fields:
                     raise ValueError(
                         f"expected {n_fields} TAB-separated fields, got {len(fields)}")
                 rows.append(convert(fields))

@@ -1,4 +1,4 @@
-"""Model parameters and the two score functions with analytic gradients.
+"""Model parameters, the relation-grouped transfer kernel and checkpoints.
 
 The triple query module scores (h, r, t) as the L1 norm of h + r - t.
 The relation query module scores (h, r) as the L1 norm of M_r h - r,
@@ -44,22 +44,6 @@ class ModelParams:
     @property
     def n_relations(self) -> int:
         return self.relation_emb.shape[0]
-
-
-@dataclass
-class TripleScore:
-    value: float
-    parts: tuple[float, float]
-
-
-@dataclass
-class Gradients:
-    """Sparse gradient of the combined score for a single triple."""
-
-    d_head: np.ndarray
-    d_tail: np.ndarray
-    d_relation: np.ndarray
-    d_transfer: np.ndarray
 
 
 def init_params(n_entities: int, n_relations: int, dim: int, rng: np.random.Generator,
@@ -111,8 +95,10 @@ class RelationGroups:
             return
         order = np.argsort(rel_ids, kind="stable")
         ordered = rel_ids[order]
-        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        self.groups = [(int(rel_ids[idx[0]]), idx) for idx in np.split(order, cuts)]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        starts, ends = [0, *cuts], [*cuts, len(order)]
+        rels = ordered[starts].tolist()
+        self.groups = [(r, order[lo:hi]) for r, lo, hi in zip(rels, starts, ends)]
 
     def forward(self, transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of the result is M_r x_i for the relation r of row i."""
@@ -136,52 +122,6 @@ def _check_index(idx: int, size: int, kind: str) -> None:
     # negative ids would silently wrap under numpy indexing
     if not 0 <= idx < size:
         raise IndexError(f"{kind} id {idx} out of range [0, {size})")
-
-
-def score_triple(params: ModelParams, h: int, r: int, t: int) -> float:
-    _check_index(h, params.n_entities, "entity")
-    _check_index(t, params.n_entities, "entity")
-    _check_index(r, params.n_relations, "relation")
-    diff = params.entity_emb[h] + params.relation_emb[r] - params.entity_emb[t]
-    return float(np.abs(diff).sum())
-
-
-def score_relation(params: ModelParams, h: int, r: int) -> float:
-    _check_index(h, params.n_entities, "entity")
-    _check_index(r, params.n_relations, "relation")
-    resid = params.transfer[r] @ params.entity_emb[h] - params.relation_emb[r]
-    return float(np.abs(resid).sum())
-
-
-def score_combined(params: ModelParams, h: int, r: int, t: int) -> TripleScore:
-    f_triple = score_triple(params, h, r, t)
-    f_rel = score_relation(params, h, r)
-    return TripleScore(value=f_triple + f_rel, parts=(f_triple, f_rel))
-
-
-def gradients(params: ModelParams, h: int, r: int, t: int) -> Gradients:
-    """Analytic subgradient of the combined score at one triple.
-
-    d_head = sign(h + r - t) + M_r^T sign(M_r h - r)
-    d_tail = -sign(h + r - t)
-    d_relation = sign(h + r - t) - sign(M_r h - r)
-    d_transfer = sign(M_r h - r) h^T
-    """
-    _check_index(h, params.n_entities, "entity")
-    _check_index(t, params.n_entities, "entity")
-    _check_index(r, params.n_relations, "relation")
-    vh = params.entity_emb[h]
-    vr = params.relation_emb[r]
-    vt = params.entity_emb[t]
-    m = params.transfer[r]
-    s_triple = np.sign(vh + vr - vt)
-    s_rel = np.sign(m @ vh - vr)
-    return Gradients(
-        d_head=s_triple + m.T @ s_rel,
-        d_tail=-s_triple,
-        d_relation=s_triple - s_rel,
-        d_transfer=np.outer(s_rel, vh),
-    )
 
 
 def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,

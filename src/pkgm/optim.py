@@ -1,4 +1,4 @@
-"""Adaptive-moment gradient optimizer over named parameter arrays."""
+"""Adaptive-moment gradient optimizer over one flat parameter buffer."""
 
 from __future__ import annotations
 
@@ -6,33 +6,59 @@ import numpy as np
 
 
 class Adam:
-    """Adam over a dict of parameter arrays, updated in place.
+    """Adam over named tables copied into one contiguous buffer.
 
-    Moment buffers match each array's dtype. Bias correction uses the
-    shared step counter, so every array must be updated on every step.
+    params[name] and grads[name] are views of the flat buffers flat and
+    grad: the params are the live tables, and callers write each step's
+    gradient into grads before calling step(). Every table is updated on
+    every step, so bias correction uses one shared step counter.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+    def __init__(self, tables: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        dtypes = {table.dtype for table in tables.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"tables must share one dtype, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        size = sum(table.size for table in tables.values())
+        self.flat = np.empty(size, dtype=dtype)
+        self.grad, self.m, self.v, *self._scratch = np.zeros((5, size), dtype=dtype)
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+        lo = 0
+        for name, table in tables.items():
+            hi = lo + table.size
+            self.params[name] = self.flat[lo:hi].reshape(table.shape)
+            self.params[name][...] = table
+            self.grads[name] = self.grad[lo:hi].reshape(table.shape)
+            lo = hi
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self) -> None:
+        """Apply one update from the gradient in grad, in place."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, grad in grads.items():
-            p = self.params[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(grad)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = self.grad, self.m, self.v
+        s, u = self._scratch
+        # in place, with the per-element operation order of the expression
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is
+        # bit-equal to evaluating it table by table with temporaries
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.square(g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= self.lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        self.flat -= s

@@ -187,15 +187,11 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
         raise ValueError("store has no triples")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    params = init_params(store.n_entities, store.n_relations, config.dim, rng)
-    adam = Adam(
-        {
-            "entity_emb": params.entity_emb,
-            "relation_emb": params.relation_emb,
-            "transfer": params.transfer,
-        },
-        lr=config.learning_rate,
-    )
+    init = init_params(store.n_entities, store.n_relations, config.dim, rng)
+    adam = Adam({name: getattr(init, name) for name in ("entity_emb", "relation_emb", "transfer")},
+                lr=config.learning_rate)
+    # the tables the steps update are views of the optimizer's flat buffer
+    params = ModelParams(config.dim, **adam.params)
     triples = np.asarray(store.triples, dtype=np.int64)
     n = len(triples)
     neg_k = config.negatives_per_positive
@@ -234,14 +230,10 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
             hinge = losses > 0
             pair_weight = hinge.astype(np.float32) / np.float32(n_pairs)
             weight = np.concatenate([pair_weight.reshape(n_pos, neg_k).sum(axis=1), -pair_weight])
-            grads = {
-                "entity_emb": np.zeros_like(params.entity_emb),
-                "relation_emb": np.zeros_like(params.relation_emb),
-                "transfer": np.zeros_like(params.transfer),
-            }
-            _accumulate(grads, params, hs, rs, ts, terms, weight)
+            adam.grad.fill(0)
+            _accumulate(adam.grads, params, hs, rs, ts, terms, weight)
             stamps.append(time.perf_counter())
-            adam.step(grads)
+            adam.step()
             stamps.append(time.perf_counter())
             _project_entity_rows(params.entity_emb)
             stamps.append(time.perf_counter())

@@ -1,0 +1,76 @@
+"""Per-triple scores and subgradients: the scalar oracles of the batched code.
+
+The trainer, evaluation and servicing score and differentiate whole
+batches at once; these functions compute the same formulas one triple at
+a time and serve as the reference the tests compare them with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pkgm.model import ModelParams, _check_index
+
+
+@dataclass
+class TripleScore:
+    value: float
+    parts: tuple[float, float]
+
+
+@dataclass
+class Gradients:
+    """Sparse gradient of the combined score for a single triple."""
+
+    d_head: np.ndarray
+    d_tail: np.ndarray
+    d_relation: np.ndarray
+    d_transfer: np.ndarray
+
+
+def score_triple(params: ModelParams, h: int, r: int, t: int) -> float:
+    _check_index(h, params.n_entities, "entity")
+    _check_index(t, params.n_entities, "entity")
+    _check_index(r, params.n_relations, "relation")
+    diff = params.entity_emb[h] + params.relation_emb[r] - params.entity_emb[t]
+    return float(np.abs(diff).sum())
+
+
+def score_relation(params: ModelParams, h: int, r: int) -> float:
+    _check_index(h, params.n_entities, "entity")
+    _check_index(r, params.n_relations, "relation")
+    resid = params.transfer[r] @ params.entity_emb[h] - params.relation_emb[r]
+    return float(np.abs(resid).sum())
+
+
+def score_combined(params: ModelParams, h: int, r: int, t: int) -> TripleScore:
+    f_triple = score_triple(params, h, r, t)
+    f_rel = score_relation(params, h, r)
+    return TripleScore(value=f_triple + f_rel, parts=(f_triple, f_rel))
+
+
+def gradients(params: ModelParams, h: int, r: int, t: int) -> Gradients:
+    """Analytic subgradient of the combined score at one triple.
+
+    d_head = sign(h + r - t) + M_r^T sign(M_r h - r)
+    d_tail = -sign(h + r - t)
+    d_relation = sign(h + r - t) - sign(M_r h - r)
+    d_transfer = sign(M_r h - r) h^T
+    """
+    _check_index(h, params.n_entities, "entity")
+    _check_index(t, params.n_entities, "entity")
+    _check_index(r, params.n_relations, "relation")
+    vh = params.entity_emb[h]
+    vr = params.relation_emb[r]
+    vt = params.entity_emb[t]
+    m = params.transfer[r]
+    s_triple = np.sign(vh + vr - vt)
+    s_rel = np.sign(m @ vh - vr)
+    return Gradients(
+        d_head=s_triple + m.T @ s_rel,
+        d_tail=-s_triple,
+        d_relation=s_triple - s_rel,
+        d_transfer=np.outer(s_rel, vh),
+    )

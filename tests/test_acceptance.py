@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import record_acceptance
+from oracles import gradients
 
 from pkgm import downstream, keyrel, servicing, synth, trainer
 from pkgm.downstream import InteractionSet, RecConfig
@@ -17,13 +18,7 @@ from pkgm.evaluation import existence_prediction, link_prediction_ranks
 from pkgm.cli import dispatch
 from pkgm.keyrel import select_key_relations
 from pkgm.kgstore import store_from_triples
-from pkgm.model import (
-    ModelParams,
-    gradients,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from pkgm.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from pkgm.servicing import build_bundle, read_services, service_triple, write_services
 
 

@@ -236,6 +236,16 @@ def test_unknown_keyrel_token_is_named_error(tmp_path, ckpt_and_keyrels, capsys,
     assert "line 2: unknown relation token 'nosuch'" in err
 
 
+def test_non_utf8_keyrel_file_is_named_error(tmp_path, ckpt_and_keyrels, capsys):
+    ckpt, keyrels = ckpt_and_keyrels
+    lines = keyrels.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"\t", b"\t\xff", 1)
+    keyrels.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert dispatch(services_args("export-services", ckpt, keyrels, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"pkgm: error: {keyrels}: line 2: ")
+
+
 @pytest.mark.parametrize("command", ["export-services", "serve"])
 def test_missing_checkpoint_header_key_is_named_error(tmp_path, ckpt_and_keyrels, capsys,
                                                       command):

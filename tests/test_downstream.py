@@ -266,8 +266,9 @@ def test_segment_sum_matches_add_at_on_repeated_indices():
     rows = rng.normal(size=(400, 6)).astype(np.float32)
     want = np.zeros((7, 6), dtype=np.float32)
     np.add.at(want, idx, rows)
-    got = downstream._segment_sum(idx, rows, 7)
-    assert got.dtype == np.float32 and got.shape == (7, 6)
+    # every row of out is written, the rows no index names with zeros
+    got = np.full((7, 6), np.nan, dtype=np.float32)
+    downstream._segment_sum(idx, rows, got)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
     assert not got[5:].any()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import score_relation
 from pkgm import evaluation
 from pkgm.evaluation import (
     choose_threshold,
@@ -10,7 +11,7 @@ from pkgm.evaluation import (
     relation_scores,
 )
 from pkgm.kgstore import store_from_triples
-from pkgm.model import ModelParams, init_params, score_relation
+from pkgm.model import ModelParams, init_params
 
 
 def random_graph(rng, n_entities=12, n_relations=3, n_rows=25):

@@ -139,3 +139,33 @@ def test_tsv_read_errors(tmp_path, toy_store):
     unknown_ent.write_text("pear\tcolor,isA\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1: unknown entity token 'pear'"):
         keyrel.read_keyrel_tsv(unknown_ent, toy_store.entities, toy_store.relations)
+
+
+@pytest.fixture
+def arq_store():
+    # relations r, isA, q over entities a, b, c
+    return store_from_triples([("a", "r", "b"), ("a", "isA", "c"), ("a", "q", "b")])
+
+
+def test_tsv_rejects_relation_listed_twice(tmp_path, arq_store):
+    path = tmp_path / "twice.tsv"
+    path.write_text("a\tr,r\na\tq,isA\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: relation 'r' listed twice") as info:
+        keyrel.read_keyrel_tsv(path, arq_store.entities, arq_store.relations)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_tsv_rejects_entity_listed_twice(tmp_path, arq_store):
+    path = tmp_path / "twice.tsv"
+    path.write_text("a\tr,isA\nb\tq,r\na\tq,isA\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: entity 'a' listed twice") as info:
+        keyrel.read_keyrel_tsv(path, arq_store.entities, arq_store.relations)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_tsv_non_utf8_line_is_named_error(tmp_path, arq_store):
+    path = tmp_path / "bytes.tsv"
+    path.write_bytes(b"a\tr,isA\nb\tq,\xff\n")
+    with pytest.raises(ValueError, match="line 2: 'utf-8' codec") as info:
+        keyrel.read_keyrel_tsv(path, arq_store.entities, arq_store.relations)
+    assert str(info.value).startswith(f"{path}: ")

@@ -57,6 +57,22 @@ def test_vocab_tsv_names_path_and_line(tmp_path, text, bad_line):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_vocab_tsv_non_utf8_line_is_named_error(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_bytes(b"alpha\t0\nbe\xfft\t1\n")
+    with pytest.raises(ValueError, match="line 2: 'utf-8' codec") as info:
+        Vocab.read_tsv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_vocab_tsv_keeps_hash_tokens(tmp_path):
+    # vocabulary tokens may start with "#"; only the "#"-commented inputs skip them
+    v = Vocab(["#alpha", "beta"])
+    path = tmp_path / "vocab.tsv"
+    v.write_tsv(path)
+    assert Vocab.read_tsv(path) == v
+
+
 def test_read_tsv_skips_comments_and_blanks_and_converts(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_bytes(b"# a\tb\n\nx\t1\r\n#\n\r\ny\t2")

@@ -3,18 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import Gradients, gradients, score_combined, score_relation, score_triple
 from pkgm.kgstore import Vocab
-from pkgm.model import (
-    Gradients,
-    ModelParams,
-    gradients,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    score_combined,
-    score_relation,
-    score_triple,
-)
+from pkgm.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 
 
 def hand_params():

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import gradients, score_combined
 from pkgm import synth, trainer
 from pkgm.kgstore import store_from_triples
-from pkgm.model import gradients, init_params, score_combined
+from pkgm.model import init_params
 from pkgm.trainer import TrainConfig, sample_negative, train
 
 
