@@ -1,10 +1,11 @@
 """Command line entry point.
 
 Subcommands: train, keyrel, export-services, serve, eval-lp, eval-rel,
-recsys. Every subcommand accepts --config pointing at a JSON file whose
-keys mirror the flag names (dashes or underscores); explicit flags
-override config values, which override built-in defaults. All reports
-are JSON with a top-level schema_version.
+recsys, each with its settings declared once in COMMANDS. Every
+subcommand accepts --config pointing at a JSON file whose keys mirror the
+flag names (dashes or underscores) and whose values have the flag's type;
+explicit flags override config values, which override built-in defaults.
+All reports are JSON with a top-level schema_version.
 """
 
 from __future__ import annotations
@@ -22,10 +23,20 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 
 
+def _config_value(key: str, kind: type, default, value):
+    """A config file value of its flag's type: int takes a JSON integer (not a
+    bool), float any number, str a string; null only where the default is None."""
+    if value is None and default is None:
+        return None
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ValueError(f"config key {key!r} must be {kind.__name__}, got {json.dumps(value)}")
+
+
 def _merge_settings(args, spec: dict) -> dict:
     """Resolve each setting as flag > config file > default."""
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
@@ -33,9 +44,11 @@ def _merge_settings(args, spec: dict) -> dict:
         unknown = sorted(set(file_values) - set(spec))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        file_values = {key: _config_value(key, *spec[key][:2], val)
+                       for key, val in file_values.items()}
     resolved = {}
-    for key, default in spec.items():
-        flag_val = getattr(args, key, None)
+    for key, (_, default, _) in spec.items():
+        flag_val = getattr(args, key)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_values:
@@ -48,37 +61,20 @@ def _merge_settings(args, spec: dict) -> dict:
 
 
 def _write_report(path, payload: dict) -> None:
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(payload)
+    body = {"schema_version": SCHEMA_VERSION, **payload}
     Path(path).write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
 
 
-def _map_token(vocab: kgstore.Vocab, token: str, kind: str) -> int:
-    if token not in vocab:
-        raise ValueError(f"unknown {kind} token {token!r}")
-    return vocab.id(token)
-
-
-def cmd_train(args) -> int:
-    settings = _merge_settings(args, {
-        "triples": _REQUIRED, "out": _REQUIRED, "dim": 64, "margin": 1.0,
-        "lr": 1e-4, "batch": 1000, "epochs": 2, "neg": 1, "min_rel_count": 1,
-        "seed": 0, "category_relation": "isA", "corrupt_relation_prob": 1.0 / 3.0,
-    })
+def cmd_train(settings: dict) -> int:
     store = kgstore.load_triples(settings["triples"], settings["category_relation"])
-    if int(settings["min_rel_count"]) > 1:
-        store = kgstore.filter_rare_relations(store, int(settings["min_rel_count"]))
+    if settings["min_rel_count"] > 1:
+        store = kgstore.filter_rare_relations(store, settings["min_rel_count"])
     config = trainer.TrainConfig(
-        dim=int(settings["dim"]),
-        margin=float(settings["margin"]),
-        learning_rate=float(settings["lr"]),
-        batch_size=int(settings["batch"]),
-        epochs=int(settings["epochs"]),
-        negatives_per_positive=int(settings["neg"]),
-        corrupt_relation_prob=float(settings["corrupt_relation_prob"]),
-        seed=int(settings["seed"]),
-        min_rel_count=int(settings["min_rel_count"]),
-    )
+        dim=settings["dim"], margin=settings["margin"], learning_rate=settings["lr"],
+        batch_size=settings["batch"], epochs=settings["epochs"],
+        negatives_per_positive=settings["neg"], seed=settings["seed"],
+        corrupt_relation_prob=settings["corrupt_relation_prob"],
+        min_rel_count=settings["min_rel_count"])
     params, report = trainer.train(store, config)
     out_dir = Path(settings["out"])
     model.save_checkpoint(out_dir, params, store.entities, store.relations)
@@ -88,22 +84,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_keyrel(args) -> int:
-    settings = _merge_settings(args, {
-        "triples": _REQUIRED, "out": _REQUIRED, "k": 10, "category_relation": "isA",
-    })
+def cmd_keyrel(settings: dict) -> int:
     store = kgstore.load_triples(settings["triples"], settings["category_relation"])
-    table = keyrel.select_key_relations(store, int(settings["k"]))
+    table = keyrel.select_key_relations(store, settings["k"])
     keyrel.write_keyrel_tsv(settings["out"], table, store.entities, store.relations)
     print(f"key relations for {len(table.rows)} entities written to {settings['out']}")
     return 0
 
 
-def cmd_export_services(args) -> int:
-    settings = _merge_settings(args, {
-        "checkpoint": _REQUIRED, "keyrel": _REQUIRED, "variant": _REQUIRED,
-        "out": _REQUIRED,
-    })
+def cmd_export_services(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
     table = keyrel.read_keyrel_tsv(settings["keyrel"], entity_vocab, relation_vocab)
     bundle = servicing.build_bundle(params, table, settings["variant"])
@@ -112,46 +101,34 @@ def cmd_export_services(args) -> int:
     return 0
 
 
-def cmd_eval_lp(args) -> int:
-    settings = _merge_settings(args, {
-        "checkpoint": _REQUIRED, "test": _REQUIRED, "report": _REQUIRED,
-        "triples": None,
-    })
+def cmd_eval_lp(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
 
     def triple_ids(fields):
         h, r, t = fields
-        return (_map_token(entity_vocab, h, "entity"),
-                _map_token(relation_vocab, r, "relation"),
-                _map_token(entity_vocab, t, "entity"))
+        return (entity_vocab.lookup(h, "entity"), relation_vocab.lookup(r, "relation"),
+                entity_vocab.lookup(t, "entity"))
 
     test = kgstore.read_tsv(settings["test"], 3, triple_ids)
     known = kgstore.read_tsv(settings["triples"], 3, triple_ids) if settings["triples"] else []
-    store = kgstore.TripleStore(
-        entities=entity_vocab,
-        relations=relation_vocab,
-        triples=known,
-        category_of={},
-        relation_counts={},  # link prediction reads only the triples
-    )
+    # link prediction reads only the triples
+    store = kgstore.TripleStore(entities=entity_vocab, relations=relation_vocab, triples=known,
+                                category_of={}, relation_counts={})
     report = evaluation.link_prediction(params, store, test)
     _write_report(settings["report"], report.as_dict())
     print(f"link prediction report written to {settings['report']}")
     return 0
 
 
-def cmd_eval_rel(args) -> int:
-    settings = _merge_settings(args, {
-        "checkpoint": _REQUIRED, "pairs": _REQUIRED, "report": _REQUIRED,
-    })
+def cmd_eval_rel(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
 
     def labeled_pair(fields):
         h, r, label = fields
         if label not in ("0", "1"):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        return (_map_token(entity_vocab, h, "entity"),
-                _map_token(relation_vocab, r, "relation"), label == "1")
+        return (entity_vocab.lookup(h, "entity"), relation_vocab.lookup(r, "relation"),
+                label == "1")
 
     pairs = kgstore.read_tsv(settings["pairs"], 3, labeled_pair)
     report = evaluation.existence_prediction(params, None, pairs)
@@ -160,12 +137,7 @@ def cmd_eval_rel(args) -> int:
     return 0
 
 
-def cmd_recsys(args) -> int:
-    settings = _merge_settings(args, {
-        "interactions": _REQUIRED, "services": _REQUIRED, "report": _REQUIRED,
-        "checkpoint": None, "epochs": 100, "batch": 256, "neg": 4, "lr": 1e-4,
-        "seed": 0,
-    })
+def cmd_recsys(settings: dict) -> int:
     data = downstream.load_interactions(settings["interactions"])
     service_table = None
     if settings["services"] != "none":
@@ -176,35 +148,24 @@ def cmd_recsys(args) -> int:
         _, entity_vocab, _ = model.load_checkpoint(settings["checkpoint"])
         service_table = downstream.service_table_for_items(data, bundle, entity_vocab)
     config = downstream.RecConfig(
-        learning_rate=float(settings["lr"]),
-        epochs=int(settings["epochs"]),
-        batch_size=int(settings["batch"]),
-        neg_ratio=int(settings["neg"]),
-        seed=int(settings["seed"]),
-    )
+        learning_rate=settings["lr"], epochs=settings["epochs"], batch_size=settings["batch"],
+        neg_ratio=settings["neg"], seed=settings["seed"])
     train_rows, _ = downstream.leave_one_out_split(data)
     train_data = downstream.InteractionSet(data.users, data.items, train_rows)
     rec = downstream.train_recommender(train_data, service_table, config)
-    report = downstream.evaluate_leave_one_out(rec, data, seed=int(settings["seed"]))
-    payload = report.as_dict()
-    payload["train_losses"] = rec.train_losses
-    _write_report(settings["report"], payload)
+    report = downstream.evaluate_leave_one_out(rec, data, seed=settings["seed"])
+    _write_report(settings["report"], {**report.as_dict(), "train_losses": rec.train_losses})
     print(f"recommendation report written to {settings['report']}")
     return 0
 
 
-def cmd_serve(args) -> int:
-    settings = _merge_settings(args, {
-        "checkpoint": _REQUIRED, "keyrel": _REQUIRED, "host": "127.0.0.1",
-        "port": 7464,
-    })
+def cmd_serve(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
     table = keyrel.read_keyrel_tsv(settings["keyrel"], entity_vocab, relation_vocab)
     service = servicing.QueryService(params, table, entity_vocab, relation_vocab)
 
     async def run() -> None:
-        server = await servicing.serve(service, host=settings["host"],
-                                       port=int(settings["port"]))
+        server = await servicing.serve(service, host=settings["host"], port=settings["port"])
         addr = server.sockets[0].getsockname()
         print(f"serving on {addr[0]}:{addr[1]}")
         async with server:
@@ -217,72 +178,80 @@ def cmd_serve(args) -> int:
     return 0
 
 
+_T, _R = trainer.TrainConfig, downstream.RecConfig
+_CATEGORY = (str, "isA", None)
+
+# subcommand: (handler, help, {setting: (type, default, help)}); a setting
+# is the flag --setting-name and the config key setting_name
+COMMANDS = {
+    "train": (cmd_train, "train embeddings on a triple file", {
+        "triples": (str, _REQUIRED, "TAB-separated triple file"),
+        "out": (str, _REQUIRED, "checkpoint output directory"),
+        "dim": (int, _T.dim, None),
+        "margin": (float, _T.margin, None),
+        "lr": (float, _T.learning_rate, None),
+        "batch": (int, _T.batch_size, None),
+        "epochs": (int, _T.epochs, None),
+        "neg": (int, _T.negatives_per_positive, "negatives per positive"),
+        "min_rel_count": (int, _T.min_rel_count, "drop relations seen fewer times"),
+        "seed": (int, _T.seed, None),
+        "category_relation": _CATEGORY,
+        "corrupt_relation_prob": (float, _T.corrupt_relation_prob, None),
+    }),
+    "keyrel": (cmd_keyrel, "select key relations per entity", {
+        "triples": (str, _REQUIRED, None),
+        "k": (int, 10, None),
+        "out": (str, _REQUIRED, "output TSV: entity<TAB>r1,...,rk"),
+        "category_relation": _CATEGORY,
+    }),
+    "export-services": (cmd_export_services, "export service vectors to binary", {
+        "checkpoint": (str, _REQUIRED, None),
+        "keyrel": (str, _REQUIRED, "key relation TSV from the keyrel subcommand"),
+        "variant": (str, _REQUIRED, "one of " + ", ".join(servicing.VARIANTS)),
+        "out": (str, _REQUIRED, None),
+    }),
+    "eval-lp": (cmd_eval_lp, "filtered link prediction on a test triple file", {
+        "checkpoint": (str, _REQUIRED, None),
+        "test": (str, _REQUIRED, "test triple file"),
+        "triples": (str, None, "optional training triples for the filter set"),
+        "report": (str, _REQUIRED, "output JSON report path"),
+    }),
+    "eval-rel": (cmd_eval_rel, "relation existence prediction on labeled pairs", {
+        "checkpoint": (str, _REQUIRED, None),
+        "pairs": (str, _REQUIRED, "file of head<TAB>relation<TAB>label(0|1) lines"),
+        "report": (str, _REQUIRED, None),
+    }),
+    "recsys": (cmd_recsys, "train and evaluate the recommender", {
+        "interactions": (str, _REQUIRED, "user<TAB>item<TAB>order_index file"),
+        "services": (str, _REQUIRED, "service export file or 'none'"),
+        "checkpoint": (str, None, "checkpoint dir (token mapping for --services)"),
+        "epochs": (int, _R.epochs, None),
+        "batch": (int, _R.batch_size, None),
+        "neg": (int, _R.neg_ratio, None),
+        "lr": (float, _R.learning_rate, None),
+        "seed": (int, _R.seed, None),
+        "report": (str, _REQUIRED, None),
+    }),
+    "serve": (cmd_serve, "serve triple/relation/bundle queries over TCP", {
+        "checkpoint": (str, _REQUIRED, None),
+        "keyrel": (str, _REQUIRED, None),
+        "host": (str, "127.0.0.1", None),
+        "port": (int, 7464, None),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pkgm",
         description="Knowledge graph pre-training and knowledge serving toolkit.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, func, help_text):
+    for name, (_, help_text, spec) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("train", cmd_train, "train embeddings on a triple file")
-    p.add_argument("--triples", help="TAB-separated triple file")
-    p.add_argument("--out", help="checkpoint output directory")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--neg", type=int, help="negatives per positive")
-    p.add_argument("--min-rel-count", type=int, help="drop relations seen fewer times")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--category-relation")
-    p.add_argument("--corrupt-relation-prob", type=float)
-
-    p = add("keyrel", cmd_keyrel, "select key relations per entity")
-    p.add_argument("--triples")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out", help="output TSV: entity<TAB>r1,...,rk")
-    p.add_argument("--category-relation")
-
-    p = add("export-services", cmd_export_services, "export service vectors to binary")
-    p.add_argument("--checkpoint")
-    p.add_argument("--keyrel", help="key relation TSV from the keyrel subcommand")
-    p.add_argument("--variant", choices=list(servicing.VARIANTS))
-    p.add_argument("--out")
-
-    p = add("eval-lp", cmd_eval_lp, "filtered link prediction on a test triple file")
-    p.add_argument("--checkpoint")
-    p.add_argument("--test", help="test triple file")
-    p.add_argument("--triples", help="optional training triples for the filter set")
-    p.add_argument("--report", help="output JSON report path")
-
-    p = add("eval-rel", cmd_eval_rel, "relation existence prediction on labeled pairs")
-    p.add_argument("--checkpoint")
-    p.add_argument("--pairs", help="file of head<TAB>relation<TAB>label(0|1) lines")
-    p.add_argument("--report")
-
-    p = add("recsys", cmd_recsys, "train and evaluate the recommender")
-    p.add_argument("--interactions", help="user<TAB>item<TAB>order_index file")
-    p.add_argument("--services", help="service export file or 'none'")
-    p.add_argument("--checkpoint", help="checkpoint dir (token mapping for --services)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--neg", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report")
-
-    p = add("serve", cmd_serve, "serve triple/relation/bundle queries over TCP")
-    p.add_argument("--checkpoint")
-    p.add_argument("--keyrel")
-    p.add_argument("--host")
-    p.add_argument("--port", type=int)
+        for key, (kind, _, flag_help) in spec.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=flag_help)
     return parser
 
 
@@ -292,11 +261,12 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_help()
         return 2
+    handler, _, spec = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_merge_settings(args, spec))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"pkgm: error: {exc}", file=sys.stderr)
         return 1

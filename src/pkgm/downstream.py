@@ -65,29 +65,6 @@ def write_interactions(path, rows: Iterable[tuple[str, str, int]]) -> None:
             fh.write(f"{user}\t{item}\t{order}\n")
 
 
-def integrate_single(user_emb: np.ndarray, item_emb: np.ndarray,
-                     service: np.ndarray) -> np.ndarray:
-    """Stack [p_u ; q_i ; S^e] into one MLP input vector."""
-    for name, vec in (("user_emb", user_emb), ("item_emb", item_emb), ("service", service)):
-        if np.ndim(vec) != 1:
-            raise ValueError(f"{name} must be a 1-d vector, got shape {np.shape(vec)}")
-    return np.concatenate([user_emb, item_emb, service])
-
-
-def integrate_sequence(seq: list[np.ndarray], bundle: ServiceBundle,
-                       entity_id: int) -> list[np.ndarray]:
-    """Append the entity's triple-module then relation-module vectors."""
-    if bundle.variant != "all":
-        raise ValueError(f"integrate_sequence requires variant 'all', got {bundle.variant!r}")
-    (at,) = bundle.index([entity_id])
-    if at < 0:
-        raise ValueError(f"entity {entity_id} has no service vector")
-    for pos, v in enumerate(seq):
-        if np.shape(v) != (bundle.dim,):
-            raise ValueError(f"seq[{pos}] has shape {np.shape(v)}, expected ({bundle.dim},)")
-    return list(seq) + list(bundle.block[at])
-
-
 def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
                             entity_vocab: Vocab) -> np.ndarray:
     """Condensed service vector per interaction item, item id order.
@@ -332,12 +309,9 @@ def leave_one_out_split(data: InteractionSet):
             held[u] = i
         else:
             train.append((u, i, order))
-    counts: dict[int, int] = {}
-    for u, _, _ in data.interactions:
-        counts[u] = counts.get(u, 0) + 1
-    thin = [u for u, c in counts.items() if c < 2]
+    thin = sorted(set(held) - {u for u, _, _ in train})  # one interaction, none to train on
     if thin:
-        names = ", ".join(data.users.token(u) for u in sorted(thin)[:5])
+        names = ", ".join(data.users.token(u) for u in thin[:5])
         raise ValueError(f"users with fewer than 2 interactions: {names}")
     return train, held
 

@@ -10,7 +10,9 @@ configurable relation name (default "isA"), i.e. (entity, isA, category).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,6 +37,12 @@ class Vocab:
         return idx
 
     def id(self, token: str) -> int:
+        return self._ids[token]
+
+    def lookup(self, token: str, kind: str) -> int:
+        """The id of token; ValueError("unknown <kind> token ...") when absent."""
+        if token not in self._ids:
+            raise ValueError(f"unknown {kind} token {token!r}")
         return self._ids[token]
 
     def token(self, idx: int) -> str:
@@ -217,3 +225,18 @@ def write_triples(path, rows: Iterable[tuple[str, str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for head, rel, tail in rows:
             fh.write(f"{head}\t{rel}\t{tail}\n")
+
+
+def write_atomically(writes) -> None:
+    """Run each write(tmp) of a list of (path, write) on a temporary file next
+    to path, then os.replace them all into place in list order, so that a
+    failing write leaves every path as it was."""
+    tmps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path, _ in writes]
+    try:
+        for tmp, (_, write) in zip(tmps, writes):
+            write(tmp)
+        for tmp, (path, _) in zip(tmps, writes):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kgstore import Vocab
+from .kgstore import Vocab, write_atomically
 
 CHECKPOINT_FORMAT_VERSION = 1
 HEADER_FILE = "header.json"
@@ -65,17 +65,6 @@ def init_params(n_entities: int, n_relations: int, dim: int, rng: np.random.Gene
     return ModelParams(dim=dim, entity_emb=ent, relation_emb=rel, transfer=transfer)
 
 
-def _all_distinct(ids: np.ndarray) -> bool:
-    # stops at the first repeat, which a batch longer than the relation
-    # count has within its first n_relations + 1 ids
-    seen = set()
-    for r in ids:
-        if r in seen:
-            return False
-        seen.add(r)
-    return True
-
-
 class RelationGroups:
     """The rows of a batch split into one group per relation id.
 
@@ -88,7 +77,7 @@ class RelationGroups:
 
     def __init__(self, rel_ids):
         rel_ids = np.asarray(rel_ids, dtype=np.int64)
-        if _all_distinct(rel_ids):
+        if len(set(rel_ids.tolist())) == len(rel_ids):
             # one entity's key relations: one-row slices select by view,
             # with no sort, split or gather
             self.groups = [(r, slice(i, i + 1)) for i, r in enumerate(rel_ids.tolist())]
@@ -130,7 +119,8 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
 
     Layout: header.json plus three little-endian float32 blobs (entity
     table, relation table, transfer tensor, all C order) and the two
-    vocabulary TSV files. The round trip is bit-exact.
+    vocabulary TSV files. The round trip is bit-exact. Every file is
+    written before any replaces its old version, header.json last.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,12 +135,13 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
         "relation_vocab": RELATION_VOCAB_FILE,
         "blobs": BLOBS,
     }
-    (out_dir / HEADER_FILE).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-    for name, file_name in BLOBS.items():
-        table = np.ascontiguousarray(getattr(params, name), dtype="<f4")
-        (out_dir / file_name).write_bytes(table.tobytes())
-    entity_vocab.write_tsv(out_dir / ENTITY_VOCAB_FILE)
-    relation_vocab.write_tsv(out_dir / RELATION_VOCAB_FILE)
+    header_text = json.dumps(header, indent=2) + "\n"
+    write_atomically(
+        [(out_dir / file_name, np.ascontiguousarray(getattr(params, name), dtype="<f4").tofile)
+         for name, file_name in BLOBS.items()]
+        + [(out_dir / ENTITY_VOCAB_FILE, entity_vocab.write_tsv),
+           (out_dir / RELATION_VOCAB_FILE, relation_vocab.write_tsv),
+           (out_dir / HEADER_FILE, lambda tmp: tmp.write_text(header_text, encoding="utf-8"))])
     return out_dir
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .keyrel import KeyRelationTable
-from .kgstore import Vocab
+from .kgstore import Vocab, write_atomically
 from .model import ModelParams, RelationGroups, _check_index
 
 VARIANTS = ("item", "all", "T", "R")
@@ -106,27 +106,25 @@ def condense_single(bundle: ServiceBundle) -> np.ndarray:
     return np.concatenate([bundle.block[:, :k], bundle.block[:, k:]], axis=2).mean(axis=1)
 
 
-def condense_full(bundle: ServiceBundle) -> np.ndarray:
-    """All 2k vectors per entity of an "all" bundle in row order, (count, 2kd)."""
-    if bundle.variant != "all":
-        raise ValueError(f"condense_full requires variant 'all', got {bundle.variant!r}")
-    return bundle.block.reshape(len(bundle.ids), -1).copy()
-
-
 def write_services(path, bundle: ServiceBundle) -> None:
     """Write a bundle to the binary export format.
 
     One JSON header line {variant, k, d, count}, then per entity in
     ascending id order: uint32 little-endian entity id followed by the
-    entity's vectors as little-endian float32, row order.
+    entity's vectors as little-endian float32, row order. The file is
+    written next to path and then moved into place.
     """
     header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
               "count": len(bundle.ids)}
     records = np.empty(len(bundle.ids), dtype=_record_dtype(bundle.variant, bundle.k, bundle.dim))
     records["id"], records["vec"] = bundle.ids, bundle.block
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(records)  # the array's own buffer, no bytes copy
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+            fh.write(records)  # the array's own buffer, no bytes copy
+
+    write_atomically([(path, write)])
 
 
 def read_services(path) -> ServiceBundle:
@@ -246,8 +244,14 @@ async def _handle_connection(service: QueryService, reader: asyncio.StreamReader
                     response = {"error": "bad_request"}
                 else:
                     response = service.handle(request)
-            writer.write((json.dumps(response) + "\n").encode("utf-8"))
+            try:
+                text = json.dumps(response, allow_nan=False)
+            except ValueError:  # a NaN or infinite vector entry
+                text = '{"error": "internal"}'
+            writer.write((text + "\n").encode("utf-8"))
             await writer.drain()
+    except asyncio.CancelledError:
+        pass  # shutdown: the stream server would log a handler that ends cancelled
     finally:
         writer.close()
         try:

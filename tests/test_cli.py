@@ -1,14 +1,18 @@
 import json
+import re
+import shlex
+import signal
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pkgm import synth
-from pkgm.cli import dispatch
+from pkgm.cli import build_parser, dispatch
 from pkgm.model import load_checkpoint
 from pkgm.servicing import read_services
 
@@ -39,6 +43,32 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,key", [('{"dim": 8.7}', "dim"), ('{"epochs": true}', "epochs"),
+                                      ('{"out": 7}', "out"), ('{"dim": [8]}', "dim"),
+                                      ('{"triples": 5}', "triples"), ('{"seed": null}', "seed"),
+                                      ('{"category-relation": 1}', "category_relation")])
+def test_config_value_of_wrong_type_is_named_error(tmp_path, capsys, body, key):
+    config = tmp_path / "c.json"
+    config.write_text(body, encoding="utf-8")
+    assert dispatch(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pkgm: error: config key '{key}' must be ")
+    assert err.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 7
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "pkgm"
+        args = parser.parse_args(argv[1:])  # an unknown flag exits
+        assert args.command == argv[1]
+
+
 def write_triples(path, rows):
     path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows), encoding="utf-8")
 
@@ -67,6 +97,18 @@ def test_flag_overrides_config_overrides_default(tmp_path, kg_file, capsys):
     assert report["epoch_losses"] == []  # config beat the default epochs=2
     assert report["schema_version"] == 1
     assert report["config"]["batch_size"] == 1000  # untouched default
+
+
+def test_config_integers_are_accepted_as_floats(tmp_path, kg_file):
+    path, _ = kg_file
+    out = tmp_path / "ckpt"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"triples": str(path), "out": str(out), "dim": 4,
+                                  "epochs": 0, "lr": 1, "margin": 2}), encoding="utf-8")
+    assert dispatch(["train", "--config", str(config)]) == 0
+    report = json.loads((out / "train_report.json").read_text())["config"]
+    assert report["learning_rate"] == 1.0 and type(report["learning_rate"]) is float
+    assert report["margin"] == 2.0 and type(report["margin"]) is float
 
 
 def test_min_rel_count_filters_relations(tmp_path, toy_rows):
@@ -236,6 +278,21 @@ def test_unknown_keyrel_token_is_named_error(tmp_path, ckpt_and_keyrels, capsys,
     assert "line 2: unknown relation token 'nosuch'" in err
 
 
+def test_unknown_variant_is_named_error(tmp_path, ckpt_and_keyrels, capsys):
+    ckpt, keyrels = ckpt_and_keyrels
+    argv = services_args("export-services", ckpt, keyrels, tmp_path)
+    argv[argv.index("all")] = "both"
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("pkgm: error: unknown variant 'both'")
+    config = tmp_path / "c.json"
+    config.write_text('{"variant": "both"}', encoding="utf-8")
+    argv = services_args("export-services", ckpt, keyrels, tmp_path)
+    del argv[argv.index("--variant"):argv.index("--variant") + 2]
+    assert dispatch(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("pkgm: error: unknown variant 'both'")
+
+
 def test_non_utf8_keyrel_file_is_named_error(tmp_path, ckpt_and_keyrels, capsys):
     ckpt, keyrels = ckpt_and_keyrels
     lines = keyrels.read_bytes().splitlines(keepends=True)
@@ -306,3 +363,32 @@ def test_serve_subprocess_answers_queries(tmp_path, kg_file):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_serve_sigint_with_open_connection_exits_quietly(tmp_path, ckpt_and_keyrels):
+    ckpt, keyrels = ckpt_and_keyrels
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "pkgm.cli", "serve",
+         "--checkpoint", str(ckpt), "--keyrel", str(keyrels), "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline().strip()
+        assert line.startswith("serving on ")
+        host, port = line.removeprefix("serving on ").rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b'{"op": "triple", "h": "e001", "r": "r1"}\n')
+            buf = b""
+            while not buf.endswith(b"\n"):
+                buf += sock.recv(4096)
+            # the connection stays open, its handler waiting for the next line
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert err == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)

@@ -6,8 +6,6 @@ from pkgm.downstream import (
     InteractionSet,
     RecConfig,
     evaluate_leave_one_out,
-    integrate_sequence,
-    integrate_single,
     interactions_from_rows,
     leave_one_out_ranks,
     leave_one_out_split,
@@ -56,13 +54,6 @@ def test_interactions_file_errors(tmp_path):
         load_interactions(bad)
 
 
-def test_integrate_single_concatenates():
-    out = integrate_single(np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0]))
-    np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0, 5.0])
-    with pytest.raises(ValueError, match="item_emb must be a 1-d vector"):
-        integrate_single(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-
-
 @pytest.fixture
 def item_bundle(rng):
     params = init_params(5, 3, 4, rng)
@@ -70,33 +61,6 @@ def item_bundle(rng):
     bundle = build_bundle(params, table, "all")
     vocab = Vocab(["i0", "i1", "i2", "x", "y"])
     return bundle, vocab
-
-
-def test_integrate_sequence_appends_service_vectors(item_bundle):
-    bundle, _ = item_bundle
-    seq = [np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32)]
-    out = integrate_sequence(seq, bundle, 1)
-    assert len(out) == 2 + 4  # 2k with k=2
-    np.testing.assert_array_equal(out[0], seq[0])
-    (at,) = bundle.index([1])
-    for i in range(4):
-        np.testing.assert_array_equal(out[2 + i], bundle.block[at, i])
-    assert len(seq) == 2  # input list untouched
-
-
-def test_integrate_sequence_validates(item_bundle):
-    bundle, _ = item_bundle
-    with pytest.raises(ValueError, match="seq\\[0\\] has shape"):
-        integrate_sequence([np.zeros(3)], bundle, 0)
-    t_only = build_bundle(
-        init_params(5, 3, 4, np.random.default_rng(0)),
-        KeyRelationTable(k=2, rows={0: (0, 1)}),
-        "T",
-    )
-    with pytest.raises(ValueError, match="variant 'all'"):
-        integrate_sequence([], t_only, 0)
-    with pytest.raises(ValueError, match="entity 3 has no service vector"):
-        integrate_sequence([], bundle, 3)
 
 
 def test_service_table_rows_follow_item_ids(item_bundle):

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,42 @@ def test_checkpoint_save_load_save_bit_identical(tmp_path, rng):
     save_checkpoint(out2, loaded, ev, rv)
     for name in sorted(p.name for p in out.iterdir()):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_failed_checkpoint_write_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
+    params, ev, rv, out = checkpoint_fixture(tmp_path, rng)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def full_disk(self, path):
+        Path(path).write_text("r0\t", encoding="utf-8")  # part of a file, then the failure
+        raise OSError(28, "No space left on device")
+
+    newer = init_params(6, 2, 4, np.random.default_rng(99))
+    monkeypatch.setattr(Vocab, "write_tsv", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(out, newer, ev, rv)
+    monkeypatch.undo()
+    # every file, temporaries included, is as it was
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    loaded, ev2, rv2 = load_checkpoint(out)
+    for name in ("entity_emb", "relation_emb", "transfer"):
+        assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes(), name
+    assert ev2 == ev and rv2 == rv
+
+
+def test_checkpoint_replaces_header_last(tmp_path, rng, monkeypatch):
+    _, ev, rv, out = checkpoint_fixture(tmp_path, rng)
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        replaced.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(out, init_params(6, 2, 4, rng), ev, rv)
+    assert sorted(replaced) == sorted(p.name for p in out.iterdir())
+    assert replaced[-1] == "header.json"
 
 
 def test_checkpoint_rejects_future_format(tmp_path, rng):

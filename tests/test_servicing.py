@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pkgm import servicing
@@ -14,7 +14,6 @@ from pkgm.servicing import (
     QueryService,
     ServiceBundle,
     build_bundle,
-    condense_full,
     condense_single,
     read_services,
     serve,
@@ -147,7 +146,6 @@ def _one_entity_bundle(k, block):
 def test_condense_single_k1_is_plain_concatenation():
     bundle = _one_entity_bundle(1, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
     np.testing.assert_array_equal(condense_single(bundle), [[1.0, 2.0, 3.0, 4.0]])
-    np.testing.assert_array_equal(condense_full(bundle), [[1.0, 2.0, 3.0, 4.0]])
 
 
 def test_condense_single_zero_bundle():
@@ -168,23 +166,11 @@ def test_condense_single_linear_in_bundle(bundle_setup):
     np.testing.assert_allclose(condense_single(b), 3.0 * condense_single(a), rtol=1e-5)
 
 
-def test_condense_full_slices_recover_rows(bundle_setup):
-    params, table = bundle_setup
-    bundle = build_bundle(params, table, "all")
-    flat = condense_full(bundle)
-    assert flat.shape == (3, 2 * bundle.k * bundle.dim)
-    np.testing.assert_array_equal(flat.reshape(3, 2 * bundle.k, bundle.dim), bundle.block)
-    flat[0, 0] = -1.0  # the output is a copy, the bundle stays frozen
-    assert bundle.block[0, 0, 0] != -1.0
-
-
 def test_condense_requires_all_variant(bundle_setup):
     params, table = bundle_setup
     t = build_bundle(params, table, "T")
     with pytest.raises(ValueError, match="variant 'all'"):
         condense_single(t)
-    with pytest.raises(ValueError, match="variant 'all'"):
-        condense_full(t)
 
 
 def test_services_file_round_trip(tmp_path, bundle_setup):
@@ -334,6 +320,39 @@ def test_services_file_truncated_anywhere_is_value_error(tmp_path, bundle_setup)
     check()
 
 
+def test_failed_services_write_leaves_previous_export(tmp_path, bundle_setup, monkeypatch):
+    params, table = bundle_setup
+    path = tmp_path / "services.bin"
+    write_services(path, build_bundle(params, table, "all"))
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file that takes the header line, then runs out of space."""
+
+        def __init__(self, tmp, mode):
+            self.fh = open(tmp, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise OSError(28, "No space left on device")
+            self.fh.write(data)
+
+    monkeypatch.setattr(servicing, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_services(path, build_bundle(params, table, "T"))
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["services.bin"]
+    assert path.read_bytes() == before
+    back = read_services(path)
+    assert back.variant == "all"
+
+
 @pytest.fixture
 def query_service(toy_store, rng):
     params = init_params(toy_store.n_entities, toy_store.n_relations, 4, rng)
@@ -395,6 +414,35 @@ def test_handle_bundle_variants(query_service):
     assert service.handle({"op": "bundle", "e": "fruit", "variant": "all"}) == {
         "error": "unknown_id"
     }
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_tokens = st.sampled_from(["apple", "kale", "fruit", "color", "isA", "tastes", "pear", ""])
+_requests = st.fixed_dictionaries(
+    {"op": st.sampled_from(["triple", "relation", "bundle", "score"])},
+    optional={"h": _tokens | _json_values, "r": _tokens | _json_values,
+              "e": _tokens | _json_values,
+              "variant": st.sampled_from(servicing.VARIANTS + ("both",)) | _json_values},
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request_obj=_json_values | _requests)
+def test_handle_never_raises_and_answers_strict_json(query_service, request_obj):
+    service, *_ = query_service
+    resp = service.handle(request_obj)
+    if "error" in resp:
+        assert resp in ({"error": "bad_request"}, {"error": "unknown_id"})
+    else:
+        (key,) = resp
+        assert key in ("vector", "vectors")
+        json.dumps(resp, allow_nan=False)
 
 
 def test_snapshot_swap_changes_answers(query_service):
@@ -476,6 +524,37 @@ def test_serve_answers_oversized_line_and_keeps_connection(query_service):
         first, second = asyncio.run(scenario(oversized))
         assert first == {"error": "bad_request"}
         np.testing.assert_allclose(second["vector"], service_triple(params, 0, 0), rtol=1e-6)
+
+
+def test_serve_answers_non_finite_vectors_with_internal_error(query_service):
+    service, params, keyrels, store = query_service
+    ent = params.entity_emb.copy()
+    ent[store.entities.id("apple")] = np.nan
+    ent[store.entities.id("lemon")] = np.inf
+    service.load_snapshot(ModelParams(params.dim, ent, params.relation_emb, params.transfer),
+                          keyrels, store.entities, store.relations)
+
+    async def scenario():
+        server = await serve(service, port=0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            for h in ("apple", "lemon", "carrot"):
+                writer.write(json.dumps({"op": "triple", "h": h, "r": "color"}).encode() + b"\n")
+            await writer.drain()
+            lines = [await reader.readline() for _ in range(3)]
+            writer.close()
+            await writer.wait_closed()
+            return lines
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    nan_line, inf_line, valid_line = asyncio.run(scenario())
+    assert nan_line == inf_line == b'{"error": "internal"}\n'
+    carrot = store.entities.id("carrot")
+    np.testing.assert_allclose(json.loads(valid_line)["vector"],
+                               service_triple(params, carrot, 0), rtol=1e-6)
 
 
 def test_serve_1000_concurrent_identical_requests(query_service):
