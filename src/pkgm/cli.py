@@ -37,7 +37,10 @@ def _merge_settings(args, spec: dict) -> dict:
     """Resolve each setting as flag > config file > default."""
     file_values = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON or not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         file_values = {key.replace("-", "_"): val for key, val in raw.items()}
@@ -61,8 +64,8 @@ def _merge_settings(args, spec: dict) -> dict:
 
 
 def _write_report(path, payload: dict) -> None:
-    body = {"schema_version": SCHEMA_VERSION, **payload}
-    Path(path).write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+    kgstore.write_atomically([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))])
 
 
 def cmd_train(settings: dict) -> int:

@@ -9,6 +9,7 @@ latest interaction per user is ranked against sampled unobserved items.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -98,16 +99,16 @@ class RecConfig:
             raise ValueError("embedding dims must be positive")
         if not self.hidden:
             raise ValueError("hidden layer sizes must be non-empty")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.neg_ratio < 0:
             raise ValueError(f"neg_ratio must be >= 0, got {self.neg_ratio}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
 
 
 @dataclass

@@ -30,16 +30,30 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
                           filtered: bool = True) -> np.ndarray:
     """Rank the true tail of each test triple among all entities.
 
-    Candidates are ordered by ascending triple score. Under the filtered
-    protocol, tails forming other known positives (store or test) are
-    excluded. rank = number of candidates scoring <= the true tail,
-    including the tail itself.
+    Candidates are ordered by ascending score S_c = |q - e_c|_1 in float64,
+    q = e_h + r_r. Under the filtered protocol, tails forming other known
+    positives (store or test) are excluded. rank = number of candidates
+    scoring <= the true tail, including the tail itself.
+
+    A float32 screen over a (d, n_e) table scores every candidate, and those
+    within tol_c of the target are settled with the exact S_c. With
+    u = 2^-24, rounding q and e_c to float32 moves the sum by at most
+    u(|q|_1 + |e_c|_1) <= u(2|q|_1 + S_c), the screen's d subtractions and
+    d - 1 additions by d*u/(1 - d*u) of its value, and S_c is within
+    d * 2^-53 * S_c of the real sum. To first order |screen_c - S_c| <=
+    (d + 2) u screen_c + 2u |q|_1, which tol_c = 4 (d + 2) u (screen_c +
+    |q|_1 + 2^-126) covers with its own rounding for d <= 2^20 (2^-126
+    covers float32 underflow). A NaN or infinite screen or bound is settled.
     """
     test = [(int(h), int(r), int(t)) for h, r, t in test_triples]
     if not test:
         raise ValueError("empty test set")
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
+    ent_t = np.ascontiguousarray(ent.T, dtype=np.float32)
+    buf = np.empty_like(ent_t)
+    screen = np.empty(len(ent), dtype=np.float32)
+    slack = np.float32(4 * (params.dim + 2) * 2.0 ** -24)
 
     known_tails: dict[tuple[int, int], list[int]] = {}
     if filtered:
@@ -47,14 +61,23 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
             known_tails.setdefault((h, r), []).append(t)
 
     ranks = np.zeros(len(test), dtype=np.int64)
-    for i, (h, r, t) in enumerate(test):
-        scores = np.abs(ent[h] + rel[r] - ent).sum(axis=1)
-        target = scores[t]
-        if filtered:
-            others = [e for e in known_tails[(h, r)] if e != t]
-            if others:
-                scores[others] = np.inf
-        ranks[i] = int((scores <= target).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # these only leave non-finite bounds
+        for i, (h, r, t) in enumerate(test):
+            q = ent[h] + rel[r]
+            np.subtract(q.astype(np.float32)[:, None], ent_t, out=buf)
+            np.abs(buf, out=buf)
+            buf.sum(axis=0, out=screen)
+            target = np.abs(q - ent[t:t + 1]).sum(axis=1)[0]
+            tol = slack * (screen + (float(np.abs(q).sum()) + 2.0 ** -126))
+            below = screen + tol < target
+            unsure = ~(below | (screen - tol > target))
+            # the target counts unless NaN; filtered tails count as +inf scores do
+            others = [e for e in known_tails[(h, r)] if e != t] if filtered else []
+            below[[t, *others]] = unsure[[t, *others]] = False
+            idx = np.flatnonzero(unsure)
+            ranks[i] = (np.count_nonzero(below) + int(target <= target)
+                        + len(others) * int(target == np.inf)
+                        + np.count_nonzero(np.abs(q - ent[idx]).sum(axis=1) <= target))
     return ranks
 
 
@@ -83,26 +106,23 @@ def relation_scores(params: ModelParams, pairs) -> np.ndarray:
     return np.abs(resid).sum(axis=1)
 
 
-def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
-    uniq = np.unique(scores)
-    mids = (uniq[:-1] + uniq[1:]) / 2.0 if len(uniq) > 1 else np.empty(0)
-    return np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
-
-
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """Threshold maximizing accuracy of "exists iff score <= threshold".
 
     Candidates are the midpoints between consecutive distinct scores plus
-    one value below and one above the range. Ties pick the smallest.
+    one value below and one above the range. Ties pick the smallest. One
+    sort gives, for every candidate, how many scores lie at or below it and
+    how many of those are positive.
     """
-    best_acc = -1.0
-    best_thr = None
-    for thr in _threshold_candidates(scores):
-        acc = float(((scores <= thr) == labels).mean())
-        if acc > best_acc:
-            best_acc = acc
-            best_thr = float(thr)
-    return best_thr
+    uniq = np.unique(scores)
+    cands = np.concatenate([[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]])
+    order = np.argsort(scores)
+    below = np.searchsorted(scores[order], cands, side="right")
+    below[np.isnan(cands)] = 0  # nothing is <= NaN
+    pos_below = np.concatenate([[0], np.cumsum(labels[order])])[below]
+    # correct = positives at or below + negatives above
+    correct = 2 * pos_below + (len(labels) - labels.sum()) - below
+    return float(cands[np.argmax(correct)])
 
 
 def existence_prediction(params: ModelParams, store: TripleStore | None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kgstore import TripleStore, Vocab, read_tsv
+from .kgstore import TripleStore, Vocab, read_tsv, write_atomically
 
 
 @dataclass
@@ -64,11 +64,10 @@ def select_key_relations(store: TripleStore, k: int, entities=None) -> KeyRelati
 
 def write_keyrel_tsv(path, table: KeyRelationTable, entity_vocab: Vocab,
                      relation_vocab: Vocab) -> None:
-    """Write one "entity<TAB>r1,...,rk" line per entity, entity id order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in sorted(table.rows):
-            rels = ",".join(relation_vocab.token(r) for r in table.rows[e])
-            fh.write(f"{entity_vocab.token(e)}\t{rels}\n")
+    """Write one "entity<TAB>r1,...,rk" line per entity in id order, atomically."""
+    text = "".join(f"{entity_vocab.token(e)}\t{','.join(map(relation_vocab.token, rels))}\n"
+                   for e, rels in sorted(table.rows.items()))
+    write_atomically([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))])
 
 
 def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRelationTable:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -263,8 +264,4 @@ async def _handle_connection(service: QueryService, reader: asyncio.StreamReader
 async def serve(service: QueryService, host: str = "127.0.0.1",
                 port: int = 0) -> asyncio.AbstractServer:
     """Start the line-delimited JSON-over-TCP server; caller owns its lifetime."""
-
-    async def handler(reader, writer):
-        await _handle_connection(service, reader, writer)
-
-    return await asyncio.start_server(handler, host=host, port=port)
+    return await asyncio.start_server(partial(_handle_connection, service), host=host, port=port)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -31,10 +32,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:

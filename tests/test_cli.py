@@ -56,6 +56,17 @@ def test_config_value_of_wrong_type_is_named_error(tmp_path, capsys, body, key):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body,fault", [(b"{", "Expecting property name"),
+                                        (b'{"dim": 8, \xff}', "can't decode byte 0xff")])
+def test_unreadable_config_file_is_named_error(tmp_path, capsys, body, fault):
+    config = tmp_path / "bad.json"
+    config.write_bytes(body)
+    assert dispatch(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pkgm: error: {config}: ") and fault in err
+    assert err.count("\n") == 1
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
@@ -109,6 +120,76 @@ def test_config_integers_are_accepted_as_floats(tmp_path, kg_file):
     report = json.loads((out / "train_report.json").read_text())["config"]
     assert report["learning_rate"] == 1.0 and type(report["learning_rate"]) is float
     assert report["margin"] == 2.0 and type(report["margin"]) is float
+
+
+@pytest.mark.parametrize("flag,field", [("lr", "learning_rate"), ("margin", "margin")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_non_finite_settings(tmp_path, kg_file, capsys, flag, field, value,
+                                           source):
+    path, _ = kg_file
+    out = tmp_path / "ckpt"
+    argv = ["train", "--triples", str(path), "--out", str(out), "--dim", "4", "--epochs", "1"]
+    if source == "flag":
+        argv.append(f"--{flag}={value}")  # "--lr -inf" would read -inf as a flag
+    else:  # Python's JSON reader takes NaN, Infinity and -Infinity
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({flag: float(value)}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pkgm: error: {field} must be positive and finite, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_recsys_rejects_non_finite_learning_rate(tmp_path, capsys, value):
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("u\ti\t0\nu\tj\t1\nv\ti\t0\nv\tj\t1\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", "none",
+                     "--lr", value, "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("pkgm: error: learning_rate must be positive")
+    assert not report.exists()
+
+
+def fill_disk(monkeypatch):
+    """Make Path.write_text write half of its text, then run out of space."""
+    real = Path.write_text
+
+    def write_text(path, text, **kwargs):
+        real(path, text[:len(text) // 2], **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_failed_report_write_leaves_previous_report(tmp_path, kg_file, capsys, monkeypatch):
+    path, _ = kg_file
+    ckpt = tmp_path / "ckpt"
+    assert dispatch(["train", "--triples", str(path), "--out", str(ckpt),
+                     "--dim", "4", "--epochs", "0"]) == 0
+    report = tmp_path / "lp.json"
+    argv = ["eval-lp", "--checkpoint", str(ckpt), "--test", str(path), "--report", str(report)]
+    assert dispatch(argv) == 0
+    before = sorted(p.name for p in tmp_path.iterdir()), report.read_bytes()
+    fill_disk(monkeypatch)
+    assert dispatch(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert (sorted(p.name for p in tmp_path.iterdir()), report.read_bytes()) == before
+
+
+def test_failed_keyrel_write_leaves_previous_file(tmp_path, kg_file, capsys, monkeypatch):
+    path, _ = kg_file
+    keyrels = tmp_path / "keyrels.tsv"
+    argv = ["keyrel", "--triples", str(path), "--k", "2", "--out", str(keyrels)]
+    assert dispatch(argv) == 0
+    before = sorted(p.name for p in tmp_path.iterdir()), keyrels.read_bytes()
+    fill_disk(monkeypatch)
+    assert dispatch(argv[:-3] + ["1", "--out", str(keyrels)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert (sorted(p.name for p in tmp_path.iterdir()), keyrels.read_bytes()) == before
 
 
 def test_min_rel_count_filters_relations(tmp_path, toy_rows):
@@ -362,7 +443,7 @@ def test_serve_subprocess_answers_queries(tmp_path, kg_file):
         assert len(resp["vector"]) == 4
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)  # reaps the child and closes its pipes
 
 
 def test_serve_sigint_with_open_connection_exits_quietly(tmp_path, ckpt_and_keyrels):

@@ -108,6 +108,14 @@ def test_rec_config_validation(kwargs, msg):
         RecConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("field,msg", [("learning_rate", "learning_rate must be positive"),
+                                       ("l2", "l2 must be >= 0")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_rec_config_rejects_non_finite(field, msg, value):
+    with pytest.raises(ValueError, match=f"{msg} and finite"):
+        RecConfig(**{field: value}).validate()
+
+
 def block_interactions(n_users=24, n_items=18):
     """Users in block b interact with items in block b, plus one late holdout."""
     rows = []

@@ -45,6 +45,53 @@ def oracle_ranks(params, store, test, filtered):
     return np.asarray(ranks)
 
 
+def adversarial_setup(dtype):
+    """Candidates that tie or nearly tie the target of tail e01 in a d = 64 table.
+
+    e00 + r2 is 0.25 in every coordinate, so rows permuting e01 have the
+    target's |q - e| entries in another order. e02 and e03 duplicate e01,
+    e04-e09 move one coordinate of it by one ulp of dtype either way,
+    e10-e13 permute it, e14-e16 hold a NaN, +inf or -inf coordinate and e17
+    overflows a float32 sum.
+    """
+    rng = np.random.default_rng(23)
+    d = 64
+    rows = [(f"e{i:02d}", "r0", f"e{i + 1:02d}") for i in range(39)]
+    rows += [("e00", "r1", "e02"), ("e05", "r1", "e01"), ("e00", "r2", "e01"),
+             ("e00", "r2", "e02"), ("e00", "r2", "e10"), ("e05", "r2", "e03")]
+    store = store_from_triples(rows)
+    ent = rng.normal(scale=0.3, size=(40, d)).astype(dtype)
+    rel = rng.normal(scale=0.3, size=(3, d)).astype(dtype)
+    ent[0], rel[2] = 0.25, 0.0
+    target = ent[1]
+    ent[2] = ent[3] = target
+    for i, (j, toward) in enumerate([(0, np.inf), (0, -np.inf), (17, np.inf),
+                                     (17, -np.inf), (63, np.inf), (63, -np.inf)]):
+        ent[4 + i] = target
+        ent[4 + i, j] = np.nextafter(target[j], dtype(toward))
+    for i in range(10, 14):
+        ent[i] = rng.permutation(target)
+    for i, bad in zip((14, 15, 16), (np.nan, np.inf, -np.inf)):
+        ent[i] = target
+        ent[i, 5] = bad
+    ent[17, :4] = 3e38
+    params = ModelParams(dim=d, entity_emb=ent, relation_emb=rel,
+                         transfer=np.tile(np.eye(d, dtype=dtype), (3, 1, 1)))
+    # tails: the target, a duplicate, a NaN row (rank 0) and a +inf row whose
+    # (head, relation) has no other known tail (every finite row ties it)
+    test = [(0, 2, 1), (5, 1, 1), (5, 2, 1), (5, 1, 2), (0, 2, 3), (3, 0, 4),
+            (0, 2, 14), (7, 2, 15), (20, 0, 21), (9, 1, 30)]
+    return params, store, test
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("filtered", [True, False])
+def test_ranks_match_oracle_on_near_ties(dtype, filtered):
+    params, store, test = adversarial_setup(dtype)
+    got = link_prediction_ranks(params, store, test, filtered=filtered)
+    np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered))
+
+
 @pytest.fixture
 def ranking_setup(rng):
     store = random_graph(rng)
@@ -126,6 +173,28 @@ def test_relation_scores_match_score_relation(rng):
     np.testing.assert_allclose(relation_scores(params, pairs), want, rtol=1e-12)
     assert relation_scores(params, [(6, 2)])[0] == pytest.approx(score_relation(params, 6, 2),
                                                                  rel=1e-12)
+
+
+def threshold_loop(scores, labels):
+    """One accuracy per candidate; the first strictly better one wins."""
+    uniq = np.unique(scores)
+    mids = (uniq[:-1] + uniq[1:]) / 2.0 if len(uniq) > 1 else np.empty(0)
+    best_acc, best_thr = -1.0, None
+    for thr in np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]]):
+        acc = float(((scores <= thr) == labels).mean())
+        if acc > best_acc:
+            best_acc, best_thr = acc, float(thr)
+    return best_thr
+
+
+@pytest.mark.parametrize("case", ["random", "rounded", "tied", "nan"])
+def test_threshold_matches_loop(rng, case):
+    for n in (1, 2, 7, 100):  # n = 1 is a single-value input
+        scores = {"random": rng.normal(size=n), "rounded": rng.integers(0, 4, n) / 2.0,
+                  "tied": np.full(n, 1.5),
+                  "nan": np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n))}[case]
+        for labels in (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
+            assert choose_threshold(scores, labels) == threshold_loop(scores, labels)
 
 
 def test_threshold_separable_case():

@@ -72,6 +72,13 @@ def test_config_validation(kwargs, msg):
         TrainConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("field", ["margin", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        TrainConfig(**{field: value}).validate()
+
+
 def repeated_positives(store, n=3000):
     return np.resize(np.asarray(store.triples, dtype=np.int64), (n, 3))
 
