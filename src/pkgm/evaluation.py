@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kgstore import TripleStore
-from .model import ModelParams, RelationGroups
+from .model import ModelParams, relation_service, triple_service
 
 
 @dataclass
@@ -49,7 +49,8 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
     if not test:
         raise ValueError("empty test set")
     ent = params.entity_emb.astype(np.float64)
-    rel = params.relation_emb.astype(np.float64)
+    hs, rs, _ = np.asarray(test).T
+    queries = triple_service(params, hs, rs, dtype=np.float64)
     ent_t = np.ascontiguousarray(ent.T, dtype=np.float32)
     buf = np.empty_like(ent_t)
     screen = np.empty(len(ent), dtype=np.float32)
@@ -57,13 +58,13 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
 
     known_tails: dict[tuple[int, int], list[int]] = {}
     if filtered:
-        for h, r, t in store.triple_set | set(test):
+        for h, r, t in [*store.triples, *test]:
             known_tails.setdefault((h, r), []).append(t)
 
     ranks = np.zeros(len(test), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # these only leave non-finite bounds
         for i, (h, r, t) in enumerate(test):
-            q = ent[h] + rel[r]
+            q = queries[i]
             np.subtract(q.astype(np.float32)[:, None], ent_t, out=buf)
             np.abs(buf, out=buf)
             buf.sum(axis=0, out=screen)
@@ -71,12 +72,11 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
             tol = slack * (screen + (float(np.abs(q).sum()) + 2.0 ** -126))
             below = screen + tol < target
             unsure = ~(below | (screen - tol > target))
-            # the target counts unless NaN; filtered tails count as +inf scores do
+            # the target counts unless NaN; filtered tails never count
             others = [e for e in known_tails[(h, r)] if e != t] if filtered else []
             below[[t, *others]] = unsure[[t, *others]] = False
             idx = np.flatnonzero(unsure)
             ranks[i] = (np.count_nonzero(below) + int(target <= target)
-                        + len(others) * int(target == np.inf)
                         + np.count_nonzero(np.abs(q - ent[idx]).sum(axis=1) <= target))
     return ranks
 
@@ -100,10 +100,7 @@ def relation_scores(params: ModelParams, pairs) -> np.ndarray:
     """Relation-module scores for (h, r) pairs, float64."""
     hs = np.asarray([p[0] for p in pairs], dtype=np.int64)
     rs = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    heads = params.entity_emb[hs].astype(np.float64)
-    resid = (RelationGroups(rs).forward(params.transfer.astype(np.float64), heads)
-             - params.relation_emb[rs].astype(np.float64))
-    return np.abs(resid).sum(axis=1)
+    return np.abs(relation_service(params, hs, rs, dtype=np.float64)).sum(axis=1)
 
 
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -11,7 +11,7 @@ configurable relation name (default "isA"), i.e. (entity, isA, category).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -99,11 +99,6 @@ class TripleStore:
     category_of: dict[int, int]
     relation_counts: dict[int, int]
     category_relation: str = "isA"
-    triple_set: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if not self.triple_set:
-            self.triple_set = frozenset(self.triples)
 
     @property
     def n_entities(self) -> int:

@@ -1,9 +1,9 @@
-"""Model parameters, the relation-grouped transfer kernel and checkpoints.
+"""Model parameters, the two service formulas, the transfer kernel and checkpoints.
 
-The triple query module scores (h, r, t) as the L1 norm of h + r - t.
-The relation query module scores (h, r) as the L1 norm of M_r h - r,
-where M_r is the transfer matrix of relation r. The combined score is
-their sum. Subgradients use the convention sign(0) = 0.
+The triple query module scores (h, r, t) as |S_triple(h, r) - t|_1 with
+S_triple(h, r) = h + r; the relation query module scores (h, r) as
+|S_rel(h, r)|_1 with S_rel(h, r) = M_r h - r, M_r the transfer matrix of
+relation r. The combined score is their sum. Subgradients use sign(0) = 0.
 """
 
 from __future__ import annotations
@@ -107,10 +107,20 @@ class RelationGroups:
         return back
 
 
-def _check_index(idx: int, size: int, kind: str) -> None:
-    # negative ids would silently wrap under numpy indexing
-    if not 0 <= idx < size:
-        raise IndexError(f"{kind} id {idx} out of range [0, {size})")
+def triple_service(params: ModelParams, hs, rs, dtype=np.float32) -> np.ndarray:
+    """The rows e_h + r_r of S_triple for the id arrays hs and rs, in dtype."""
+    return (params.entity_emb[hs].astype(dtype, copy=False)
+            + params.relation_emb[rs].astype(dtype, copy=False))
+
+
+def relation_service(params: ModelParams, hs, rs, dtype=np.float32,
+                     groups: RelationGroups | None = None) -> np.ndarray:
+    """The rows M_r e_h - r_r of S_rel in dtype; groups, when given, is RelationGroups(rs).
+    Tables already in dtype are not copied, which spares one-row queries an (n_r, d, d) copy."""
+    groups = RelationGroups(rs) if groups is None else groups
+    heads = params.entity_emb[hs].astype(dtype, copy=False)
+    return (groups.forward(params.transfer.astype(dtype, copy=False), heads)
+            - params.relation_emb[rs].astype(dtype, copy=False))
 
 
 def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,

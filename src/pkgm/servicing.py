@@ -2,9 +2,9 @@
 
 S_triple(h, r) = h + r answers a triple query with the inferred tail
 position. S_rel(h, r) = M_r h - r answers a relation query with a vector
-near zero when the relation holds. Bundles materialize these per entity
-for its k key relations under one of four variants and are frozen so
-downstream consumers cannot mutate them.
+near zero when the relation holds; pkgm.model computes both. Bundles
+materialize these per entity for its k key relations under one of four
+variants and are frozen so downstream consumers cannot mutate them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .keyrel import KeyRelationTable
 from .kgstore import Vocab, write_atomically
-from .model import ModelParams, RelationGroups, _check_index
+from .model import ModelParams, relation_service, triple_service
 
 VARIANTS = ("item", "all", "T", "R")
 
@@ -27,18 +27,6 @@ def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
     """One export record: uint32 entity id, then its service rows as float32."""
     rows = {"item": 1, "T": k, "R": k, "all": 2 * k}[variant]
     return np.dtype([("id", "<u4"), ("vec", "<f4", (rows, dim))])
-
-
-def service_triple(params: ModelParams, h: int, r: int) -> np.ndarray:
-    _check_index(h, params.n_entities, "entity")
-    _check_index(r, params.n_relations, "relation")
-    return params.entity_emb[h] + params.relation_emb[r]
-
-
-def service_relation(params: ModelParams, h: int, r: int) -> np.ndarray:
-    _check_index(h, params.n_entities, "entity")
-    _check_index(r, params.n_relations, "relation")
-    return params.transfer[r] @ params.entity_emb[h] - params.relation_emb[r]
 
 
 @dataclass
@@ -68,19 +56,13 @@ def _entity_vectors(params: ModelParams, entities: np.ndarray, rels: np.ndarray,
 
     entities is (n,) entity ids and rels is (n, k) relation ids.
     """
-    heads = params.entity_emb[entities]
     if variant == "item":
-        return heads[:, None, :]
+        return params.entity_emb[entities][:, None, :]
     n, k = rels.shape
-    rs = rels.reshape(-1)
-    heads = np.repeat(heads, k, axis=0)
-    rel = params.relation_emb[rs]
-    parts = []
-    if variant in ("T", "all"):
-        parts.append(heads + rel)
-    if variant in ("R", "all"):
-        parts.append(RelationGroups(rs).forward(params.transfer, heads) - rel)
-    return np.concatenate([p.reshape(n, k, params.dim) for p in parts], axis=1)
+    hs, rs = np.repeat(entities, k), rels.reshape(-1)
+    fns = {"T": [triple_service], "R": [relation_service],
+           "all": [triple_service, relation_service]}[variant]
+    return np.concatenate([fn(params, hs, rs).reshape(n, k, params.dim) for fn in fns], axis=1)
 
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
@@ -201,8 +183,8 @@ class QueryService:
                 return {"error": "unknown_id"}
             h = snap.entity_vocab.id(h_tok)
             r = snap.relation_vocab.id(r_tok)
-            fn = service_triple if op == "triple" else service_relation
-            return {"vector": np.asarray(fn(snap.params, h, r), dtype=np.float32).tolist()}
+            fn = triple_service if op == "triple" else relation_service
+            return {"vector": fn(snap.params, [h], [r])[0].tolist()}
         if op == "bundle":
             e_tok, variant = request.get("e"), request.get("variant")
             if not isinstance(e_tok, str) or variant not in VARIANTS:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kgstore import TripleStore, sorted_contains
-from .model import ModelParams, RelationGroups, init_params
+from .model import ModelParams, RelationGroups, init_params, relation_service, triple_service
 from .optim import Adam
 
 
@@ -144,12 +144,10 @@ class BatchTerms(NamedTuple):
 
 def _batch_terms(params: ModelParams, hs, rs, ts) -> BatchTerms:
     groups = RelationGroups(rs)
-    heads = params.entity_emb[hs]
-    rel = params.relation_emb[rs]
-    diff = heads + rel - params.entity_emb[ts]
-    resid = groups.forward(params.transfer, heads) - rel
+    diff = triple_service(params, hs, rs) - params.entity_emb[ts]
+    resid = relation_service(params, hs, rs, groups=groups)
     scores = np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1)
-    return BatchTerms(scores, diff, resid, heads, groups)
+    return BatchTerms(scores, diff, resid, params.entity_emb[hs], groups)
 
 
 def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weight) -> None:

@@ -1,8 +1,9 @@
-"""Per-triple scores and subgradients: the scalar oracles of the batched code.
+"""Per-triple service vectors, scores and subgradients: the scalar oracles.
 
-The trainer, evaluation and servicing score and differentiate whole
-batches at once; these functions compute the same formulas one triple at
-a time and serve as the reference the tests compare them with.
+The trainer, evaluation and servicing compute service vectors, scores and
+subgradients for whole batches at once; these functions compute the same
+formulas one triple at a time and serve as the reference the tests compare
+them with.
 """
 
 from __future__ import annotations
@@ -11,7 +12,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pkgm.model import ModelParams, _check_index
+from pkgm.model import ModelParams
+
+
+def _check_index(idx: int, size: int, kind: str) -> None:
+    # negative ids would silently wrap under numpy indexing
+    if not 0 <= idx < size:
+        raise IndexError(f"{kind} id {idx} out of range [0, {size})")
+
+
+def service_triple(params: ModelParams, h: int, r: int) -> np.ndarray:
+    _check_index(h, params.n_entities, "entity")
+    _check_index(r, params.n_relations, "relation")
+    return params.entity_emb[h] + params.relation_emb[r]
+
+
+def service_relation(params: ModelParams, h: int, r: int) -> np.ndarray:
+    _check_index(h, params.n_entities, "entity")
+    _check_index(r, params.n_relations, "relation")
+    return params.transfer[r] @ params.entity_emb[h] - params.relation_emb[r]
+
+
+def relation_error_bound(params: ModelParams, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """float64 M_r h - r and the float32 rounding bound for computing it.
+
+    A length-d float32 dot product followed by one subtraction is within
+    gamma_(d+1) = (d+1)u / (1 - (d+1)u) of the sum of the absolute
+    summands, u the float32 unit roundoff, in any summation order.
+    """
+    h_vec = params.entity_emb[h].astype(np.float64)
+    m = params.transfer[r].astype(np.float64)
+    r_vec = params.relation_emb[r].astype(np.float64)
+    u = np.finfo(np.float32).eps / 2
+    gamma = (params.dim + 1) * u / (1 - (params.dim + 1) * u)
+    return m @ h_vec - r_vec, gamma * (np.abs(m) @ np.abs(h_vec) + np.abs(r_vec))
 
 
 @dataclass

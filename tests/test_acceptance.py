@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from oracles import gradients
+from oracles import gradients, service_triple
 
 from pkgm import downstream, keyrel, servicing, synth, trainer
 from pkgm.downstream import InteractionSet, RecConfig
@@ -19,7 +19,7 @@ from pkgm.cli import dispatch
 from pkgm.keyrel import select_key_relations
 from pkgm.kgstore import store_from_triples
 from pkgm.model import ModelParams, init_params, load_checkpoint, save_checkpoint
-from pkgm.servicing import build_bundle, read_services, service_triple, write_services
+from pkgm.servicing import build_bundle, read_services, write_services
 
 
 def combined(params, h, r, t):
@@ -95,16 +95,17 @@ def test_criterion_02_oracle_ranking_equivalence():
     params = init_params(20, 4, 8, np.random.default_rng(7))
 
     test = list(store.triples)
+    known_triples = set(store.triples)
     for h, r, t in store.triples[::4]:
         cand = (h, r, (t + 3) % 20)
-        if cand not in store.triple_set:
+        if cand not in known_triples:
             test.append(cand)
     got = link_prediction_ranks(params, store, test, filtered=True)
 
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
     known = {}
-    for h, r, t in store.triple_set | set(test):
+    for h, r, t in known_triples | set(test):
         known.setdefault((h, r), set()).add(t)
     mismatches = 0
     for i, (h, r, t) in enumerate(test):

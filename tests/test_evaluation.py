@@ -30,7 +30,7 @@ def oracle_ranks(params, store, test, filtered):
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
     known = {}
-    for h, r, t in store.triple_set | set(test):
+    for h, r, t in set(store.triples) | set(test):
         known.setdefault((h, r), set()).add(t)
     ranks = []
     for h, r, t in test:
@@ -92,6 +92,20 @@ def test_ranks_match_oracle_on_near_ties(dtype, filtered):
     np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered))
 
 
+def test_filtered_tails_never_count_at_infinite_target():
+    # every score is 0 except the target's, which is +inf; the known tail c
+    # of (a, r) must be left out under the filter, not tie the target
+    store = store_from_triples([("a", "r", "b"), ("a", "r", "c"), ("c", "r", "d")])
+    ent = np.zeros((4, 3), dtype=np.float32)
+    ent[store.entities.id("b"), 0] = np.inf
+    params = ModelParams(dim=3, entity_emb=ent, relation_emb=np.zeros((1, 3), dtype=np.float32),
+                         transfer=np.eye(3, dtype=np.float32)[None])
+    test = [(store.entities.id("a"), store.relations.id("r"), store.entities.id("b"))]
+    got = link_prediction_ranks(params, store, test, filtered=True)
+    np.testing.assert_array_equal(got, [3])
+    np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered=True))
+
+
 @pytest.fixture
 def ranking_setup(rng):
     store = random_graph(rng)
@@ -99,7 +113,7 @@ def ranking_setup(rng):
     test = list(store.triples[::3])
     for h, r, t in store.triples[1::5]:
         cand = (h, r, (t + 1) % store.n_entities)
-        if cand not in store.triple_set:
+        if cand not in set(store.triples):
             test.append(cand)
     return params, store, test
 

@@ -122,7 +122,6 @@ def test_store_interning_and_counts(toy_store):
     isa = toy_store.relations.id("isA")
     assert toy_store.relation_counts[color] == 3
     assert toy_store.relation_counts[isa] == 4
-    assert toy_store.triple_set == frozenset(toy_store.triples)
 
 
 def test_store_duplicates_collapse():

@@ -5,9 +5,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import Gradients, gradients, score_combined, score_relation, score_triple
+from oracles import (
+    Gradients,
+    gradients,
+    relation_error_bound,
+    score_combined,
+    score_relation,
+    score_triple,
+    service_relation,
+    service_triple,
+)
 from pkgm.kgstore import Vocab
-from pkgm.model import ModelParams, init_params, load_checkpoint, save_checkpoint
+from pkgm.model import (
+    ModelParams,
+    init_params,
+    load_checkpoint,
+    relation_service,
+    save_checkpoint,
+    triple_service,
+)
 
 
 def hand_params():
@@ -150,6 +166,42 @@ def test_gradient_zero_at_exact_kink():
     got = gradients(params, 0, 0, 1)
     np.testing.assert_array_equal(got.d_tail, np.zeros(2))
     np.testing.assert_array_equal(got.d_relation, -np.sign(ent[0] - rel[0]))
+
+
+# relations out of order and repeated (grouped through a sort), then one row
+# (a one-row slice)
+SERVICE_BATCHES = [([5, 0, 2, 7, 5, 1, 0], [3, 1, 3, 0, 1, 3, 2]), ([6], [2])]
+
+
+def widened(params):
+    """The same tables in float64 (the cast is exact)."""
+    return ModelParams(params.dim, params.entity_emb.astype(np.float64),
+                       params.relation_emb.astype(np.float64), params.transfer.astype(np.float64))
+
+
+@pytest.mark.parametrize("hs, rs", SERVICE_BATCHES)
+def test_triple_service_matches_oracle(rng, hs, rs):
+    params = init_params(8, 4, 5, rng)
+    for dtype, tables in ((np.float32, params), (np.float64, widened(params))):
+        got = triple_service(params, hs, rs, dtype=dtype)
+        assert got.dtype == dtype and got.shape == (len(hs), 5)
+        want = [service_triple(tables, h, r) for h, r in zip(hs, rs)]
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("hs, rs", SERVICE_BATCHES)
+def test_relation_service_matches_oracle(rng, hs, rs):
+    params = init_params(8, 4, 5, rng)
+    got = relation_service(params, hs, rs)
+    assert got.dtype == np.float32 and got.shape == (len(hs), 5)
+    for i, (h, r) in enumerate(zip(hs, rs)):
+        exact, bound = relation_error_bound(params, h, r)
+        assert np.all(np.abs(got[i] - exact) <= bound)
+    # float64 scoring of float32 tables, as eval-rel does
+    got = relation_service(params, hs, rs, dtype=np.float64)
+    assert got.dtype == np.float64
+    want = [service_relation(widened(params), h, r) for h, r in zip(hs, rs)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def checkpoint_fixture(tmp_path, rng):

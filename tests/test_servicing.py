@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import relation_error_bound, service_relation, service_triple
 
 from pkgm import servicing
 from pkgm.keyrel import KeyRelationTable, select_key_relations
-from pkgm.model import ModelParams, init_params
+from pkgm.model import ModelParams, init_params, relation_service, triple_service
 from pkgm.servicing import (
     QueryService,
     ServiceBundle,
@@ -17,8 +18,6 @@ from pkgm.servicing import (
     condense_single,
     read_services,
     serve,
-    service_relation,
-    service_triple,
     write_services,
 )
 
@@ -34,6 +33,7 @@ def test_service_triple_hand_values():
     params = tiny_params()
     np.testing.assert_array_equal(service_triple(params, 2, 0), [0.0, 0.0])  # h = -r
     np.testing.assert_array_equal(service_triple(params, 0, 1), [1.0, 1.0])
+    np.testing.assert_array_equal(triple_service(params, [2, 0], [0, 1]), [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_service_relation_hand_values():
@@ -42,14 +42,8 @@ def test_service_relation_hand_values():
     np.testing.assert_array_equal(service_relation(params, 0, 0), [0.0, 0.0])
     # M = 0 reduces to the negated relation embedding
     np.testing.assert_array_equal(service_relation(params, 0, 1), [0.0, -1.0])
-
-
-def test_service_fns_reject_bad_ids():
-    params = tiny_params()
-    with pytest.raises(IndexError):
-        service_triple(params, 3, 0)
-    with pytest.raises(IndexError):
-        service_relation(params, 0, 2)
+    np.testing.assert_array_equal(relation_service(params, [0, 0], [0, 1]),
+                                  [[0.0, 0.0], [0.0, -1.0]])
 
 
 @pytest.fixture
@@ -57,21 +51,6 @@ def bundle_setup(rng):
     params = init_params(6, 4, 5, rng)
     table = KeyRelationTable(k=3, rows={0: (0, 2, 1), 3: (1, 0, 2), 5: (3, 1, 0)})
     return params, table
-
-
-def _relation_error_bound(params, e, rel):
-    """float64 M_r h - r and the float32 rounding bound for computing it.
-
-    A length-d float32 dot product followed by one subtraction is within
-    gamma_(d+1) = (d+1)u / (1 - (d+1)u) of the sum of the absolute
-    summands, u the float32 unit roundoff, in any summation order.
-    """
-    h = params.entity_emb[e].astype(np.float64)
-    m = params.transfer[rel].astype(np.float64)
-    r = params.relation_emb[rel].astype(np.float64)
-    u = np.finfo(np.float32).eps / 2
-    gamma = (params.dim + 1) * u / (1 - (params.dim + 1) * u)
-    return m @ h - r, gamma * (np.abs(m) @ np.abs(h) + np.abs(r))
 
 
 def test_bundle_matches_direct_recomputation(bundle_setup):
@@ -90,7 +69,7 @@ def test_bundle_matches_direct_recomputation(bundle_setup):
             # product, whose float32 sums may round apart from a single
             # matrix-vector product, so it is checked against the float64
             # value within the float32 error bound of its summands
-            exact, bound = _relation_error_bound(params, e, rel)
+            exact, bound = relation_error_bound(params, e, rel)
             assert np.all(np.abs(r.block[at, i] - exact) <= bound)
         # "all" is the T bundle followed by the R bundle
         np.testing.assert_array_equal(both.block[at, :3], t.block[at])

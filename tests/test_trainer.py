@@ -19,6 +19,7 @@ def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0
     h, r, t = positive
     n_e = store.n_entities
     n_r = store.n_relations
+    known = set(store.triples)
     fallback = None
     for _ in range(100):
         u = rng.random()
@@ -34,7 +35,7 @@ def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0
         if repl >= orig:
             repl += 1
         cand = tuple(repl if i == slot else v for i, v in enumerate(positive))
-        if cand in store.triple_set:
+        if cand in known:
             fallback = cand
             continue
         return cand
@@ -88,7 +89,7 @@ def test_negative_differs_in_exactly_one_slot(toy_store):
     neg = sample_negative(toy_store, pos, np.random.default_rng(2))
     assert neg.shape == pos.shape and neg.dtype == np.int64
     assert ((neg != pos).sum(axis=1) == 1).all()
-    assert not any(tuple(row) in toy_store.triple_set for row in neg.tolist())
+    assert set(map(tuple, neg.tolist())).isdisjoint(toy_store.triples)
 
 
 def slot_counts(pos, neg):
@@ -128,7 +129,7 @@ def test_negatives_match_scalar_oracle_in_distribution():
     support = {(e, r, t) for e in range(store.n_entities) if e != h}
     support |= {(h, rr, t) for rr in range(store.n_relations) if rr != r}
     support |= {(h, r, e) for e in range(store.n_entities) if e != t}
-    support -= store.triple_set
+    support -= set(store.triples)
     assert {tuple(row) for row in neg.tolist()} == support
     assert {tuple(row) for row in want.tolist()} == support
     got_counts = slot_counts(np.tile(positive, (n, 1)), neg)
@@ -144,10 +145,10 @@ def test_negative_falls_back_when_all_candidates_positive():
     store = store_from_triples(rows)
     pos = repeated_positives(store)
     neg = sample_negative(store, pos, np.random.default_rng(0))
-    assert all(tuple(row) in store.triple_set for row in neg.tolist())
+    assert set(map(tuple, neg.tolist())) <= set(store.triples)
     assert ((neg != pos).sum(axis=1) == 1).all()
     want = sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
-    assert want in store.triple_set and want != store.triples[0]
+    assert want in set(store.triples) and want != store.triples[0]
 
 
 def test_negative_degenerate_slots_take_first_other_value():
@@ -317,7 +318,7 @@ def test_report_records_phases_and_active_fraction():
 
 
 def test_empty_store_rejected(toy_store):
-    empty = dataclasses.replace(toy_store, triples=[], triple_set=frozenset())
+    empty = dataclasses.replace(toy_store, triples=[])
     with pytest.raises(ValueError, match="no triples"):
         train(empty, TrainConfig())
 
