@@ -106,6 +106,18 @@ class RelationGroups:
             grad_transfer[r] += g.T @ x[idx]
         return back
 
+    def add_row_sums(self, rows: np.ndarray, table: np.ndarray) -> None:
+        """Add the sum of each group's rows into table[r].
+
+        numpy sums axis 0 of a gathered (n, d > 1) block one row after
+        another in batch order, so into a zeroed table this equals
+        np.add.at(table, rel_ids, rows) bit for bit; a single column would
+        be summed pairwise, so it is summed by a running sum instead.
+        """
+        for r, idx in self.groups:
+            block = rows[idx]
+            table[r] += block.sum(axis=0) if block.shape[1] > 1 else np.cumsum(block, axis=0)[-1]
+
 
 def triple_service(params: ModelParams, hs, rs, dtype=np.float32) -> np.ndarray:
     """The rows e_h + r_r of S_triple for the id arrays hs and rs, in dtype."""

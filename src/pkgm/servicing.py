@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -21,6 +22,11 @@ from .kgstore import Vocab, write_atomically
 from .model import ModelParams, relation_service, triple_service
 
 VARIANTS = ("item", "all", "T", "R")
+# encoded response bytes one snapshot's answer memo keeps; the least
+# recently used lines go first
+MEMO_BYTES = 16 << 20
+# the fields of a request that decide its answer, after its op
+_ANSWER_FIELDS = {"triple": ("h", "r"), "relation": ("h", "r"), "bundle": ("e", "variant")}
 
 
 def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
@@ -153,13 +159,26 @@ class _Snapshot:
     keyrels: KeyRelationTable
     entity_vocab: Vocab
     relation_vocab: Vocab
+    # answer key -> encoded vector answer line, least recently used first
+    memo: OrderedDict = field(default_factory=OrderedDict)
+    memo_bytes: int = 0
+
+
+def _answer_key(request) -> tuple | None:
+    """The op and token fields that decide a request's answer, or None unless all are strings."""
+    op = request.get("op") if isinstance(request, dict) else None
+    if not isinstance(op, str) or op not in _ANSWER_FIELDS:
+        return None
+    key = (op, *(request.get(name) for name in _ANSWER_FIELDS[op]))
+    return key if all(isinstance(part, str) for part in key) else None
 
 
 class QueryService:
     """Answers triple/relation/bundle queries from an immutable snapshot.
 
     Reloading replaces the snapshot in a single reference assignment, so
-    in-flight requests keep the state they started with.
+    in-flight requests keep the state they started with, and drops the
+    snapshot's memo of encoded answers with it.
     """
 
     def __init__(self, params: ModelParams, keyrels: KeyRelationTable,
@@ -170,8 +189,9 @@ class QueryService:
                       entity_vocab: Vocab, relation_vocab: Vocab) -> None:
         self._snapshot = _Snapshot(params, keyrels, entity_vocab, relation_vocab)
 
-    def handle(self, request) -> dict:
-        snap = self._snapshot
+    def handle(self, request, snap: _Snapshot | None = None) -> dict:
+        """The answer to one decoded request, from snap or else the current snapshot."""
+        snap = self._snapshot if snap is None else snap
         if not isinstance(request, dict):
             return {"error": "bad_request"}
         op = request.get("op")
@@ -200,6 +220,37 @@ class QueryService:
             return {"vectors": np.asarray(vecs, dtype=np.float32).tolist()}
         return {"error": "bad_request"}
 
+    def answer_line(self, request) -> bytes:
+        """handle(request) encoded as one response line.
+
+        A vector answer's line is kept in the snapshot's memo, keyed by the
+        request's op and tokens, so a repeated request gets the same bytes
+        without being answered or encoded again; the memo holds at most
+        MEMO_BYTES, least recently used lines evicted first. A NaN or
+        infinite vector entry is answered {"error": "internal"}. The memo is
+        not locked: call this from one thread, as the server's event loop does.
+        """
+        snap = self._snapshot
+        key = _answer_key(request)
+        line = snap.memo.get(key)
+        if line is not None:
+            snap.memo.move_to_end(key)
+            return line
+        response = self.handle(request, snap)
+        try:
+            line = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
+        except ValueError:  # a NaN or infinite vector entry
+            return b'{"error": "internal"}\n'
+        if key is not None and "error" not in response:
+            snap.memo[key] = line
+            snap.memo_bytes += len(line)
+            while snap.memo_bytes > MEMO_BYTES:
+                snap.memo_bytes -= len(snap.memo.popitem(last=False)[1])
+        return line
+
+
+_BAD_REQUEST = b'{"error": "bad_request"}\n'
+
 
 async def _handle_connection(service: QueryService, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -219,19 +270,15 @@ async def _handle_connection(service: QueryService, reader: asyncio.StreamReader
             if not line and not oversized:
                 break
             if oversized:
-                response, oversized = {"error": "bad_request"}, False
+                response, oversized = _BAD_REQUEST, False
             else:
                 try:
                     request = json.loads(line.decode("utf-8"))
                 except (ValueError, RecursionError):
-                    response = {"error": "bad_request"}
+                    response = _BAD_REQUEST
                 else:
-                    response = service.handle(request)
-            try:
-                text = json.dumps(response, allow_nan=False)
-            except ValueError:  # a NaN or infinite vector entry
-                text = '{"error": "internal"}'
-            writer.write((text + "\n").encode("utf-8"))
+                    response = service.answer_line(request)
+            writer.write(response)
             await writer.drain()
     except asyncio.CancelledError:
         pass  # shutdown: the stream server would log a handler that ends cancelled

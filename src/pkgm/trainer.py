@@ -150,6 +150,16 @@ def _batch_terms(params: ModelParams, hs, rs, ts) -> BatchTerms:
     return BatchTerms(scores, diff, resid, params.entity_emb[hs], groups)
 
 
+def _scatter_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """table[idx[i]] += rows[i] for each i in order, table C-contiguous.
+
+    One scatter over the flattened table gives every element its addends in
+    the order np.add.at(table, idx, rows) does, at about a quarter of its cost.
+    """
+    d = table.shape[1]
+    np.add.at(table.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
+
+
 def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weight) -> None:
     """Add weighted subgradients for a batch of triples into dense tables.
 
@@ -159,9 +169,9 @@ def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weigh
     s_t = np.sign(terms.diff) * weight[:, None]
     s_r = np.sign(terms.resid) * weight[:, None]
     back = terms.groups.backward(params.transfer, s_r, terms.heads, grads["transfer"])
-    np.add.at(grads["entity_emb"], hs, s_t + back)
-    np.add.at(grads["entity_emb"], ts, -s_t)
-    np.add.at(grads["relation_emb"], rs, s_t - s_r)
+    _scatter_rows(grads["entity_emb"], hs, s_t + back)
+    _scatter_rows(grads["entity_emb"], ts, -s_t)
+    terms.groups.add_row_sums(s_t - s_r, grads["relation_emb"])
 
 
 def _project_entity_rows(entity_emb: np.ndarray) -> None:

@@ -18,6 +18,7 @@ from oracles import (
 from pkgm.kgstore import Vocab
 from pkgm.model import (
     ModelParams,
+    RelationGroups,
     init_params,
     load_checkpoint,
     relation_service,
@@ -202,6 +203,21 @@ def test_relation_service_matches_oracle(rng, hs, rs):
     assert got.dtype == np.float64
     want = [service_relation(widened(params), h, r) for h, r in zip(hs, rs)]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("rel_ids", [
+    # relations 0, 1, 2 and 4 hold 1, 2, 17 and 1,100 rows; relation 3 is absent
+    np.random.default_rng(3).permutation(np.repeat([0, 1, 2, 4], [1, 2, 17, 1100])),
+    np.array([4, 0, 2]),  # all distinct: one-row slices
+])
+def test_add_row_sums_is_bit_equal_to_add_at(rng, rel_ids, dim):
+    rows = (rng.standard_normal((len(rel_ids), dim))
+            * 10.0 ** rng.integers(-6, 7, (len(rel_ids), dim))).astype(np.float32)
+    got, want = np.zeros((5, dim), np.float32), np.zeros((5, dim), np.float32)
+    RelationGroups(rel_ids).add_row_sums(rows, got)
+    np.add.at(want, rel_ids, rows)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def checkpoint_fixture(tmp_path, rng):

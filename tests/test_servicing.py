@@ -556,3 +556,115 @@ def test_serve_1000_concurrent_identical_requests(query_service):
     assert len(set(responses)) == 1
     direct = json.dumps(service.handle(json.loads(payload))) + "\n"
     assert responses[0] == direct.encode("utf-8")
+
+
+def encoded(service, request):
+    return (json.dumps(service.handle(request)) + "\n").encode("utf-8")
+
+
+def counted_handle_calls(service):
+    """Route the service's handle through a recorder; returns the recorded requests."""
+    calls = []
+    handle = service.handle
+
+    def counted(request, snap=None):
+        calls.append(request)
+        return handle(request, snap)
+
+    service.handle = counted
+    return calls
+
+
+async def exchange(service, payloads):
+    """Send payloads on one connection to a fresh server; return the response lines."""
+    server = await serve(service, port=0)
+    host, port = server.sockets[0].getsockname()[:2]
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"".join(payloads))
+        await writer.drain()
+        lines = [await reader.readline() for _ in payloads]
+        writer.close()
+        await writer.wait_closed()
+        return lines
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+@pytest.mark.parametrize("request_obj", [
+    {"op": "triple", "h": "apple", "r": "color"},
+    {"op": "relation", "h": "kale", "r": "isA"},
+    {"op": "bundle", "e": "apple", "variant": "all"},
+])
+def test_memoized_line_is_the_encoded_handle_answer(query_service, request_obj):
+    service, *_ = query_service
+    calls = counted_handle_calls(service)
+    payload = json.dumps(request_obj).encode() + b"\n"
+    # the same request with a key handle ignores, as traced clients send
+    with_rid = json.dumps({"rid": 7, **request_obj}).encode() + b"\n"
+    miss, hit, hit_with_rid = asyncio.run(exchange(service, [payload, payload, with_rid]))
+    assert len(calls) == 1
+    assert miss == hit == hit_with_rid == encoded(service, request_obj)
+
+
+def test_reload_drops_memoized_answers(query_service):
+    service, params, keyrels, store = query_service
+    req = {"op": "triple", "h": "apple", "r": "color"}
+    before = service.answer_line(req)
+    assert service.answer_line(req) == before
+    other = init_params(store.n_entities, store.n_relations, 4, np.random.default_rng(777))
+    service.load_snapshot(other, keyrels, store.entities, store.relations)
+    after = service.answer_line(req)
+    assert after != before
+    assert after == encoded(service, req)
+    np.testing.assert_allclose(json.loads(after)["vector"], service_triple(other, 0, 0),
+                               rtol=1e-6)
+
+
+def test_non_finite_answer_is_internal_error_on_every_request(query_service):
+    service, params, keyrels, store = query_service
+    ent = params.entity_emb.copy()
+    ent[store.entities.id("apple")] = np.nan
+    service.load_snapshot(ModelParams(params.dim, ent, params.relation_emb, params.transfer),
+                          keyrels, store.entities, store.relations)
+    payloads = [b'{"op": "triple", "h": "apple", "r": "color"}\n',
+                b'{"op": "bundle", "e": "apple", "variant": "all"}\n'] * 2
+    lines = asyncio.run(exchange(service, payloads))
+    assert lines == [b'{"error": "internal"}\n'] * 4
+    assert not service._snapshot.memo
+
+
+def test_memo_evicts_least_recently_used_within_its_budget(query_service, monkeypatch):
+    service, *_ = query_service
+    reqs = [{"op": "triple", "h": h, "r": "color"} for h in ("apple", "lemon", "carrot", "kale")]
+    sizes = [len(encoded(service, req)) for req in reqs]
+    monkeypatch.setattr(servicing, "MEMO_BYTES", sum(sizes[:3]))
+    memo = service._snapshot.memo
+
+    def answer(req):
+        assert service.answer_line(req) == encoded(service, req)
+        assert service._snapshot.memo_bytes == sum(map(len, memo.values())) <= servicing.MEMO_BYTES
+
+    for req in reqs[:3]:
+        answer(req)
+    assert len(memo) == 3
+    answer(reqs[0])  # a hit makes apple the most recently used
+    answer(reqs[3])
+    assert ("triple", "lemon", "color") not in memo
+    assert {("triple", "apple", "color"), ("triple", "kale", "color")} <= set(memo)
+
+    # a line over the whole budget is answered but not kept
+    monkeypatch.setattr(servicing, "MEMO_BYTES", 10)
+    answer({"op": "bundle", "e": "apple", "variant": "all"})
+    assert not memo
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request_obj=_json_values | _requests)
+def test_answer_line_is_the_encoded_handle_answer(query_service, request_obj):
+    service, *_ = query_service
+    want = encoded(service, request_obj)
+    assert service.answer_line(request_obj) == want
+    assert service.answer_line(request_obj) == want

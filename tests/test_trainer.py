@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import gradients, score_combined
+from oracles import accumulate_add_at, gradients, score_combined
 from pkgm import synth, trainer
 from pkgm.kgstore import store_from_triples
 from pkgm.model import init_params
@@ -237,17 +237,18 @@ def test_batch_terms_match_single_scores(rng):
             assert scores[i] == pytest.approx(want, rel=1e-6)
 
 
+def zero_grads(params):
+    return {name: np.zeros_like(getattr(params, name))
+            for name in ("entity_emb", "relation_emb", "transfer")}
+
+
 def test_batched_gradients_match_per_triple(rng):
     params = init_params(9, 4, 6, rng)
     for hs, rs, ts in BATCHES:
         weight = np.resize(np.array([0.5, -0.25, 0.0, 1.0], dtype=np.float32), len(hs))
         hs, rs, ts = np.array(hs), np.array(rs), np.array(ts)
         terms = trainer._batch_terms(params, hs, rs, ts)
-        got = {
-            "entity_emb": np.zeros_like(params.entity_emb),
-            "relation_emb": np.zeros_like(params.relation_emb),
-            "transfer": np.zeros_like(params.transfer),
-        }
+        got = zero_grads(params)
         trainer._accumulate(got, params, hs, rs, ts, terms, weight)
 
         want = {k: np.zeros_like(v) for k, v in got.items()}
@@ -261,6 +262,49 @@ def test_batched_gradients_match_per_triple(rng):
             np.testing.assert_allclose(got[name], want[name], rtol=1e-5, atol=1e-6)
         for r in set(range(params.n_relations)) - set(rs.tolist()):
             assert not got["transfer"][r].any()  # an absent relation gets exactly zero
+
+
+def mixed_weights(rng, n):
+    # magnitudes over twelve decades, so a different addition order shows in the bits
+    return (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)).astype(np.float32)
+
+
+def assert_accumulate_is_add_at_form(params, hs, rs, ts, weight):
+    hs, rs, ts = np.asarray(hs), np.asarray(rs), np.asarray(ts)
+    terms = trainer._batch_terms(params, hs, rs, ts)
+    got, want = zero_grads(params), zero_grads(params)
+    trainer._accumulate(got, params, hs, rs, ts, terms, weight)
+    accumulate_add_at(want, params, hs, rs, ts, terms, weight)
+    for name in got:
+        assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
+    return got
+
+
+def test_accumulate_is_bit_equal_to_add_at_form_on_batches(rng):
+    params = init_params(9, 4, 6, rng)
+    for hs, rs, ts in BATCHES:
+        assert_accumulate_is_add_at_form(params, hs, rs, ts, mixed_weights(rng, len(hs)))
+
+
+def test_accumulate_is_bit_equal_to_add_at_form_on_planted_kg_batch(rng):
+    kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=4)
+    store = store_from_triples(kg.triples)
+    params = init_params(store.n_entities, store.n_relations, 64, rng)
+    triples = np.asarray(store.triples, dtype=np.int64)
+    pos = triples[rng.permutation(len(triples))[:1000]]
+    rows = np.concatenate([pos, sample_negative(store, pos, rng)])
+    assert_accumulate_is_add_at_form(params, rows[:, 0], rows[:, 1], rows[:, 2],
+                                     mixed_weights(rng, len(rows)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_accumulate_is_bit_equal_to_add_at_form_on_group_sizes(rng, dim):
+    # relations 0, 1, 2 and 4 hold 1, 2, 17 and 1,100 rows; relation 3 is absent
+    rs = rng.permutation(np.repeat([0, 1, 2, 4], [1, 2, 17, 1100]))
+    hs, ts = rng.integers(0, 50, len(rs)), rng.integers(0, 50, len(rs))
+    params = init_params(50, 5, dim, rng)
+    got = assert_accumulate_is_add_at_form(params, hs, rs, ts, mixed_weights(rng, len(rs)))
+    assert not got["relation_emb"][3].any() and not got["transfer"][3].any()
 
 
 def planted_store(n_entities=20):
