@@ -117,6 +117,7 @@ class RecModel:
 
     params: dict[str, np.ndarray]
     hidden: tuple[int, ...]
+    gmf_dim: int
     service: np.ndarray | None = None
     train_losses: list[float] = field(default_factory=list)
 
@@ -139,12 +140,11 @@ def _init_rec_params(n_users: int, n_items: int, config: RecConfig,
         lim = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-lim, lim, size=(n_in, n_out)).astype(np.float32)
 
-    params = {
-        "gmf_user": rng.normal(0.0, 0.01, size=(n_users, config.gmf_dim)).astype(np.float32),
-        "gmf_item": rng.normal(0.0, 0.01, size=(n_items, config.gmf_dim)).astype(np.float32),
-        "mlp_user": rng.normal(0.0, 0.01, size=(n_users, config.mlp_dim)).astype(np.float32),
-        "mlp_item": rng.normal(0.0, 0.01, size=(n_items, config.mlp_dim)).astype(np.float32),
-    }
+    gmf_user, gmf_item, mlp_user, mlp_item = (
+        rng.normal(0.0, 0.01, size=(n, dim)).astype(np.float32)
+        for dim in (config.gmf_dim, config.mlp_dim) for n in (n_users, n_items))
+    # one table per side, each row its GMF columns followed by its MLP columns
+    params = {"user": np.hstack([gmf_user, mlp_user]), "item": np.hstack([gmf_item, mlp_item])}
     in_dim = 2 * config.mlp_dim + service_dim
     for layer, width in enumerate(config.hidden, start=1):
         params[f"w{layer}"] = glorot(in_dim, width)
@@ -156,9 +156,10 @@ def _init_rec_params(n_users: int, n_items: int, config: RecConfig,
 
 
 def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
-    p = model.params
-    gmf = p["gmf_user"][users] * p["gmf_item"][items]
-    parts = [p["mlp_user"][users], p["mlp_item"][items]]
+    p, g = model.params, model.gmf_dim
+    user_rows, item_rows = p["user"][users], p["item"][items]
+    gmf = user_rows[:, :g] * item_rows[:, :g]
+    parts = [user_rows[:, g:], item_rows[:, g:]]
     if model.service is not None:
         parts.append(model.service[items])
     mlp_in = np.concatenate(parts, axis=1)
@@ -169,7 +170,7 @@ def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
         activations.append(z)
     feat = np.concatenate([gmf, z], axis=1)
     prob = _sigmoid(feat @ p["w_out"])
-    return prob, gmf, activations, feat
+    return prob, (user_rows, item_rows), activations, feat
 
 
 def _segment_sum(idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -180,33 +181,28 @@ def _segment_sum(idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, labels, prob,
-              gmf, activations, feat, l2: float) -> None:
+              rows, activations, feat, l2: float) -> None:
     """Write the batch's gradient into grads, the optimizer's gradient views."""
-    p = model.params
+    p, g = model.params, model.gmf_dim
     batch = len(labels)
 
     dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
     np.matmul(feat.T, dlogit, out=grads["w_out"])
     dfeat = np.outer(dlogit, p["w_out"])
-    gdim = gmf.shape[1]
-    dgmf = dfeat[:, :gdim]
-    dz = dfeat[:, gdim:]
+    dgmf = dfeat[:, :g]
+    dz = dfeat[:, g:]
     for layer in range(len(model.hidden), 0, -1):
         dz = dz * (activations[layer] > 0)
         np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
         dz.sum(axis=0, out=grads[f"b{layer}"])
         dz = dz @ p[f"w{layer}"].T
-    mdim = p["mlp_user"].shape[1]
-    # the service slice of dz is dropped: service vectors get no gradient;
-    # l2 is weight decay on the embedding rows seen in the batch
-    row_grads = (
-        ("gmf_user", users, dgmf * p["gmf_item"][items]),
-        ("gmf_item", items, dgmf * p["gmf_user"][users]),
-        ("mlp_user", users, dz[:, :mdim]),
-        ("mlp_item", items, dz[:, mdim:2 * mdim]),
-    )
-    for name, idx, rows in row_grads:
-        _segment_sum(idx, rows + l2 * p[name][idx], grads[name])
+    # rows are _forward's (user, item) rows; a side's GMF columns take dgmf times
+    # the other side's, its MLP columns its half of dz (service vectors get no
+    # gradient); l2 is weight decay on the embedding rows seen in the batch
+    dmlp = np.split(dz[:, :2 * (rows[0].shape[1] - g)], 2, axis=1)
+    for side, (name, idx) in enumerate((("user", users), ("item", items))):
+        block = np.concatenate([dgmf * rows[1 - side][:, :g], dmlp[side]], axis=1)
+        _segment_sum(idx, block + l2 * rows[side], grads[name])
 
 
 def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
@@ -259,7 +255,8 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     adam = Adam(_init_rec_params(data.n_users, data.n_items, config, service_dim, rng),
                 lr=config.learning_rate)
     # the model's tables are views of the optimizer's flat buffer
-    model = RecModel(params=adam.params, hidden=tuple(config.hidden), service=service_table)
+    model = RecModel(params=adam.params, hidden=tuple(config.hidden), gmf_dim=config.gmf_dim,
+                     service=service_table)
 
     pos_users, pos_items, _ = np.asarray(data.interactions, dtype=np.int64).reshape(-1, 3).T
     observed = np.unique(pos_users * data.n_items + pos_items)
@@ -283,11 +280,11 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo:lo + config.batch_size]
             u_b, i_b, y_b = users_arr[sel], items_arr[sel], labels_arr[sel]
-            prob, gmf, acts, feat = _forward(model, u_b, i_b)
+            prob, rows, acts, feat = _forward(model, u_b, i_b)
             clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
             loss_sum += float(-(y_b * np.log(clipped)
                                 + (1.0 - y_b) * np.log(1.0 - clipped)).sum())
-            _backward(model, adam.grads, u_b, i_b, y_b, prob, gmf, acts, feat, config.l2)
+            _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat, config.l2)
             adam.step()
         model.train_losses.append(loss_sum / len(order))
     return model

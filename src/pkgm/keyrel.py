@@ -19,7 +19,7 @@ class KeyRelationTable:
     rows: dict[int, tuple[int, ...]]
 
 
-def select_key_relations(store: TripleStore, k: int, entities=None) -> KeyRelationTable:
+def select_key_relations(store: TripleStore, k: int) -> KeyRelationTable:
     """Pick the k key relations for every categorized entity.
 
     Ranking is per category: frequency descending, relation id ascending
@@ -51,14 +51,7 @@ def select_key_relations(store: TripleStore, k: int, entities=None) -> KeyRelati
             ranked += [r for r in global_order if r not in seen][: k - len(ranked)]
         cat_lists[cat] = tuple(ranked)
 
-    if entities is None:
-        entities = sorted(store.category_of)
-    rows = {}
-    for e in entities:
-        cat = store.category_of.get(e)
-        if cat is None:
-            raise ValueError(f"uncategorized entity {store.entities.token(e)!r}")
-        rows[e] = cat_lists[cat]
+    rows = {e: cat_lists[cat] for e, cat in sorted(store.category_of.items())}
     return KeyRelationTable(k=k, rows=rows)
 
 

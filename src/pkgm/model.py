@@ -9,6 +9,7 @@ relation r. The combined score is their sum. Subgradients use sign(0) = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,15 +78,10 @@ class RelationGroups:
 
     def __init__(self, rel_ids):
         rel_ids = np.asarray(rel_ids, dtype=np.int64)
-        if len(set(rel_ids.tolist())) == len(rel_ids):
-            # one entity's key relations: one-row slices select by view,
-            # with no sort, split or gather
-            self.groups = [(r, slice(i, i + 1)) for i, r in enumerate(rel_ids.tolist())]
-            return
         order = np.argsort(rel_ids, kind="stable")
         ordered = rel_ids[order]
         cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-        starts, ends = [0, *cuts], [*cuts, len(order)]
+        starts, ends = [0, *cuts][:len(order)], [*cuts, len(order)]  # no group when empty
         rels = ordered[starts].tolist()
         self.groups = [(r, order[lo:hi]) for r, lo, hi in zip(rels, starts, ends)]
 
@@ -168,26 +164,39 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
+    """Read a checkpoint directory; ValueError names the file that is malformed."""
     ckpt_dir = Path(ckpt_dir)
     header_path = ckpt_dir / HEADER_FILE
-    header = json.loads(header_path.read_text(encoding="utf-8"))
+    try:
+        header = json.loads(header_path.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8 or not JSON
+        raise ValueError(f"{header_path}: not a UTF-8 JSON file") from None
     try:
         version = header["format_version"]
-        dim, n_e, n_r = header["dim"], header["n_entities"], header["n_relations"]
-        blobs = {name: header["blobs"][name] for name in ("entity_emb", "relation_emb", "transfer")}
-        vocab_files = header["entity_vocab"], header["relation_vocab"]
+        sizes = {key: header[key] for key in ("dim", "n_entities", "n_relations")}
+        files = {name: header["blobs"][name] for name in BLOBS}
+        files.update((key, header[key]) for key in ("entity_vocab", "relation_vocab"))
     except KeyError as exc:
         raise ValueError(f"{header_path}: missing header key {exc.args[0]!r}") from None
     except TypeError:
         raise ValueError(f"{header_path}: header is not a JSON object of the expected shape") from None
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version}")
+        raise ValueError(f"{header_path}: unsupported checkpoint format_version {version}")
+    for key, value in sizes.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{header_path}: header key {key!r} must be a non-negative integer")
+    for key, value in files.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{header_path}: header key {key!r} must be a file name")
+    dim, n_e, n_r = sizes.values()
 
     def blob(name, shape):
-        raw = (ckpt_dir / blobs[name]).read_bytes()
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        path = ckpt_dir / files[name]
+        raw = path.read_bytes()
+        if len(raw) != 4 * math.prod(shape):
+            raise ValueError(f"{path}: {len(raw)} bytes, expected 4 per entry of shape {shape}")
         # frombuffer views are read-only; training needs writable copies
-        return arr.astype(np.float32)
+        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 
     params = ModelParams(
         dim=dim,
@@ -195,8 +204,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
         relation_emb=blob("relation_emb", (n_r, dim)),
         transfer=blob("transfer", (n_r, dim, dim)),
     )
-    entity_vocab = Vocab.read_tsv(ckpt_dir / vocab_files[0])
-    relation_vocab = Vocab.read_tsv(ckpt_dir / vocab_files[1])
+    entity_vocab = Vocab.read_tsv(ckpt_dir / files["entity_vocab"])
+    relation_vocab = Vocab.read_tsv(ckpt_dir / files["relation_vocab"])
     if len(entity_vocab) != n_e or len(relation_vocab) != n_r:
-        raise ValueError("vocab sizes do not match checkpoint header")
+        raise ValueError(f"{ckpt_dir}: vocab sizes do not match checkpoint header")
     return params, entity_vocab, relation_vocab

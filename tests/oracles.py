@@ -1,10 +1,14 @@
-"""Per-triple service vectors, scores and subgradients: the scalar oracles.
+"""Scalar and row-wise reference forms of the batched formulas: the test oracles.
 
 The trainer, evaluation and servicing compute service vectors, scores and
 subgradients for whole batches at once; these functions compute the same
 formulas one triple at a time and serve as the reference the tests compare
 them with. accumulate_add_at is the trainer's gradient scatter in its
-row-wise np.add.at form, the addition order its faster form keeps.
+row-wise np.add.at form, the addition order its faster form keeps. The
+four_table_* functions are the recommender's initialization, forward and
+backward with separate GMF and MLP embedding tables per side, which its
+one-table-per-side layout reproduces bit for bit; they use their own copies
+of the sigmoid and the float64 segment sum, so a change to either shows.
 """
 
 from __future__ import annotations
@@ -119,3 +123,81 @@ def accumulate_add_at(grads, params: ModelParams, hs, rs, ts, terms, weight) -> 
     np.add.at(grads["entity_emb"], hs, s_t + back)
     np.add.at(grads["entity_emb"], ts, -s_t)
     np.add.at(grads["relation_emb"], rs, s_t - s_r)
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _segment_sum(idx, rows, out) -> None:
+    n_rows, d = out.shape
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    out[...] = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def four_table_init(n_users, n_items, config, service_dim, rng) -> dict[str, np.ndarray]:
+    """The recommender's parameters with gmf_user, gmf_item, mlp_user and mlp_item tables."""
+    def glorot(n_in, n_out):
+        lim = np.sqrt(6.0 / (n_in + n_out))
+        return rng.uniform(-lim, lim, size=(n_in, n_out)).astype(np.float32)
+
+    params = {
+        "gmf_user": rng.normal(0.0, 0.01, size=(n_users, config.gmf_dim)).astype(np.float32),
+        "gmf_item": rng.normal(0.0, 0.01, size=(n_items, config.gmf_dim)).astype(np.float32),
+        "mlp_user": rng.normal(0.0, 0.01, size=(n_users, config.mlp_dim)).astype(np.float32),
+        "mlp_item": rng.normal(0.0, 0.01, size=(n_items, config.mlp_dim)).astype(np.float32),
+    }
+    in_dim = 2 * config.mlp_dim + service_dim
+    for layer, width in enumerate(config.hidden, start=1):
+        params[f"w{layer}"] = glorot(in_dim, width)
+        params[f"b{layer}"] = np.zeros(width, dtype=np.float32)
+        in_dim = width
+    out_dim = config.gmf_dim + config.hidden[-1]
+    params["w_out"] = glorot(out_dim, 1)[:, 0]
+    return params
+
+
+def four_table_forward(p, hidden, service, users, items):
+    gmf = p["gmf_user"][users] * p["gmf_item"][items]
+    parts = [p["mlp_user"][users], p["mlp_item"][items]]
+    if service is not None:
+        parts.append(service[items])
+    mlp_in = np.concatenate(parts, axis=1)
+    activations = [mlp_in]
+    z = mlp_in
+    for layer in range(1, len(hidden) + 1):
+        z = np.maximum(z @ p[f"w{layer}"] + p[f"b{layer}"], 0.0)
+        activations.append(z)
+    feat = np.concatenate([gmf, z], axis=1)
+    prob = _sigmoid(feat @ p["w_out"])
+    return prob, gmf, activations, feat
+
+
+def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activations, feat,
+                        l2) -> None:
+    batch = len(labels)
+    dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
+    np.matmul(feat.T, dlogit, out=grads["w_out"])
+    dfeat = np.outer(dlogit, p["w_out"])
+    gdim = gmf.shape[1]
+    dgmf = dfeat[:, :gdim]
+    dz = dfeat[:, gdim:]
+    for layer in range(len(hidden), 0, -1):
+        dz = dz * (activations[layer] > 0)
+        np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
+        dz.sum(axis=0, out=grads[f"b{layer}"])
+        dz = dz @ p[f"w{layer}"].T
+    mdim = p["mlp_user"].shape[1]
+    row_grads = (
+        ("gmf_user", users, dgmf * p["gmf_item"][items]),
+        ("gmf_item", items, dgmf * p["gmf_user"][users]),
+        ("mlp_user", users, dz[:, :mdim]),
+        ("mlp_item", items, dz[:, mdim:2 * mdim]),
+    )
+    for name, idx, rows in row_grads:
+        _segment_sum(idx, rows + l2 * p[name][idx], grads[name])

@@ -398,6 +398,48 @@ def test_missing_checkpoint_header_key_is_named_error(tmp_path, ckpt_and_keyrels
     assert "missing header key 'n_entities'" in err
 
 
+def set_header_key(ckpt, key, value):
+    header = json.loads((ckpt / "header.json").read_text())
+    *parents, last = key.split(".")
+    table = header
+    for name in parents:
+        table = table[name]
+    table[last] = value
+    (ckpt / "header.json").write_text(json.dumps(header))
+
+
+def drop_last_bytes(path, n):
+    path.write_bytes(path.read_bytes()[:-n])
+
+
+@pytest.mark.parametrize("file_name, damage", [
+    pytest.param("header.json", lambda c: set_header_key(c, "dim", "4"), id="dim-string"),
+    pytest.param("header.json", lambda c: set_header_key(c, "dim", -4), id="dim-negative"),
+    pytest.param("header.json", lambda c: set_header_key(c, "n_entities", None),
+                 id="n_entities-null"),
+    pytest.param("header.json", lambda c: set_header_key(c, "blobs.entity_emb", 5),
+                 id="blob-name-int"),
+    pytest.param("header.json", lambda c: set_header_key(c, "entity_vocab", None),
+                 id="entity_vocab-null"),
+    pytest.param("header.json", lambda c: (c / "header.json").write_text("{"), id="not-json"),
+    pytest.param("header.json", lambda c: (c / "header.json").write_bytes(b'{"dim": "\xff"}'),
+                 id="not-utf8"),
+    pytest.param("entity_emb.f32", lambda c: drop_last_bytes(c / "entity_emb.f32", 4),
+                 id="entity-blob-short"),
+    pytest.param("transfer.f32", lambda c: drop_last_bytes(c / "transfer.f32", 2),
+                 id="transfer-blob-short"),
+])
+def test_damaged_checkpoint_is_named_error(tmp_path, ckpt_and_keyrels, capsys, file_name,
+                                           damage):
+    ckpt, keyrels = ckpt_and_keyrels
+    damage(ckpt)
+    capsys.readouterr()
+    assert dispatch(services_args("export-services", ckpt, keyrels, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pkgm: error: {ckpt / file_name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_repeated_training_is_byte_identical(tmp_path, kg_file):
     path, _ = kg_file
     outs = []

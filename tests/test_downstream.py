@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import four_table_backward, four_table_forward, four_table_init
 from pkgm import downstream
 from pkgm.downstream import (
     InteractionSet,
     RecConfig,
+    RecModel,
     evaluate_leave_one_out,
     interactions_from_rows,
     leave_one_out_ranks,
@@ -18,6 +20,7 @@ from pkgm.downstream import (
 from pkgm.keyrel import KeyRelationTable
 from pkgm.kgstore import Vocab
 from pkgm.model import init_params
+from pkgm.optim import Adam
 from pkgm.servicing import build_bundle, condense_single
 
 
@@ -243,6 +246,85 @@ def test_segment_sum_matches_add_at_on_repeated_indices():
     downstream._segment_sum(idx, rows, got)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
     assert not got[5:].any()
+
+
+# (n_users, n_items, service width, config): ids repeated within a batch of
+# 256, a 12-wide service table, and batch 4 at odd widths without l2
+REFERENCE_CASES = [
+    (6, 9, 0, RecConfig()),
+    (30, 40, 12, RecConfig(seed=1)),
+    (5, 7, 0, RecConfig(gmf_dim=3, mlp_dim=5, hidden=(7, 4), l2=0.0, batch_size=4)),
+]
+
+
+@pytest.mark.parametrize("n_users, n_items, service_dim, config", REFERENCE_CASES)
+def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_dim, config):
+    rng = np.random.default_rng(config.seed)
+    service = rng.normal(size=(n_items, service_dim)).astype(np.float32) if service_dim else None
+    new, old = (Adam(init(n_users, n_items, config, service_dim, np.random.default_rng(3)),
+                     lr=config.learning_rate)
+                for init in (downstream._init_rec_params, four_table_init))
+    model = RecModel(new.params, config.hidden, config.gmf_dim, service)
+
+    def assert_bit_equal(got, four):
+        want = {"user": np.hstack([four["gmf_user"], four["mlp_user"]]),
+                "item": np.hstack([four["gmf_item"], four["mlp_item"]])}
+        want.update((k, v) for k, v in four.items() if not k.startswith(("gmf_", "mlp_")))
+        assert list(got) == list(want)
+        for name in got:
+            assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
+
+    assert_bit_equal(new.params, old.params)
+    for _ in range(2):
+        users = rng.integers(n_users, size=config.batch_size)
+        items = rng.integers(n_items, size=config.batch_size)
+        labels = (rng.random(config.batch_size) < 0.2).astype(np.float32)
+        prob, rows, acts, feat = downstream._forward(model, users, items)
+        downstream._backward(model, new.grads, users, items, labels, prob, rows, acts, feat,
+                             config.l2)
+        want = four_table_forward(old.params, config.hidden, service, users, items)
+        four_table_backward(old.params, config.hidden, old.grads, users, items, labels, *want,
+                            config.l2)
+        assert np.array_equal(prob.view(np.uint32), want[0].view(np.uint32))
+        assert_bit_equal(new.grads, old.grads)
+        new.step()
+        old.step()
+        assert_bit_equal(new.params, old.params)
+
+
+def test_backward_matches_finite_differences():
+    """_backward is the gradient of mean BCE plus (l2 / 2) times the squared
+    norm of every embedding row the batch gathers, repeats included."""
+    config = RecConfig(gmf_dim=3, mlp_dim=4, hidden=(5, 3), l2=0.3)
+    n_users, n_items, service_dim = 4, 5, 2
+    rng = np.random.default_rng(7)
+    shapes = downstream._init_rec_params(n_users, n_items, config, service_dim, rng)
+    params = {name: rng.normal(0.0, 0.5, table.shape) for name, table in shapes.items()}
+    model = RecModel(params, config.hidden, config.gmf_dim, rng.normal(size=(n_items, service_dim)))
+    users = np.array([0, 2, 2, 1, 3, 0, 2])
+    items = np.array([4, 4, 1, 0, 4, 2, 3])
+    labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+
+    def loss():
+        prob = model.predict(users, items)
+        bce = -(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)).mean()
+        norms = (params["user"][users] ** 2).sum() + (params["item"][items] ** 2).sum()
+        return bce + config.l2 / 2 * norms
+
+    grads = {name: np.zeros_like(table) for name, table in params.items()}
+    prob, rows, acts, feat = downstream._forward(model, users, items)
+    downstream._backward(model, grads, users, items, labels, prob, rows, acts, feat, config.l2)
+    eps = 1e-6
+    for name, table in params.items():
+        want = np.empty_like(table)
+        for at in np.ndindex(table.shape):
+            keep = table[at]
+            table[at] = keep + eps
+            up = loss()
+            table[at] = keep - eps
+            want[at] = (up - loss()) / (2 * eps)
+            table[at] = keep
+        np.testing.assert_allclose(grads[name], want, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
 def test_split_holds_out_latest_with_tie_to_later_line():

@@ -56,11 +56,6 @@ def test_relation_frequency_requires_category(toy_store):
         relation_frequency(toy_store, 0, 3)  # "fruit" itself
 
 
-def test_select_rejects_uncategorized_entity(toy_store):
-    with pytest.raises(ValueError, match="uncategorized"):
-        keyrel.select_key_relations(toy_store, k=1, entities=[0, 3])
-
-
 def test_select_rejects_bad_k(toy_store):
     with pytest.raises(ValueError, match="k must be positive"):
         keyrel.select_key_relations(toy_store, k=0)

@@ -169,8 +169,7 @@ def test_gradient_zero_at_exact_kink():
     np.testing.assert_array_equal(got.d_relation, -np.sign(ent[0] - rel[0]))
 
 
-# relations out of order and repeated (grouped through a sort), then one row
-# (a one-row slice)
+# relations out of order and repeated, then a single row (one group of one row)
 SERVICE_BATCHES = [([5, 0, 2, 7, 5, 1, 0], [3, 1, 3, 0, 1, 3, 2]), ([6], [2])]
 
 
@@ -205,11 +204,16 @@ def test_relation_service_matches_oracle(rng, hs, rs):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_empty_batch_has_no_groups(rng):
+    assert RelationGroups([]).groups == []
+    assert relation_service(init_params(8, 4, 5, rng), [], []).shape == (0, 5)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 64])
 @pytest.mark.parametrize("rel_ids", [
     # relations 0, 1, 2 and 4 hold 1, 2, 17 and 1,100 rows; relation 3 is absent
     np.random.default_rng(3).permutation(np.repeat([0, 1, 2, 4], [1, 2, 17, 1100])),
-    np.array([4, 0, 2]),  # all distinct: one-row slices
+    np.array([4, 0, 2]),  # all distinct: one group of one row each
 ])
 def test_add_row_sums_is_bit_equal_to_add_at(rng, rel_ids, dim):
     rows = (rng.standard_normal((len(rel_ids), dim))
