@@ -19,12 +19,14 @@ import numpy as np
 
 from .keyrel import KeyRelationTable
 from .kgstore import Vocab, write_atomically
-from .model import ModelParams, relation_service, triple_service
+from .model import ModelParams, RelationGroups, relation_service, triple_service
 
 VARIANTS = ("item", "all", "T", "R")
 # encoded response bytes one snapshot's answer memo keeps; the least
 # recently used lines go first
 MEMO_BYTES = 16 << 20
+# bytes of records write_services stages per write call
+WRITE_CHUNK_BYTES = 1 << 20
 # the fields of a request that decide its answer, after its op
 _ANSWER_FIELDS = {"triple": ("h", "r"), "relation": ("h", "r"), "bundle": ("e", "variant")}
 
@@ -73,26 +75,48 @@ def _entity_vectors(params: ModelParams, entities: np.ndarray, rels: np.ndarray,
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                  variant: str) -> ServiceBundle:
-    """Materialize frozen service vectors for every entity in the table."""
+    """Materialize frozen service vectors for every entity in the table.
+
+    The block is allocated once and filled one relation at a time: each
+    kernel call gets that relation's (entity, slot) pairs in row-major
+    order, the rows one call over the whole table would give it, so the
+    bytes do not depend on the split and only one relation's rows are held
+    besides the block.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     entities = sorted(keyrels.rows)
-    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
     ids = np.asarray(entities, dtype=np.uint32)
-    block = np.ascontiguousarray(
-        _entity_vectors(params, ids, rels.reshape(len(entities), keyrels.k), variant),
-        dtype=np.float32)
+    k = keyrels.k
+    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64).reshape(len(ids), k)
+    if variant == "item":
+        block = np.ascontiguousarray(_entity_vectors(params, ids, rels, variant), dtype=np.float32)
+    else:
+        block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
+                         dtype=np.float32)
+        parts = np.arange(0, block.shape[1], k)  # the slot offset of each module's rows
+        for r, pairs in RelationGroups(rels.reshape(-1)).groups:
+            at, slot = np.divmod(pairs, k)
+            block[at[:, None], slot[:, None] + parts] = _entity_vectors(
+                params, ids[at], np.full((len(at), 1), r), variant)
     ids.setflags(write=False)
     block.setflags(write=False)
-    return ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, ids=ids, block=block)
+    return ServiceBundle(variant=variant, k=k, dim=params.dim, ids=ids, block=block)
 
 
 def condense_single(bundle: ServiceBundle) -> np.ndarray:
     """Mean over i of [S_i ; S_{i+k}] per entity of an "all" bundle, (count, 2d)."""
     if bundle.variant != "all":
         raise ValueError(f"condense_single requires variant 'all', got {bundle.variant!r}")
-    k = bundle.k
-    return np.concatenate([bundle.block[:, :k], bundle.block[:, k:]], axis=2).mean(axis=1)
+    count, k, dim = len(bundle.ids), bundle.k, bundle.dim
+    # a running sum over the k rows of both halves at once, in the order the
+    # mean over their concatenation adds them (np.mean would sum a d = 1 half
+    # pairwise)
+    halves = bundle.block.reshape(count, 2, k, dim)
+    total = np.zeros((count, 2, dim), dtype=np.float32)
+    for i in range(k):
+        total += halves[:, :, i]
+    return (total / k).reshape(count, 2 * dim)
 
 
 def write_services(path, bundle: ServiceBundle) -> None:
@@ -100,18 +124,23 @@ def write_services(path, bundle: ServiceBundle) -> None:
 
     One JSON header line {variant, k, d, count}, then per entity in
     ascending id order: uint32 little-endian entity id followed by the
-    entity's vectors as little-endian float32, row order. The file is
+    entity's vectors as little-endian float32, row order. The records are
+    written through one buffer of about WRITE_CHUNK_BYTES. The file is
     written next to path and then moved into place.
     """
-    header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
-              "count": len(bundle.ids)}
-    records = np.empty(len(bundle.ids), dtype=_record_dtype(bundle.variant, bundle.k, bundle.dim))
-    records["id"], records["vec"] = bundle.ids, bundle.block
+    count = len(bundle.ids)
+    header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim, "count": count}
+    dtype = _record_dtype(bundle.variant, bundle.k, bundle.dim)
+    step = max(1, WRITE_CHUNK_BYTES // dtype.itemsize)
+    records = np.empty(min(step, count), dtype=dtype)
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            fh.write(records)  # the array's own buffer, no bytes copy
+            for lo in range(0, count, step):
+                chunk = records[:min(step, count - lo)]
+                chunk["id"], chunk["vec"] = bundle.ids[lo:lo + step], bundle.block[lo:lo + step]
+                fh.write(chunk)  # the buffer's own bytes, no copy
 
     write_atomically([(path, write)])
 

@@ -9,14 +9,22 @@ four_table_* functions are the recommender's initialization, forward and
 backward with separate GMF and MLP embedding tables per side, which its
 one-table-per-side layout reproduces bit for bit; they use their own copies
 of the sigmoid and the float64 segment sum, so a change to either shows.
+one_call_build_bundle, one_array_write_services and concatenated_condense
+are the service export's forms that hold the whole table at once: one
+kernel call per module over every (entity, slot) pair, one records array
+the size of the export, and a (count, k, 2d) copy of the two halves; the
+bounded-memory forms in pkgm.servicing reproduce their bytes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from pkgm import servicing
+from pkgm.keyrel import KeyRelationTable
 from pkgm.model import ModelParams
 
 
@@ -201,3 +209,34 @@ def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activ
     )
     for name, idx, rows in row_grads:
         _segment_sum(idx, rows + l2 * p[name][idx], grads[name])
+
+
+def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
+                          variant: str) -> servicing.ServiceBundle:
+    """servicing.build_bundle with the whole table in one _entity_vectors call."""
+    entities = sorted(keyrels.rows)
+    ids = np.asarray(entities, dtype=np.uint32)
+    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
+    block = np.ascontiguousarray(
+        servicing._entity_vectors(params, ids, rels.reshape(len(ids), keyrels.k), variant),
+        dtype=np.float32)
+    return servicing.ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, ids=ids,
+                                   block=block)
+
+
+def one_array_write_services(path, bundle: servicing.ServiceBundle) -> None:
+    """servicing.write_services staging every record in one array before one write."""
+    header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
+              "count": len(bundle.ids)}
+    records = np.empty(len(bundle.ids),
+                       dtype=servicing._record_dtype(bundle.variant, bundle.k, bundle.dim))
+    records["id"], records["vec"] = bundle.ids, bundle.block
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write(records)
+
+
+def concatenated_condense(bundle: servicing.ServiceBundle) -> np.ndarray:
+    """servicing.condense_single as a mean over the concatenated halves."""
+    k = bundle.k
+    return np.concatenate([bundle.block[:, :k], bundle.block[:, k:]], axis=2).mean(axis=1)

@@ -1,15 +1,24 @@
 import asyncio
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import relation_error_bound, service_relation, service_triple
+from oracles import (
+    concatenated_condense,
+    one_array_write_services,
+    one_call_build_bundle,
+    relation_error_bound,
+    service_relation,
+    service_triple,
+)
 
-from pkgm import servicing
+from pkgm import servicing, synth
 from pkgm.keyrel import KeyRelationTable, select_key_relations
+from pkgm.kgstore import store_from_triples
 from pkgm.model import ModelParams, init_params, relation_service, triple_service
 from pkgm.servicing import (
     QueryService,
@@ -150,6 +159,91 @@ def test_condense_requires_all_variant(bundle_setup):
     t = build_bundle(params, table, "T")
     with pytest.raises(ValueError, match="variant 'all'"):
         condense_single(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(0, 4), k=st.integers(1, 20), dim=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_condense_single_bit_equal_to_concatenated_mean(count, k, dim, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(count, 2 * k, dim))
+    block = (rng.standard_normal((count, 2 * k, dim)) * scale).astype(np.float32)
+    block[rng.random(block.shape) < 0.2] = -0.0
+    bundle = ServiceBundle(variant="all", k=k, dim=dim, ids=np.arange(count, dtype=np.uint32),
+                           block=block)
+    got, want = condense_single(bundle), concatenated_condense(bundle)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def planted_case():
+    """A 2,000 x 64 model with k = 10 key relations per entity of the planted KG."""
+    kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=5)
+    store = store_from_triples(kg.triples)
+    params = init_params(store.n_entities, store.n_relations, 64, np.random.default_rng(5))
+    return params, select_key_relations(store, k=10)
+
+
+def _export_case(request, case):
+    if case == "bundle_setup":
+        return request.getfixturevalue("bundle_setup")
+    if case == "planted_2000_k10":
+        return request.getfixturevalue("planted_case")
+    if case == "d1_k1":
+        return (init_params(5, 3, 1, np.random.default_rng(1)),
+                KeyRelationTable(k=1, rows={0: (2,), 2: (0,), 4: (2,)}))
+    # relation 3 is a key relation of entity 4 only
+    return (init_params(6, 4, 5, np.random.default_rng(2)),
+            KeyRelationTable(k=2, rows={0: (0, 1), 1: (1, 0), 3: (0, 2), 4: (3, 0), 5: (2, 1)}))
+
+
+@pytest.mark.parametrize("case", ["bundle_setup", "planted_2000_k10", "d1_k1",
+                                  "relation_of_one_entity"])
+@pytest.mark.parametrize("variant", servicing.VARIANTS)
+def test_bundle_bit_equal_to_one_kernel_call(request, case, variant):
+    params, table = _export_case(request, case)
+    got = build_bundle(params, table, variant)
+    want = one_call_build_bundle(params, table, variant)
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.block.shape == want.block.shape
+    np.testing.assert_array_equal(got.block.view(np.uint32), want.block.view(np.uint32))
+
+
+@pytest.mark.parametrize("variant,k,dim", [("all", 2, 3), ("T", 1, (1 << 18) + 1)],
+                         ids=["52-byte-records", "record-over-a-chunk"])
+@pytest.mark.parametrize("count_of", [lambda c: 0, lambda c: 1, lambda c: c - 1, lambda c: c,
+                                      lambda c: c + 1],
+                         ids=["0", "1", "chunk-1", "chunk", "chunk+1"])
+def test_services_file_byte_equal_to_one_array_write(tmp_path, variant, k, dim, count_of):
+    record = servicing._record_dtype(variant, k, dim).itemsize
+    count = max(0, count_of(max(1, servicing.WRITE_CHUNK_BYTES // record)))
+    rows = 2 * k if variant == "all" else k
+    raw = np.random.default_rng(count).integers(0, 2**32, size=(count, rows, dim), dtype=np.uint32)
+    bundle = ServiceBundle(variant=variant, k=k, dim=dim,
+                           ids=np.arange(count, dtype=np.uint32) * 3, block=raw.view(np.float32))
+    write_services(tmp_path / "chunked.bin", bundle)
+    one_array_write_services(tmp_path / "one.bin", bundle)
+    assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["all", "R"])
+def test_export_holds_the_block_and_little_more(tmp_path, planted_case, variant):
+    """Build holds the block plus one relation's rows and write one chunk, no second block."""
+    params, table = planted_case
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(params, table, variant)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # the block stays traced, so the write's peak counts it too
+        write_services(tmp_path / "services.bin", bundle)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = bundle.block.nbytes
+    assert build_peak <= 1.5 * block_bytes
+    assert write_peak <= 1.5 * block_bytes
 
 
 def test_services_file_round_trip(tmp_path, bundle_setup):
