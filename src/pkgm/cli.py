@@ -163,6 +163,8 @@ def cmd_recsys(settings: dict) -> int:
 
 
 def cmd_serve(settings: dict) -> int:
+    if not 0 <= settings["port"] <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {settings['port']}")
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
     table = keyrel.read_keyrel_tsv(settings["keyrel"], entity_vocab, relation_vocab)
     service = servicing.QueryService(params, table, entity_vocab, relation_vocab)

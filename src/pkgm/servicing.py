@@ -27,13 +27,15 @@ VARIANTS = ("item", "all", "T", "R")
 MEMO_BYTES = 16 << 20
 # bytes of records write_services stages per write call
 WRITE_CHUNK_BYTES = 1 << 20
-# the fields of a request that decide its answer, after its op
-_ANSWER_FIELDS = {"triple": ("h", "r"), "relation": ("h", "r"), "bundle": ("e", "variant")}
+# each variant's service formulas in record order, k rows apiece; "item"
+# has none and serves the entity's own embedding as its one row
+_FORMULAS = {"item": (), "T": (triple_service,), "R": (relation_service,),
+             "all": (triple_service, relation_service)}
 
 
 def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
     """One export record: uint32 entity id, then its service rows as float32."""
-    rows = {"item": 1, "T": k, "R": k, "all": 2 * k}[variant]
+    rows = len(_FORMULAS[variant]) * k if _FORMULAS[variant] else 1
     return np.dtype([("id", "<u4"), ("vec", "<f4", (rows, dim))])
 
 
@@ -58,47 +60,32 @@ class ServiceBundle:
         return np.where(np.isin(entity_ids, self.ids), np.searchsorted(self.ids, entity_ids), -1)
 
 
-def _entity_vectors(params: ModelParams, entities: np.ndarray, rels: np.ndarray,
-                    variant: str) -> np.ndarray:
-    """Service rows of each entity under its key relations, (n, rows, d).
-
-    entities is (n,) entity ids and rels is (n, k) relation ids.
-    """
-    if variant == "item":
-        return params.entity_emb[entities][:, None, :]
-    n, k = rels.shape
-    hs, rs = np.repeat(entities, k), rels.reshape(-1)
-    fns = {"T": [triple_service], "R": [relation_service],
-           "all": [triple_service, relation_service]}[variant]
-    return np.concatenate([fn(params, hs, rs).reshape(n, k, params.dim) for fn in fns], axis=1)
-
-
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                  variant: str) -> ServiceBundle:
     """Materialize frozen service vectors for every entity in the table.
 
     The block is allocated once and filled one relation at a time: each
-    kernel call gets that relation's (entity, slot) pairs in row-major
-    order, the rows one call over the whole table would give it, so the
-    bytes do not depend on the split and only one relation's rows are held
-    besides the block.
+    formula gets that relation's (entity, slot) pairs in row-major order,
+    the rows one call over the whole table would give it, so the bytes do
+    not depend on the split and only one relation's rows are held besides
+    the block.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     entities = sorted(keyrels.rows)
     ids = np.asarray(entities, dtype=np.uint32)
-    k = keyrels.k
-    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64).reshape(len(ids), k)
-    if variant == "item":
-        block = np.ascontiguousarray(_entity_vectors(params, ids, rels, variant), dtype=np.float32)
-    else:
+    k, formulas = keyrels.k, _FORMULAS[variant]
+    if formulas:
         block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
                          dtype=np.float32)
-        parts = np.arange(0, block.shape[1], k)  # the slot offset of each module's rows
-        for r, pairs in RelationGroups(rels.reshape(-1)).groups:
+        rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
+        for r, pairs in RelationGroups(rels.reshape(len(ids) * k)).groups:
             at, slot = np.divmod(pairs, k)
-            block[at[:, None], slot[:, None] + parts] = _entity_vectors(
-                params, ids[at], np.full((len(at), 1), r), variant)
+            hs, rs = ids[at], np.full(len(at), r)
+            for part, fn in enumerate(formulas):
+                block[at, part * k + slot] = fn(params, hs, rs)
+    else:
+        block = np.ascontiguousarray(params.entity_emb[ids][:, None, :], dtype=np.float32)
     ids.setflags(write=False)
     block.setflags(write=False)
     return ServiceBundle(variant=variant, k=k, dim=params.dim, ids=ids, block=block)
@@ -188,18 +175,52 @@ class _Snapshot:
     keyrels: KeyRelationTable
     entity_vocab: Vocab
     relation_vocab: Vocab
-    # answer key -> encoded vector answer line, least recently used first
+    # _resolve's key -> encoded vector answer line, least recently used first
     memo: OrderedDict = field(default_factory=OrderedDict)
     memo_bytes: int = 0
 
 
-def _answer_key(request) -> tuple | None:
-    """The op and token fields that decide a request's answer, or None unless all are strings."""
-    op = request.get("op") if isinstance(request, dict) else None
-    if not isinstance(op, str) or op not in _ANSWER_FIELDS:
-        return None
-    key = (op, *(request.get(name) for name in _ANSWER_FIELDS[op]))
-    return key if all(isinstance(part, str) for part in key) else None
+def _resolve(request, snap: _Snapshot) -> tuple | dict:
+    """The key that decides request's answer, ("triple"|"relation", h, r) or
+    ("bundle", e, variant) in snap's ids, or else the error answer. Nothing
+    else reads request fields."""
+    if not isinstance(request, dict):
+        return {"error": "bad_request"}
+    op = request.get("op")
+    if op in ("triple", "relation"):
+        h, r = request.get("h"), request.get("r")
+        if not isinstance(h, str) or not isinstance(r, str):
+            return {"error": "bad_request"}
+        if h not in snap.entity_vocab or r not in snap.relation_vocab:
+            return {"error": "unknown_id"}
+        return op, snap.entity_vocab.id(h), snap.relation_vocab.id(r)
+    if op == "bundle":
+        e, variant = request.get("e"), request.get("variant")
+        if not isinstance(e, str) or variant not in VARIANTS:
+            return {"error": "bad_request"}
+        if e not in snap.entity_vocab:
+            return {"error": "unknown_id"}
+        e = snap.entity_vocab.id(e)
+        if variant != "item" and e not in snap.keyrels.rows:
+            # in vocabulary but not serviceable (no key relations)
+            return {"error": "unknown_id"}
+        return op, e, variant
+    return {"error": "bad_request"}
+
+
+def _answer(snap: _Snapshot, key: tuple | dict) -> dict:
+    """The answer to what _resolve returned for a request."""
+    if isinstance(key, dict):
+        return key
+    op, h, arg = key
+    if op == "bundle":
+        rels = np.asarray(snap.keyrels.rows.get(h, ()), dtype=np.int64)
+        hs = np.full(len(rels), h)
+        vecs = [fn(snap.params, hs, rels) for fn in _FORMULAS[arg]]
+        vecs = np.concatenate(vecs) if vecs else snap.params.entity_emb[[h]]
+        return {"vectors": vecs.astype(np.float32, copy=False).tolist()}
+    fn = triple_service if op == "triple" else relation_service
+    return {"vector": fn(snap.params, [h], [arg])[0].tolist()}
 
 
 class QueryService:
@@ -221,47 +242,21 @@ class QueryService:
     def handle(self, request, snap: _Snapshot | None = None) -> dict:
         """The answer to one decoded request, from snap or else the current snapshot."""
         snap = self._snapshot if snap is None else snap
-        if not isinstance(request, dict):
-            return {"error": "bad_request"}
-        op = request.get("op")
-        if op in ("triple", "relation"):
-            h_tok, r_tok = request.get("h"), request.get("r")
-            if not isinstance(h_tok, str) or not isinstance(r_tok, str):
-                return {"error": "bad_request"}
-            if h_tok not in snap.entity_vocab or r_tok not in snap.relation_vocab:
-                return {"error": "unknown_id"}
-            h = snap.entity_vocab.id(h_tok)
-            r = snap.relation_vocab.id(r_tok)
-            fn = triple_service if op == "triple" else relation_service
-            return {"vector": fn(snap.params, [h], [r])[0].tolist()}
-        if op == "bundle":
-            e_tok, variant = request.get("e"), request.get("variant")
-            if not isinstance(e_tok, str) or variant not in VARIANTS:
-                return {"error": "bad_request"}
-            if e_tok not in snap.entity_vocab:
-                return {"error": "unknown_id"}
-            e = snap.entity_vocab.id(e_tok)
-            if variant != "item" and e not in snap.keyrels.rows:
-                # in vocabulary but not serviceable (no key relations)
-                return {"error": "unknown_id"}
-            rels = np.asarray(snap.keyrels.rows.get(e, ()), dtype=np.int64)
-            vecs = _entity_vectors(snap.params, np.asarray([e]), rels[None, :], variant)[0]
-            return {"vectors": np.asarray(vecs, dtype=np.float32).tolist()}
-        return {"error": "bad_request"}
+        return _answer(snap, _resolve(request, snap))
 
     def answer_line(self, request) -> bytes:
         """handle(request) encoded as one response line.
 
-        A vector answer's line is kept in the snapshot's memo, keyed by the
-        request's op and tokens, so a repeated request gets the same bytes
-        without being answered or encoded again; the memo holds at most
-        MEMO_BYTES, least recently used lines evicted first. A NaN or
-        infinite vector entry is answered {"error": "internal"}. The memo is
-        not locked: call this from one thread, as the server's event loop does.
+        A vector answer's line is kept in the snapshot's memo, keyed by
+        _resolve(request), so a repeated request gets the same bytes without
+        being answered or encoded again; the memo holds at most MEMO_BYTES,
+        least recently used lines evicted first. A NaN or infinite vector
+        entry is answered {"error": "internal"}. The memo is not locked:
+        call this from one thread, as the server's event loop does.
         """
         snap = self._snapshot
-        key = _answer_key(request)
-        line = snap.memo.get(key)
+        key = _resolve(request, snap)
+        line = snap.memo.get(key) if isinstance(key, tuple) else None
         if line is not None:
             snap.memo.move_to_end(key)
             return line
@@ -270,7 +265,7 @@ class QueryService:
             line = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
         except ValueError:  # a NaN or infinite vector entry
             return b'{"error": "internal"}\n'
-        if key is not None and "error" not in response:
+        if isinstance(key, tuple):
             snap.memo[key] = line
             snap.memo_bytes += len(line)
             while snap.memo_bytes > MEMO_BYTES:

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError(
                 f"corrupt_relation_prob must be in [0, 1], got {self.corrupt_relation_prob}"
             )
+        if self.min_rel_count < 1:
+            raise ValueError(f"min_rel_count must be >= 1, got {self.min_rel_count}")
 
 
 PHASES = ("sample", "score", "accumulate", "adam", "project")

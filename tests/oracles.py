@@ -25,7 +25,7 @@ import numpy as np
 
 from pkgm import servicing
 from pkgm.keyrel import KeyRelationTable
-from pkgm.model import ModelParams
+from pkgm.model import ModelParams, relation_service, triple_service
 
 
 def _check_index(idx: int, size: int, kind: str) -> None:
@@ -213,15 +213,21 @@ def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activ
 
 def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                           variant: str) -> servicing.ServiceBundle:
-    """servicing.build_bundle with the whole table in one _entity_vectors call."""
+    """servicing.build_bundle with one kernel call per module over the whole table."""
     entities = sorted(keyrels.rows)
     ids = np.asarray(entities, dtype=np.uint32)
-    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
-    block = np.ascontiguousarray(
-        servicing._entity_vectors(params, ids, rels.reshape(len(ids), keyrels.k), variant),
-        dtype=np.float32)
-    return servicing.ServiceBundle(variant=variant, k=keyrels.k, dim=params.dim, ids=ids,
-                                   block=block)
+    n, k = len(ids), keyrels.k
+    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64).reshape(n * k)
+    if variant == "item":
+        block = params.entity_emb[ids][:, None, :]
+    else:
+        fns = {"T": [triple_service], "R": [relation_service],
+               "all": [triple_service, relation_service]}[variant]
+        hs = np.repeat(ids, k)
+        block = np.concatenate([fn(params, hs, rels).reshape(n, k, params.dim) for fn in fns],
+                               axis=1)
+    block = np.ascontiguousarray(block, dtype=np.float32)
+    return servicing.ServiceBundle(variant=variant, k=k, dim=params.dim, ids=ids, block=block)
 
 
 def one_array_write_services(path, bundle: servicing.ServiceBundle) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pkgm import synth
+from pkgm import servicing, synth
 from pkgm.cli import build_parser, dispatch
 from pkgm.model import load_checkpoint
 from pkgm.servicing import read_services
@@ -204,6 +204,17 @@ def test_min_rel_count_filters_relations(tmp_path, toy_rows):
     assert "color" in relations and "isA" in relations
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_train_rejects_min_rel_count_below_one(tmp_path, kg_file, capsys, value):
+    path, _ = kg_file
+    out = tmp_path / "ckpt"
+    assert dispatch(["train", "--triples", str(path), "--out", str(out), "--dim", "4",
+                     "--epochs", "0", f"--min-rel-count={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"pkgm: error: min_rel_count must be >= 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_full_pipeline(tmp_path, kg_file, capsys):
     path, kg = kg_file
     ckpt = tmp_path / "ckpt"
@@ -357,6 +368,19 @@ def test_unknown_keyrel_token_is_named_error(tmp_path, ckpt_and_keyrels, capsys,
     err = capsys.readouterr().err
     assert err.startswith("pkgm: error: ")
     assert "line 2: unknown relation token 'nosuch'" in err
+
+
+@pytest.mark.parametrize("port", ["65536", "99999", "-1"])
+def test_serve_rejects_port_out_of_range(tmp_path, ckpt_and_keyrels, capsys, monkeypatch,
+                                         port):
+    ckpt, keyrels = ckpt_and_keyrels
+    bound = []
+    monkeypatch.setattr(servicing, "serve", lambda *args, **kwargs: bound.append(args))
+    argv = services_args("serve", ckpt, keyrels, tmp_path)
+    capsys.readouterr()
+    assert dispatch(argv[:-2] + [f"--port={port}"]) == 1
+    assert capsys.readouterr().err == f"pkgm: error: port must be in 0..65535, got {port}\n"
+    assert not bound
 
 
 def test_unknown_variant_is_named_error(tmp_path, ckpt_and_keyrels, capsys):

@@ -246,6 +246,18 @@ def test_export_holds_the_block_and_little_more(tmp_path, planted_case, variant)
     assert write_peak <= 1.5 * block_bytes
 
 
+def test_item_export_holds_only_its_block(planted_case):
+    """The item block is one gather of the entity table; no key relation is read."""
+    params, table = planted_case
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(params, table, "item")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * bundle.block.nbytes
+
+
 def test_services_file_round_trip(tmp_path, bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "all")
@@ -729,8 +741,29 @@ def test_non_finite_answer_is_internal_error_on_every_request(query_service):
     assert not service._snapshot.memo
 
 
-def test_memo_evicts_least_recently_used_within_its_budget(query_service, monkeypatch):
+_well_formed = (
+    st.fixed_dictionaries({"op": st.sampled_from(["triple", "relation"]), "h": _tokens,
+                           "r": _tokens}, optional={"rid": st.integers(0, 3)})
+    | st.fixed_dictionaries({"op": st.just("bundle"), "e": _tokens,
+                             "variant": st.sampled_from(servicing.VARIANTS + ("both",))},
+                            optional={"rid": st.integers(0, 3)})
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=st.lists(_well_formed | _requests | _json_values, min_size=1, max_size=8)
+       .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+def test_memo_answers_a_mixed_stream_as_handle_does(query_service, stream):
+    """Valid, unknown and malformed requests of every variant, repeated in any
+    order, each get the encoded answer handle gives them alone."""
     service, *_ = query_service
+    for request_obj in stream:
+        assert service.answer_line(request_obj) == encoded(service, request_obj)
+
+
+def test_memo_evicts_least_recently_used_within_its_budget(query_service, monkeypatch):
+    service, _, _, store = query_service
     reqs = [{"op": "triple", "h": h, "r": "color"} for h in ("apple", "lemon", "carrot", "kale")]
     sizes = [len(encoded(service, req)) for req in reqs]
     monkeypatch.setattr(servicing, "MEMO_BYTES", sum(sizes[:3]))
@@ -745,8 +778,11 @@ def test_memo_evicts_least_recently_used_within_its_budget(query_service, monkey
     assert len(memo) == 3
     answer(reqs[0])  # a hit makes apple the most recently used
     answer(reqs[3])
-    assert ("triple", "lemon", "color") not in memo
-    assert {("triple", "apple", "color"), ("triple", "kale", "color")} <= set(memo)
+    # the memo is keyed by the ids the request resolves to
+    color = store.relations.id("color")
+    apple, lemon, kale = (store.entities.id(h) for h in ("apple", "lemon", "kale"))
+    assert ("triple", lemon, color) not in memo
+    assert {("triple", apple, color), ("triple", kale, color)} <= set(memo)
 
     # a line over the whole budget is answered but not kept
     monkeypatch.setattr(servicing, "MEMO_BYTES", 10)
