@@ -16,18 +16,22 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluation import EvalReport
-from .kgstore import Vocab, read_tsv, sorted_contains
+from .kgstore import Vocab, id_rows, read_tsv, sorted_contains
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionSet:
-    """Implicit-feedback interactions, score 1 each, with an order index."""
+    """Implicit-feedback (user, item, order index) rows, score 1 each, held as
+    a read-only (n, 3) int64 array whatever sequence they are built from."""
 
     users: Vocab
     items: Vocab
-    interactions: list[tuple[int, int, int]]
+    interactions: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.interactions = id_rows(self.interactions)
 
     @property
     def n_users(self) -> int:
@@ -216,19 +220,14 @@ def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
     """
     items = np.empty(len(users), dtype=np.int64)
     todo = np.arange(len(users))
-    for _ in range(100):
+    for attempt in range(200):
         if not len(todo):
             break
         draw = rng.integers(n_items, size=len(todo))
         items[todo] = draw
-        todo = todo[sorted_contains(observed, users[todo] * n_items + draw)]
-    # dense users; accept any item other than the positive
-    for _ in range(100):
-        if not len(todo):
-            break
-        draw = rng.integers(n_items, size=len(todo))
-        items[todo] = draw
-        todo = todo[draw == exclude[todo]]
+        redraw = (sorted_contains(observed, users[todo] * n_items + draw) if attempt < 100
+                  else draw == exclude[todo])  # a dense user: any item but the positive
+        todo = todo[redraw]
     items[todo] = exclude[todo]
     return items
 
@@ -258,8 +257,8 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     model = RecModel(params=adam.params, hidden=tuple(config.hidden), gmf_dim=config.gmf_dim,
                      service=service_table)
 
-    pos_users, pos_items, _ = np.asarray(data.interactions, dtype=np.int64).reshape(-1, 3).T
-    observed = np.unique(pos_users * data.n_items + pos_items)
+    pos_users, pos_items, _ = data.interactions.T
+    observed = _observed_keys(data)
     # each positive is followed by its neg_ratio negatives
     width = 1 + config.neg_ratio
     users_arr = np.repeat(pos_users, width)
@@ -290,28 +289,28 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     return model
 
 
+def _observed_keys(data: InteractionSet) -> np.ndarray:
+    """Sorted distinct int64 keys u*n_items + i of the observed (user, item) pairs."""
+    return np.unique(data.interactions[:, 0] * data.n_items + data.interactions[:, 1])
+
+
 def leave_one_out_split(data: InteractionSet):
     """Partition into (train interactions, held-out item per user).
 
     The held-out interaction is the one with the largest order index
-    (ties keep the latest line). Users need >= 2 interactions.
+    (ties keep the latest line). train keeps the other rows in file order;
+    held[u] is user u's held-out item. Users need >= 2 interactions.
     """
-    latest: dict[int, int] = {}
-    for pos, (u, _, order) in enumerate(data.interactions):
-        if u not in latest or order >= data.interactions[latest[u]][2]:
-            latest[u] = pos
-    held = {}
-    train = []
-    for pos, (u, i, order) in enumerate(data.interactions):
-        if pos == latest[u]:
-            held[u] = i
-        else:
-            train.append((u, i, order))
-    thin = sorted(set(held) - {u for u, _, _ in train})  # one interaction, none to train on
-    if thin:
-        names = ", ".join(data.users.token(u) for u in thin[:5])
+    users, items, orders = data.interactions.T
+    thin = np.flatnonzero(np.bincount(users, minlength=data.n_users) < 2)
+    if len(thin):
+        names = ", ".join(data.users.token(u) for u in thin[:5].tolist())
         raise ValueError(f"users with fewer than 2 interactions: {names}")
-    return train, held
+    # a stable sort by (user, order) puts each user's held-out line last in
+    # its run, and every user has a run
+    by_user = np.lexsort((orders, users))
+    last = by_user[np.diff(users[by_user], append=-1) != 0]
+    return np.delete(data.interactions, last, axis=0), items[last]
 
 
 def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
@@ -324,16 +323,15 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
     pessimistic: score ties count against the held-out item.
     """
     _, held = leave_one_out_split(data)
-    observed: dict[int, set[int]] = {}
-    for u, i, _ in data.interactions:
-        observed.setdefault(u, set()).add(i)
+    keys = _observed_keys(data)
+    # user u's observed items, split once from the sorted keys
+    observed = np.split(keys % data.n_items,
+                        np.searchsorted(keys, np.arange(1, data.n_users) * data.n_items))
     rng = np.random.default_rng(seed)
     ranks = np.zeros(data.n_users, dtype=np.int64)
-    unobserved = np.empty(data.n_items, dtype=bool)
+    items = np.arange(data.n_items)
     for u in range(data.n_users):
-        unobserved.fill(True)
-        unobserved[list(observed[u])] = False
-        pool = np.flatnonzero(unobserved)
+        pool = np.delete(items, observed[u])
         if len(pool) > n_negatives:
             negatives = rng.choice(pool, size=n_negatives, replace=False)
         else:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kgstore import TripleStore
+from .kgstore import TripleStore, id_rows, triple_keys
 from .model import ModelParams, relation_service, triple_service
 
 
@@ -45,25 +45,26 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
     |q|_1 + 2^-126) covers with its own rounding for d <= 2^20 (2^-126
     covers float32 underflow). A NaN or infinite screen or bound is settled.
     """
-    test = [(int(h), int(r), int(t)) for h, r, t in test_triples]
-    if not test:
+    test = id_rows(test_triples)
+    if not len(test):
         raise ValueError("empty test set")
+    # the known tails of (h, r) are the one run [base, base + n_e) of the sorted
+    # store and test keys, the test triple's own tail among them; keys in the
+    # model's id space refuse ids its tables cannot index
+    n_e, n_r = params.n_entities, params.n_relations
+    keys = np.sort(triple_keys(np.concatenate([store.triples, test]), n_e, n_r))
+    bases = triple_keys(test, n_e, n_r) - test[:, 2]
+    runs = np.searchsorted(keys, np.stack([bases, bases + n_e], axis=1))
     ent = params.entity_emb.astype(np.float64)
-    hs, rs, _ = np.asarray(test).T
-    queries = triple_service(params, hs, rs, dtype=np.float64)
+    queries = triple_service(params, test[:, 0], test[:, 1], dtype=np.float64)
     ent_t = np.ascontiguousarray(ent.T, dtype=np.float32)
     buf = np.empty_like(ent_t)
     screen = np.empty(len(ent), dtype=np.float32)
     slack = np.float32(4 * (params.dim + 2) * 2.0 ** -24)
 
-    known_tails: dict[tuple[int, int], list[int]] = {}
-    if filtered:
-        for h, r, t in [*store.triples, *test]:
-            known_tails.setdefault((h, r), []).append(t)
-
     ranks = np.zeros(len(test), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # these only leave non-finite bounds
-        for i, (h, r, t) in enumerate(test):
+        for i, t in enumerate(test[:, 2].tolist()):
             q = queries[i]
             np.subtract(q.astype(np.float32)[:, None], ent_t, out=buf)
             np.abs(buf, out=buf)
@@ -73,8 +74,8 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
             below = screen + tol < target
             unsure = ~(below | (screen - tol > target))
             # the target counts unless NaN; filtered tails never count
-            others = [e for e in known_tails[(h, r)] if e != t] if filtered else []
-            below[[t, *others]] = unsure[[t, *others]] = False
+            tails = keys[runs[i, 0]:runs[i, 1]] - bases[i] if filtered else t
+            below[tails] = unsure[tails] = False
             idx = np.flatnonzero(unsure)
             ranks[i] = (np.count_nonzero(below) + int(target <= target)
                         + np.count_nonzero(np.abs(q - ent[idx]).sum(axis=1) <= target))
@@ -98,8 +99,7 @@ def link_prediction(params: ModelParams, store: TripleStore, test_triples,
 
 def relation_scores(params: ModelParams, pairs) -> np.ndarray:
     """Relation-module scores for (h, r) pairs, float64."""
-    hs = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    rs = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    hs, rs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     return np.abs(relation_service(params, hs, rs, dtype=np.float64)).sum(axis=1)
 
 

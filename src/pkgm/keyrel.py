@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kgstore import TripleStore, Vocab, read_tsv, write_atomically
 
 
@@ -32,24 +34,24 @@ def select_key_relations(store: TripleStore, k: int) -> KeyRelationTable:
     if k > store.n_relations:
         raise ValueError(f"k={k} exceeds relation count {store.n_relations}")
 
-    # frequency = distinct category members having the relation
-    pairs = {(h, r) for h, r, _ in store.triples}
+    # frequency = distinct category members having the relation: count the
+    # distinct (h, r) keys h*n_r + r per (category of h, r) key
+    n_r = store.n_relations
+    category = np.full(store.n_entities, -1)
+    category[list(store.category_of)] = list(store.category_of.values())
+    pairs = np.unique(store.triples[:, 0] * n_r + store.triples[:, 1])
+    cats = category[pairs // n_r]
+    cat_rels, counts = np.unique((cats * n_r + pairs % n_r)[cats >= 0], return_counts=True)
     per_cat: dict[int, dict[int, int]] = {}
-    for h, r in pairs:
-        cat = store.category_of.get(h)
-        if cat is not None:
-            counts = per_cat.setdefault(cat, {})
-            counts[r] = counts.get(r, 0) + 1
+    for key, count in zip(cat_rels.tolist(), counts.tolist()):
+        per_cat.setdefault(key // n_r, {})[key % n_r] = count
 
     global_order = sorted(store.relation_counts, key=lambda r: (-store.relation_counts[r], r))
     cat_lists: dict[int, tuple[int, ...]] = {}
     for cat in set(store.category_of.values()):
         counts = per_cat.get(cat, {})
-        ranked = sorted(counts, key=lambda r: (-counts[r], r))[:k]
-        if len(ranked) < k:
-            seen = set(ranked)
-            ranked += [r for r in global_order if r not in seen][: k - len(ranked)]
-        cat_lists[cat] = tuple(ranked)
+        ranked = sorted(counts, key=lambda r: (-counts[r], r))
+        cat_lists[cat] = tuple((ranked + [r for r in global_order if r not in counts])[:k])
 
     rows = {e: cat_lists[cat] for e, cat in sorted(store.category_of.items())}
     return KeyRelationTable(k=k, rows=rows)

@@ -6,6 +6,8 @@ the one parser of TAB files: these "#"-commented inputs (triples,
 existence pairs, interactions) and, with comments off, the vocabulary and
 key-relation files. Category membership is encoded as ordinary triples under a
 configurable relation name (default "isA"), i.e. (entity, isA, category).
+Interned id rows are read-only (n, 3) int64 arrays; triple_keys alone encodes
+a triple's int64 key, and known-row filters search sorted key arrays.
 """
 
 from __future__ import annotations
@@ -84,10 +86,19 @@ class Vocab:
         return vocab
 
 
-@dataclass
+def id_rows(rows) -> np.ndarray:
+    """A read-only (n, 3) int64 copy of rows: id triples, a flat id sequence
+    or an int array; an empty sequence gives a (0, 3) array."""
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    rows.setflags(write=False)
+    return rows
+
+
+@dataclass(eq=False)
 class TripleStore:
     """Immutable view of an interned triple set.
 
+    triples is a read-only (n, 3) int64 array of the stored (h, r, t) ids.
     relation_counts holds occurrences among stored (deduplicated) triples.
     category_of maps entity id to category entity id and is derived only
     from triples under the configured category relation.
@@ -95,10 +106,13 @@ class TripleStore:
 
     entities: Vocab
     relations: Vocab
-    triples: list[tuple[int, int, int]]
+    triples: np.ndarray
     category_of: dict[int, int]
     relation_counts: dict[int, int]
     category_relation: str = "isA"
+
+    def __post_init__(self) -> None:
+        self.triples = id_rows(self.triples)
 
     @property
     def n_entities(self) -> int:
@@ -111,7 +125,23 @@ class TripleStore:
     def token_triples(self) -> list[tuple[str, str, str]]:
         """Stored triples externalized back to tokens, in storage order."""
         ent, rel = self.entities.token, self.relations.token
-        return [(ent(h), rel(r), ent(t)) for h, r, t in self.triples]
+        return [(ent(h), rel(r), ent(t)) for h, r, t in self.triples.tolist()]
+
+
+def triple_keys(rows: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
+    """int64 keys (h*n_r + r)*n_e + t of an (n, 3) id array, in row order;
+    ValueError where two rows could share a key: the n_e*n_e*n_r keys would
+    wrap in int64, or an id lies outside [0, n_e) or [0, n_r)."""
+    if int(n_e) * int(n_e) * int(n_r) >= 2 ** 63:
+        raise ValueError(f"key space of {n_e} entities x {n_r} relations overflows int64")
+    if len(rows) and (rows.min() < 0 or (rows.max(axis=0) >= (n_e, n_r, n_e)).any()):
+        raise ValueError(f"triple ids outside {n_e} entities and {n_r} relations")
+    return (rows[:, 0] * n_r + rows[:, 1]) * n_e + rows[:, 2]
+
+
+def stored_keys(store: TripleStore) -> np.ndarray:
+    """Sorted int64 keys (triple_keys) of the stored triples."""
+    return np.sort(triple_keys(store.triples, store.n_entities, store.n_relations))
 
 
 def sorted_contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -136,27 +166,21 @@ def store_from_triples(
 
     entities = Vocab()
     relations = Vocab()
-    triples: list[tuple[int, int, int]] = []
+    ids: list[int] = []  # flat: one conversion gives the (n, 3) array
     categories: dict[int, str] = {}
-    counts: dict[int, int] = {}
     for head, rel, tail in unique:
         h = entities.add(head)
-        r = relations.add(rel)
-        t = entities.add(tail)
-        triples.append((h, r, t))
-        counts[r] = counts.get(r, 0) + 1
+        ids += (h, relations.add(rel), entities.add(tail))
         if rel == category_relation:
-            prev = categories.get(h)
-            if prev is None or tail < prev:
-                categories[h] = tail
+            categories[h] = min(tail, categories.get(h, tail))
 
     category_of = {e: entities.id(tok) for e, tok in categories.items()}
     return TripleStore(
         entities=entities,
         relations=relations,
-        triples=triples,
+        triples=ids,
         category_of=category_of,
-        relation_counts=counts,
+        relation_counts=dict(enumerate(np.bincount(ids[1::3]).tolist())),
         category_relation=category_relation,
     )
 

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kgstore import TripleStore, sorted_contains
+from .kgstore import TripleStore, sorted_contains, stored_keys, triple_keys
 from .model import ModelParams, RelationGroups, init_params, relation_service, triple_service
 from .optim import Adam
 
@@ -72,16 +72,6 @@ class TrainReport:
         return asdict(self)
 
 
-def _triple_keys(rows: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
-    return (rows[:, 0] * n_r + rows[:, 1]) * n_e + rows[:, 2]
-
-
-def stored_keys(store: TripleStore) -> np.ndarray:
-    """Sorted int64 keys (h*n_r + r)*n_e + t of the stored triples."""
-    triples = np.asarray(store.triples, dtype=np.int64).reshape(-1, 3)
-    return np.sort(_triple_keys(triples, store.n_entities, store.n_relations))
-
-
 def sample_negative(store: TripleStore, positives: np.ndarray,
                     rng: np.random.Generator,
                     corrupt_relation_prob: float = 1.0 / 3.0,
@@ -92,9 +82,9 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
     corrupt_relation_prob, otherwise head or tail with equal probability;
     a slot with fewer than two values is redrawn. The replacement is
     uniform over the slot's other values. Candidates that are stored
-    positives (looked up in keys, from stored_keys(store) when omitted)
-    are redrawn, capped at 100 attempts; after the cap the last differing
-    candidate is returned unfiltered. Row i of the result corrupts row i.
+    positives (in keys, the sorted stored-triple keys) are redrawn, capped
+    at 100 attempts; after the cap the last differing candidate is returned
+    unfiltered. Row i of the result corrupts row i.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     n_e = store.n_entities
@@ -120,7 +110,7 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
         cand = positives[rows]
         cand[np.arange(len(rows)), slot] = repl
         neg[rows] = cand
-        todo[rows] = sorted_contains(keys, _triple_keys(cand, n_e, n_r))
+        todo[rows] = sorted_contains(keys, triple_keys(cand, n_e, n_r))
     # rows never given a differing candidate: degenerate vocab where random
     # draws never produced a change; take the first other tail, else relation
     stuck = todo & (neg == positives).all(axis=1)
@@ -194,7 +184,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
     (store, config) in this single-worker implementation.
     """
     config.validate()
-    if not store.triples:
+    if not len(store.triples):
         raise ValueError("store has no triples")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -203,7 +193,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
                 lr=config.learning_rate)
     # the tables the steps update are views of the optimizer's flat buffer
     params = ModelParams(config.dim, **adam.params)
-    triples = np.asarray(store.triples, dtype=np.int64)
+    triples = store.triples
     n = len(triples)
     neg_k = config.negatives_per_positive
     epoch_losses: list[float] = []

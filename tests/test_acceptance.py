@@ -94,9 +94,9 @@ def test_criterion_02_oracle_ranking_equivalence():
     assert store.n_entities == 20 and store.n_relations == 4
     params = init_params(20, 4, 8, np.random.default_rng(7))
 
-    test = list(store.triples)
-    known_triples = set(store.triples)
-    for h, r, t in store.triples[::4]:
+    test = list(map(tuple, store.triples.tolist()))
+    known_triples = set(test)
+    for h, r, t in store.triples[::4].tolist():
         cand = (h, r, (t + 3) % 20)
         if cand not in known_triples:
             test.append(cand)

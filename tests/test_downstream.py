@@ -327,7 +327,18 @@ def test_backward_matches_finite_differences():
         np.testing.assert_allclose(grads[name], want, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
-def test_split_holds_out_latest_with_tie_to_later_line():
+def row_wise_split(rows):
+    """Reference leave-one-out split by one scan in file order: per user the
+    line with the largest order index, the later line on ties."""
+    latest = {}
+    for pos, (u, _, order) in enumerate(rows):
+        if u not in latest or order >= rows[latest[u]][2]:
+            latest[u] = pos
+    train = [row for pos, row in enumerate(rows) if pos != latest[row[0]]]
+    return train, {u: rows[pos][1] for u, pos in latest.items()}
+
+
+def test_split_holds_out_latest_with_tie_to_later_line(rng):
     data = interactions_from_rows(
         [("u", "a", 0), ("u", "b", 2), ("u", "c", 2), ("v", "a", 5), ("v", "b", 1)]
     )
@@ -335,6 +346,13 @@ def test_split_holds_out_latest_with_tie_to_later_line():
     assert held[data.users.id("u")] == data.items.id("c")
     assert held[data.users.id("v")] == data.items.id("a")
     assert len(train) == 3
+    # many ties among three order values, against the row-wise scan
+    data = interactions_from_rows([(f"u{rng.integers(20)}", f"i{rng.integers(30)}",
+                                    int(rng.integers(3))) for _ in range(300)])
+    train, held = leave_one_out_split(data)
+    want_train, want_held = row_wise_split(data.interactions.tolist())
+    assert train.tolist() == want_train
+    assert held.tolist() == [want_held[u] for u in range(data.n_users)]
 
 
 def test_split_rejects_single_interaction_users():

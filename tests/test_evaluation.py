@@ -10,7 +10,7 @@ from pkgm.evaluation import (
     link_prediction_ranks,
     relation_scores,
 )
-from pkgm.kgstore import store_from_triples
+from pkgm.kgstore import TripleStore, store_from_triples
 from pkgm.model import ModelParams, init_params
 
 
@@ -30,7 +30,7 @@ def oracle_ranks(params, store, test, filtered):
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
     known = {}
-    for h, r, t in set(store.triples) | set(test):
+    for h, r, t in set(map(tuple, store.triples.tolist())) | set(test):
         known.setdefault((h, r), set()).add(t)
     ranks = []
     for h, r, t in test:
@@ -108,13 +108,22 @@ def test_filtered_tails_never_count_at_infinite_target():
 
 @pytest.fixture
 def ranking_setup(rng):
-    store = random_graph(rng)
+    graph = random_graph(rng)
+    n_e, n_r = graph.n_entities, graph.n_relations
+    # key runs at the edges of the key space: the last head and relation
+    # with tails 0 and n_e - 1, and the first head and relation with tail 0
+    edges = [(n_e - 1, n_r - 1, 0), (n_e - 1, n_r - 1, n_e - 1), (0, 0, 0)]
+    store = TripleStore(entities=graph.entities, relations=graph.relations,
+                        triples=[*map(tuple, graph.triples.tolist()), *edges],
+                        category_of={}, relation_counts={})
     params = init_params(store.n_entities, store.n_relations, 4, rng)
-    test = list(store.triples[::3])
-    for h, r, t in store.triples[1::5]:
+    test = list(map(tuple, store.triples[::3].tolist()))
+    for h, r, t in store.triples[1::5].tolist():
         cand = (h, r, (t + 1) % store.n_entities)
-        if cand not in set(store.triples):
+        if cand not in set(map(tuple, store.triples.tolist())):
             test.append(cand)
+    # stored and unstored tests in the edge runs, and the last key of all
+    test += [*edges, (n_e - 1, n_r - 1, 1), (0, 0, n_e - 1), (n_e - 1, n_r - 2, n_e - 1)]
     return params, store, test
 
 
@@ -151,6 +160,18 @@ def test_empty_test_set_rejected(ranking_setup):
     params, store, _ = ranking_setup
     with pytest.raises(ValueError, match="empty test set"):
         link_prediction_ranks(params, store, [])
+
+
+def test_ids_outside_the_model_rejected(ranking_setup):
+    # a store or test row the model's tables cannot index would otherwise
+    # key into another (h, r) run, or wrap around as a negative index
+    params, store, test = ranking_setup
+    n_e, n_r = params.n_entities, params.n_relations
+    wider = TripleStore(entities=store.entities, relations=store.relations,
+                        triples=[(0, 0, n_e)], category_of={}, relation_counts={})
+    for bad_store, bad_test in ((wider, test), (store, [(0, n_r, 0)]), (store, [(-1, 0, 0)])):
+        with pytest.raises(ValueError, match=f"outside {n_e} entities and {n_r} relations"):
+            link_prediction_ranks(params, bad_store, bad_test)
 
 
 def test_link_prediction_metrics_consistent(ranking_setup):

@@ -1,10 +1,12 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgm import kgstore
+from pkgm.downstream import InteractionSet
 from pkgm.kgstore import (
     Vocab,
     filter_rare_relations,
@@ -159,6 +161,42 @@ def test_store_custom_category_relation():
     a = store.entities.id("a")
     assert store.entities.token(store.category_of[a]) == "g"
     assert store.category_relation == "memberOf"
+
+
+@pytest.mark.parametrize("rows", [[(0, 1, 2), (3, 0, 1), (3, 0, 1)], []], ids=["rows", "empty"])
+def test_id_rows_are_read_only_int64_arrays_whatever_they_are_built_from(rows):
+    want = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    array = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    for given in (rows, array):
+        built = (kgstore.TripleStore(entities=Vocab(), relations=Vocab(), triples=given,
+                                     category_of={}, relation_counts={}).triples,
+                 InteractionSet(users=Vocab(), items=Vocab(), interactions=given).interactions)
+        for got in built:
+            assert got.dtype == np.int64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[:1] = 0
+    assert array.flags.writeable  # the rows are copied, not frozen in place
+
+
+def test_triple_keys_reject_a_key_space_beyond_int64():
+    # n_e * n_e * n_r keys fit in int64 for n_e = 3,037,000,499 and n_r = 1,
+    # and the top row gets the top key; one more entity, or 10^9 entities
+    # under 10 relations, would wrap
+    n_e = 3_037_000_499
+    top = np.array([[n_e - 1, 0, n_e - 1]], dtype=np.int64)
+    assert kgstore.triple_keys(top, n_e, 1)[0] == n_e * n_e - 1
+    for n_e, n_r in ((n_e + 1, 1), (10**9, 10)):
+        with pytest.raises(ValueError, match="overflows int64"):
+            kgstore.triple_keys(np.zeros((1, 3), dtype=np.int64), n_e, n_r)
+
+
+@pytest.mark.parametrize("row", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (4, 0, 0), (0, 2, 0),
+                                 (0, 0, 4)])
+def test_triple_keys_reject_ids_outside_the_key_space(row):
+    # (0, 0, 4) would take the key of (0, 1, 0) under 4 entities and 2 relations
+    with pytest.raises(ValueError, match="outside 4 entities and 2 relations"):
+        kgstore.triple_keys(np.array([row], dtype=np.int64), 4, 2)
 
 
 def test_token_triples_round_trip(toy_rows, toy_store):

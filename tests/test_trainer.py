@@ -19,7 +19,7 @@ def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0
     h, r, t = positive
     n_e = store.n_entities
     n_r = store.n_relations
-    known = set(store.triples)
+    known = set(map(tuple, store.triples.tolist()))
     fallback = None
     for _ in range(100):
         u = rng.random()
@@ -81,7 +81,7 @@ def test_config_rejects_non_finite(field, value):
 
 
 def repeated_positives(store, n=3000):
-    return np.resize(np.asarray(store.triples, dtype=np.int64), (n, 3))
+    return np.resize(store.triples, (n, 3))
 
 
 def test_negative_differs_in_exactly_one_slot(toy_store):
@@ -89,7 +89,7 @@ def test_negative_differs_in_exactly_one_slot(toy_store):
     neg = sample_negative(toy_store, pos, np.random.default_rng(2))
     assert neg.shape == pos.shape and neg.dtype == np.int64
     assert ((neg != pos).sum(axis=1) == 1).all()
-    assert set(map(tuple, neg.tolist())).isdisjoint(toy_store.triples)
+    assert set(map(tuple, neg.tolist())).isdisjoint(map(tuple, toy_store.triples.tolist()))
 
 
 def slot_counts(pos, neg):
@@ -120,7 +120,7 @@ def test_negatives_match_scalar_oracle_in_distribution():
     # same support (every one-slot corruption that is not stored) and slot
     # shares within 3 sigma of the per-triple reference's
     store = random_store()
-    positive = store.triples[0]
+    positive = tuple(store.triples[0].tolist())
     n = 3000
     neg = sample_negative(store, np.tile(positive, (n, 1)), np.random.default_rng(3))
     rng = np.random.default_rng(4)
@@ -129,7 +129,7 @@ def test_negatives_match_scalar_oracle_in_distribution():
     support = {(e, r, t) for e in range(store.n_entities) if e != h}
     support |= {(h, rr, t) for rr in range(store.n_relations) if rr != r}
     support |= {(h, r, e) for e in range(store.n_entities) if e != t}
-    support -= set(store.triples)
+    support -= set(map(tuple, store.triples.tolist()))
     assert {tuple(row) for row in neg.tolist()} == support
     assert {tuple(row) for row in want.tolist()} == support
     got_counts = slot_counts(np.tile(positive, (n, 1)), neg)
@@ -145,10 +145,12 @@ def test_negative_falls_back_when_all_candidates_positive():
     store = store_from_triples(rows)
     pos = repeated_positives(store)
     neg = sample_negative(store, pos, np.random.default_rng(0))
-    assert set(map(tuple, neg.tolist())) <= set(store.triples)
+    stored = set(map(tuple, store.triples.tolist()))
+    assert set(map(tuple, neg.tolist())) <= stored
     assert ((neg != pos).sum(axis=1) == 1).all()
-    want = sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
-    assert want in set(store.triples) and want != store.triples[0]
+    first = tuple(store.triples[0].tolist())
+    want = sample_negative_oracle(store, first, np.random.default_rng(0))
+    assert want in stored and want != first
 
 
 def test_negative_degenerate_slots_take_first_other_value():
@@ -192,7 +194,7 @@ def test_negatives_drawn_once_per_epoch_after_positives(monkeypatch):
         assert positives.shape == (3 * n, 3)
         blocks = positives.reshape(n, 3, 3)
         assert (blocks == blocks[:, :1]).all()
-        assert sorted(map(tuple, blocks[:, 0].tolist())) == sorted(store.triples)
+        assert sorted(map(tuple, blocks[:, 0].tolist())) == sorted(map(tuple, store.triples.tolist()))
         assert ((negatives != positives).sum(axis=1) == 1).all()
 
 
