@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluation import EvalReport
-from .kgstore import Vocab, id_rows, read_tsv, sorted_contains
+from .kgstore import Vocab, id_rows, read_tsv, sorted_index
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
@@ -225,7 +225,7 @@ def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
             break
         draw = rng.integers(n_items, size=len(todo))
         items[todo] = draw
-        redraw = (sorted_contains(observed, users[todo] * n_items + draw) if attempt < 100
+        redraw = (sorted_index(observed, users[todo] * n_items + draw) >= 0 if attempt < 100
                   else draw == exclude[todo])  # a dense user: any item but the positive
         todo = todo[redraw]
     items[todo] = exclude[todo]
@@ -247,7 +247,7 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
             raise ValueError(
                 f"service table has {service_table.shape[0]} rows for {data.n_items} items"
             )
-        service_table = np.asarray(service_table, dtype=np.float32)
+        service_table = np.array(service_table, dtype=np.float32)  # the caller's stays writable
         service_table.setflags(write=False)
     rng = np.random.default_rng(config.seed)
     service_dim = 0 if service_table is None else service_table.shape[1]
@@ -324,14 +324,11 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
     """
     _, held = leave_one_out_split(data)
     keys = _observed_keys(data)
-    # user u's observed items, split once from the sorted keys
-    observed = np.split(keys % data.n_items,
-                        np.searchsorted(keys, np.arange(1, data.n_users) * data.n_items))
     rng = np.random.default_rng(seed)
     ranks = np.zeros(data.n_users, dtype=np.int64)
     items = np.arange(data.n_items)
     for u in range(data.n_users):
-        pool = np.delete(items, observed[u])
+        pool = items[sorted_index(keys, u * data.n_items + items) < 0]  # u's unobserved items
         if len(pool) > n_negatives:
             negatives = rng.choice(pool, size=n_negatives, replace=False)
         else:

@@ -12,13 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kgstore import TripleStore, Vocab, read_tsv, write_atomically
+from .kgstore import TripleStore, Vocab, id_rows, read_tsv, write_atomically
 
 
-@dataclass
+@dataclass(eq=False)
 class KeyRelationTable:
-    k: int
-    rows: dict[int, tuple[int, ...]]
+    """Key relations per entity: ids is ascending int64, (count,), and rows[i]
+    holds the k key relations of entity ids[i] in rank order, (count, k).
+    Both are read-only int64 copies (kgstore.id_rows) of what it is built from."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.ids, self.rows = id_rows(self.ids, -1), id_rows(self.rows, (len(self.ids), -1))
 
 
 def select_key_relations(store: TripleStore, k: int) -> KeyRelationTable:
@@ -27,41 +34,38 @@ def select_key_relations(store: TripleStore, k: int) -> KeyRelationTable:
     Ranking is per category: frequency descending, relation id ascending
     on ties. Categories with fewer than k observed relations are padded
     with the globally most frequent relations not already chosen, so each
-    list holds exactly k distinct ids. Requires k <= number of relations.
+    list holds exactly k distinct ids. Requires k <= number of relations
+    and at least one triple under the category relation.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > store.n_relations:
         raise ValueError(f"k={k} exceeds relation count {store.n_relations}")
+    if not store.category_of:
+        raise ValueError(f"no triples under the category relation {store.category_relation!r}")
 
-    # frequency = distinct category members having the relation: count the
-    # distinct (h, r) keys h*n_r + r per (category of h, r) key
+    # frequency[c, r] = members of category c having a triple under r: one
+    # count per distinct (h, r) key h*n_r + r of a categorized head h
     n_r = store.n_relations
-    category = np.full(store.n_entities, -1)
-    category[list(store.category_of)] = list(store.category_of.values())
-    pairs = np.unique(store.triples[:, 0] * n_r + store.triples[:, 1])
-    cats = category[pairs // n_r]
-    cat_rels, counts = np.unique((cats * n_r + pairs % n_r)[cats >= 0], return_counts=True)
-    per_cat: dict[int, dict[int, int]] = {}
-    for key, count in zip(cat_rels.tolist(), counts.tolist()):
-        per_cat.setdefault(key // n_r, {})[key % n_r] = count
-
-    global_order = sorted(store.relation_counts, key=lambda r: (-store.relation_counts[r], r))
-    cat_lists: dict[int, tuple[int, ...]] = {}
-    for cat in set(store.category_of.values()):
-        counts = per_cat.get(cat, {})
-        ranked = sorted(counts, key=lambda r: (-counts[r], r))
-        cat_lists[cat] = tuple((ranked + [r for r in global_order if r not in counts])[:k])
-
-    rows = {e: cat_lists[cat] for e, cat in sorted(store.category_of.items())}
-    return KeyRelationTable(k=k, rows=rows)
+    ids, cats = np.array(sorted(store.category_of.items()), dtype=np.int64).T
+    cats, slot = np.unique(cats, return_inverse=True)
+    member = np.full(store.n_entities, len(cats))  # a last row takes uncategorized heads
+    member[ids] = slot
+    heads, rels = np.divmod(np.unique(store.triples[:, 0] * n_r + store.triples[:, 1]), n_r)
+    frequency = np.zeros((len(cats) + 1, n_r), dtype=np.int64)
+    np.add.at(frequency, (member[heads], rels), 1)
+    # rank each category's relations by -frequency, then, for relations it
+    # never uses, by -global count; the stable sort leaves ties in id order
+    total = np.array([store.relation_counts.get(r, 0) for r in range(n_r)])
+    ranked = np.lexsort((np.where(frequency > 0, 0, -total), -frequency))
+    return KeyRelationTable(ids=ids, rows=ranked[slot, :k])
 
 
 def write_keyrel_tsv(path, table: KeyRelationTable, entity_vocab: Vocab,
                      relation_vocab: Vocab) -> None:
     """Write one "entity<TAB>r1,...,rk" line per entity in id order, atomically."""
     text = "".join(f"{entity_vocab.token(e)}\t{','.join(map(relation_vocab.token, rels))}\n"
-                   for e, rels in sorted(table.rows.items()))
+                   for e, rels in zip(table.ids.tolist(), table.rows.tolist()))
     write_atomically([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))])
 
 
@@ -88,4 +92,4 @@ def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRela
     read_tsv(path, 2, add, comments=False)
     if not rows:
         raise ValueError(f"{path}: empty key relation table")
-    return KeyRelationTable(k=len(next(iter(rows.values()))), rows=rows)
+    return KeyRelationTable(*zip(*sorted(rows.items())))  # ids and rows, in id order

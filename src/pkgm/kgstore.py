@@ -7,7 +7,7 @@ existence pairs, interactions) and, with comments off, the vocabulary and
 key-relation files. Category membership is encoded as ordinary triples under a
 configurable relation name (default "isA"), i.e. (entity, isA, category).
 Interned id rows are read-only (n, 3) int64 arrays; triple_keys alone encodes
-a triple's int64 key, and known-row filters search sorted key arrays.
+a triple's int64 key, and sorted_index is the one lookup in a sorted array.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class Vocab:
         return vocab
 
 
-def id_rows(rows) -> np.ndarray:
-    """A read-only (n, 3) int64 copy of rows: id triples, a flat id sequence
-    or an int array; an empty sequence gives a (0, 3) array."""
-    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+def id_rows(rows, shape=(-1, 3)) -> np.ndarray:
+    """A read-only int64 copy of rows in shape, by default (n, 3) from id
+    triples, a flat id sequence or an int array; an empty sequence gives (0, 3)."""
+    rows = np.array(rows, dtype=np.int64).reshape(shape)
     rows.setflags(write=False)
     return rows
 
@@ -144,10 +144,11 @@ def stored_keys(store: TripleStore) -> np.ndarray:
     return np.sort(triple_keys(store.triples, store.n_entities, store.n_relations))
 
 
-def sorted_contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Mask of the queries found in keys, a sorted non-empty int64 array."""
-    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return keys[at] == queries
+def sorted_index(keys: np.ndarray, queries) -> np.ndarray:
+    """Position in keys, a sorted int array, of each of the queries; -1 where absent."""
+    at = np.searchsorted(keys, queries)
+    found = len(keys) > 0 and keys[np.minimum(at, len(keys) - 1)] == queries
+    return np.where(found, at, -1)
 
 
 def store_from_triples(

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .keyrel import KeyRelationTable
-from .kgstore import Vocab, write_atomically
+from .kgstore import Vocab, sorted_index, write_atomically
 from .model import ModelParams, RelationGroups, relation_service, triple_service
 
 VARIANTS = ("item", "all", "T", "R")
@@ -56,8 +56,7 @@ class ServiceBundle:
 
     def index(self, entity_ids) -> np.ndarray:
         """Position in ids of each entity id, -1 where it has no service vector."""
-        entity_ids = np.asarray(entity_ids, dtype=np.int64)
-        return np.where(np.isin(entity_ids, self.ids), np.searchsorted(self.ids, entity_ids), -1)
+        return sorted_index(self.ids, entity_ids)
 
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
@@ -72,14 +71,12 @@ def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    entities = sorted(keyrels.rows)
-    ids = np.asarray(entities, dtype=np.uint32)
-    k, formulas = keyrels.k, _FORMULAS[variant]
+    ids = keyrels.ids.astype(np.uint32)
+    k, formulas = keyrels.rows.shape[1], _FORMULAS[variant]
     if formulas:
         block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
                          dtype=np.float32)
-        rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64)
-        for r, pairs in RelationGroups(rels.reshape(len(ids) * k)).groups:
+        for r, pairs in RelationGroups(keyrels.rows.reshape(len(ids) * k)).groups:
             at, slot = np.divmod(pairs, k)
             hs, rs = ids[at], np.full(len(at), r)
             for part, fn in enumerate(formulas):
@@ -201,7 +198,7 @@ def _resolve(request, snap: _Snapshot) -> tuple | dict:
         if e not in snap.entity_vocab:
             return {"error": "unknown_id"}
         e = snap.entity_vocab.id(e)
-        if variant != "item" and e not in snap.keyrels.rows:
+        if variant != "item" and sorted_index(snap.keyrels.ids, [e])[0] < 0:
             # in vocabulary but not serviceable (no key relations)
             return {"error": "unknown_id"}
         return op, e, variant
@@ -213,14 +210,14 @@ def _answer(snap: _Snapshot, key: tuple | dict) -> dict:
     if isinstance(key, dict):
         return key
     op, h, arg = key
-    if op == "bundle":
-        rels = np.asarray(snap.keyrels.rows.get(h, ()), dtype=np.int64)
-        hs = np.full(len(rels), h)
-        vecs = [fn(snap.params, hs, rels) for fn in _FORMULAS[arg]]
-        vecs = np.concatenate(vecs) if vecs else snap.params.entity_emb[[h]]
-        return {"vectors": vecs.astype(np.float32, copy=False).tolist()}
-    fn = triple_service if op == "triple" else relation_service
-    return {"vector": fn(snap.params, [h], [arg])[0].tolist()}
+    if op != "bundle":
+        fn = triple_service if op == "triple" else relation_service
+        return {"vector": fn(snap.params, [h], [arg])[0].tolist()}
+    if arg == "item":
+        return {"vectors": snap.params.entity_emb[[h]].astype(np.float32, copy=False).tolist()}
+    rels = snap.keyrels.rows[sorted_index(snap.keyrels.ids, [h])[0]]
+    vecs = [fn(snap.params, np.full(len(rels), h), rels) for fn in _FORMULAS[arg]]
+    return {"vectors": np.concatenate(vecs).tolist()}
 
 
 class QueryService:
@@ -304,13 +301,13 @@ async def _handle_connection(service: QueryService, reader: asyncio.StreamReader
                     response = service.answer_line(request)
             writer.write(response)
             await writer.drain()
-    except asyncio.CancelledError:
-        pass  # shutdown: the stream server would log a handler that ends cancelled
+    except (asyncio.CancelledError, ConnectionError):
+        pass  # shutdown or a client reset: end this connection, and log nothing
     finally:
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
+        except (asyncio.CancelledError, ConnectionError):
             pass
 
 

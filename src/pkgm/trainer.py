@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kgstore import TripleStore, sorted_contains, stored_keys, triple_keys
+from .kgstore import TripleStore, sorted_index, stored_keys, triple_keys
 from .model import ModelParams, RelationGroups, init_params, relation_service, triple_service
 from .optim import Adam
 
@@ -110,7 +110,7 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
         cand = positives[rows]
         cand[np.arange(len(rows)), slot] = repl
         neg[rows] = cand
-        todo[rows] = sorted_contains(keys, triple_keys(cand, n_e, n_r))
+        todo[rows] = sorted_index(keys, triple_keys(cand, n_e, n_r)) >= 0
     # rows never given a differing candidate: degenerate vocab where random
     # draws never produced a change; take the first other tail, else relation
     stuck = todo & (neg == positives).all(axis=1)

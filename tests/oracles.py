@@ -9,11 +9,13 @@ four_table_* functions are the recommender's initialization, forward and
 backward with separate GMF and MLP embedding tables per side, which its
 one-table-per-side layout reproduces bit for bit; they use their own copies
 of the sigmoid and the float64 segment sum, so a change to either shows.
-one_call_build_bundle, one_array_write_services and concatenated_condense
-are the service export's forms that hold the whole table at once: one
-kernel call per module over every (entity, slot) pair, one records array
-the size of the export, and a (count, k, 2d) copy of the two halves; the
-bounded-memory forms in pkgm.servicing reproduce their bytes.
+keyrel_table builds a key relation table from an {entity: relations} dict,
+the form the brute-force key relation oracles give, and same_table compares
+two tables. one_call_build_bundle, one_array_write_services and
+concatenated_condense are the service export's forms that hold the whole
+table at once: one kernel call per module over every (entity, slot) pair,
+one records array the size of the export, and a (count, k, 2d) copy of the
+two halves; the bounded-memory forms in pkgm.servicing reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -211,13 +213,24 @@ def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activ
         _segment_sum(idx, rows + l2 * p[name][idx], grads[name])
 
 
+def keyrel_table(rows: dict[int, tuple[int, ...]]) -> KeyRelationTable:
+    """The KeyRelationTable of an {entity id: key relations} dict, ids ascending."""
+    entities = sorted(rows)
+    return KeyRelationTable(ids=entities, rows=[rows[e] for e in entities])
+
+
+def same_table(a: KeyRelationTable, b: KeyRelationTable) -> bool:
+    """Whether a and b hold equal int64 ids and key relation rows, shapes included."""
+    return all(x.dtype == y.dtype == np.int64 and x.shape == y.shape and (x == y).all()
+               for x, y in ((a.ids, b.ids), (a.rows, b.rows)))
+
+
 def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                           variant: str) -> servicing.ServiceBundle:
     """servicing.build_bundle with one kernel call per module over the whole table."""
-    entities = sorted(keyrels.rows)
-    ids = np.asarray(entities, dtype=np.uint32)
-    n, k = len(ids), keyrels.k
-    rels = np.asarray([keyrels.rows[e] for e in entities], dtype=np.int64).reshape(n * k)
+    ids = keyrels.ids.astype(np.uint32)
+    n, k = keyrels.rows.shape
+    rels = keyrels.rows.reshape(n * k)
     if variant == "item":
         block = params.entity_emb[ids][:, None, :]
     else:

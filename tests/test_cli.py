@@ -192,6 +192,16 @@ def test_failed_keyrel_write_leaves_previous_file(tmp_path, kg_file, capsys, mon
     assert (sorted(p.name for p in tmp_path.iterdir()), keyrels.read_bytes()) == before
 
 
+def test_keyrel_rejects_kg_without_category_triples(tmp_path, capsys):
+    path = tmp_path / "flat.tsv"
+    write_triples(path, [("a", "r", "b"), ("b", "r", "c")])
+    keyrels = tmp_path / "keyrels.tsv"
+    assert dispatch(["keyrel", "--triples", str(path), "--k", "1", "--out", str(keyrels)]) == 1
+    err = capsys.readouterr().err
+    assert err == "pkgm: error: no triples under the category relation 'isA'\n"
+    assert not keyrels.exists()
+
+
 def test_min_rel_count_filters_relations(tmp_path, toy_rows):
     path = tmp_path / "toy.tsv"
     write_triples(path, toy_rows)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import four_table_backward, four_table_forward, four_table_init
+from oracles import four_table_backward, four_table_forward, four_table_init, keyrel_table
 from pkgm import downstream
 from pkgm.downstream import (
     InteractionSet,
@@ -17,7 +17,6 @@ from pkgm.downstream import (
     train_recommender,
     write_interactions,
 )
-from pkgm.keyrel import KeyRelationTable
 from pkgm.kgstore import Vocab
 from pkgm.model import init_params
 from pkgm.optim import Adam
@@ -60,7 +59,7 @@ def test_interactions_file_errors(tmp_path):
 @pytest.fixture
 def item_bundle(rng):
     params = init_params(5, 3, 4, rng)
-    table = KeyRelationTable(k=2, rows={0: (0, 1), 1: (1, 2), 2: (0, 2)})
+    table = keyrel_table({0: (0, 1), 1: (1, 2), 2: (0, 2)})
     bundle = build_bundle(params, table, "all")
     vocab = Vocab(["i0", "i1", "i2", "x", "y"])
     return bundle, vocab
@@ -163,6 +162,16 @@ def test_service_vectors_never_updated():
     assert model.service.tobytes() == before
     assert not model.service.flags.writeable
     assert service.tobytes() == before
+
+
+def test_caller_service_table_stays_writable():
+    data = block_interactions()
+    service = np.zeros((data.n_items, 3), dtype=np.float32)
+    model = train_recommender(data, service, small_config(epochs=0))
+    assert service.flags.writeable
+    assert not model.service.flags.writeable
+    service[0, 0] = 1.0  # the model holds its own copy
+    assert model.service[0, 0] == 0.0
 
 
 def test_service_table_size_checked():

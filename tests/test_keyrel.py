@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import keyrel_table, same_table
 
 from pkgm import keyrel
 from pkgm.kgstore import store_from_triples
@@ -34,15 +35,13 @@ def oracle_rows(store, k):
 
 def test_toy_store_hand_ranking(toy_store):
     # ids: color=0, tastes=1, isA=2; apple=0, carrot=6
+    # fruits apple, lemon: color and isA tie at 2, id order; vegetables
+    # carrot, kale: isA 2 beats color 1; no other entity has a row
     table = keyrel.select_key_relations(toy_store, k=2)
-    assert table.rows[0] == (0, 2)  # fruits: color and isA tie at 2, id order
-    assert table.rows[6] == (2, 0)  # vegetables: isA 2 beats color 1
-    assert set(table.rows) == {0, 4, 6, 9}
-    assert 0 in table.rows and 1 not in table.rows
+    assert same_table(table, keyrel_table({0: (0, 2), 4: (0, 2), 6: (2, 0), 9: (2, 0)}))
 
     table1 = keyrel.select_key_relations(toy_store, k=1)
-    assert table1.rows[0] == (0,)
-    assert table1.rows[6] == (2,)
+    assert same_table(table1, keyrel_table({0: (0,), 4: (0,), 6: (2,), 9: (2,)}))
 
 
 def test_relation_frequency_counts_category_members(toy_store):
@@ -73,11 +72,10 @@ def test_thin_category_padded_from_global_ranking():
     ]
     store = store_from_triples(rows)
     table = keyrel.select_key_relations(store, k=3)
-    for e in table.rows:
-        rels = table.rows[e]
+    for rels in table.rows.tolist():
         assert len(rels) == 3
         assert len(set(rels)) == 3
-    assert table.rows == oracle_rows(store, 3)
+    assert same_table(table, keyrel_table(oracle_rows(store, 3)))
 
 
 def random_store(rng):
@@ -95,7 +93,7 @@ def test_selection_matches_oracle_on_random_stores():
         store = random_store(rng)
         for k in range(1, store.n_relations + 1):
             table = keyrel.select_key_relations(store, k)
-            assert table.rows == oracle_rows(store, k)
+            assert same_table(table, keyrel_table(oracle_rows(store, k)))
 
 
 def test_tsv_round_trip(tmp_path, toy_store):
@@ -105,8 +103,22 @@ def test_tsv_round_trip(tmp_path, toy_store):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "apple\tcolor,isA"
     back = keyrel.read_keyrel_tsv(path, toy_store.entities, toy_store.relations)
-    assert back.k == table.k
-    assert back.rows == table.rows
+    assert same_table(back, table)
+    for array in (table.ids, table.rows, back.ids, back.rows):
+        assert not array.flags.writeable
+
+
+def test_tsv_read_sorts_by_entity_id(tmp_path, toy_store):
+    path = tmp_path / "keyrels.tsv"
+    path.write_text("kale\tisA,color\napple\tcolor,isA\n", encoding="utf-8")
+    back = keyrel.read_keyrel_tsv(path, toy_store.entities, toy_store.relations)
+    assert same_table(back, keyrel_table({9: (2, 0), 0: (0, 2)}))
+
+
+def test_select_rejects_store_without_category_triples():
+    store = store_from_triples([("a", "r", "b"), ("b", "r", "c")], category_relation="type")
+    with pytest.raises(ValueError, match="no triples under the category relation 'type'"):
+        keyrel.select_key_relations(store, k=1)
 
 
 def test_tsv_read_errors(tmp_path, toy_store):

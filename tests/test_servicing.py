@@ -1,5 +1,6 @@
 import asyncio
 import json
+import socket
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (
     concatenated_condense,
+    keyrel_table,
     one_array_write_services,
     one_call_build_bundle,
     relation_error_bound,
@@ -17,7 +19,7 @@ from oracles import (
 )
 
 from pkgm import servicing, synth
-from pkgm.keyrel import KeyRelationTable, select_key_relations
+from pkgm.keyrel import select_key_relations
 from pkgm.kgstore import store_from_triples
 from pkgm.model import ModelParams, init_params, relation_service, triple_service
 from pkgm.servicing import (
@@ -55,11 +57,12 @@ def test_service_relation_hand_values():
                                   [[0.0, 0.0], [0.0, -1.0]])
 
 
+BUNDLE_ROWS = {0: (0, 2, 1), 3: (1, 0, 2), 5: (3, 1, 0)}
+
+
 @pytest.fixture
 def bundle_setup(rng):
-    params = init_params(6, 4, 5, rng)
-    table = KeyRelationTable(k=3, rows={0: (0, 2, 1), 3: (1, 0, 2), 5: (3, 1, 0)})
-    return params, table
+    return init_params(6, 4, 5, rng), keyrel_table(BUNDLE_ROWS)
 
 
 def test_bundle_matches_direct_recomputation(bundle_setup):
@@ -71,8 +74,8 @@ def test_bundle_matches_direct_recomputation(bundle_setup):
     for bundle in (t, r, both, item):
         assert bundle.ids.dtype == np.uint32
         np.testing.assert_array_equal(bundle.ids, [0, 3, 5])
-    for at, e in enumerate(sorted(table.rows)):
-        for i, rel in enumerate(table.rows[e]):
+    for at, e in enumerate(sorted(BUNDLE_ROWS)):
+        for i, rel in enumerate(BUNDLE_ROWS[e]):
             np.testing.assert_allclose(t.block[at, i], service_triple(params, e, rel))
             # the bundle applies M_r to all rows of relation r in one matrix
             # product, whose float32 sums may round apart from a single
@@ -192,10 +195,10 @@ def _export_case(request, case):
         return request.getfixturevalue("planted_case")
     if case == "d1_k1":
         return (init_params(5, 3, 1, np.random.default_rng(1)),
-                KeyRelationTable(k=1, rows={0: (2,), 2: (0,), 4: (2,)}))
+                keyrel_table({0: (2,), 2: (0,), 4: (2,)}))
     # relation 3 is a key relation of entity 4 only
     return (init_params(6, 4, 5, np.random.default_rng(2)),
-            KeyRelationTable(k=2, rows={0: (0, 1), 1: (1, 0), 3: (0, 2), 4: (3, 0), 5: (2, 1)}))
+            keyrel_table({0: (0, 1), 1: (1, 0), 3: (0, 2), 4: (3, 0), 5: (2, 1)}))
 
 
 @pytest.mark.parametrize("case", ["bundle_setup", "planted_2000_k10", "d1_k1",
@@ -609,6 +612,36 @@ def test_serve_answers_oversized_line_and_keeps_connection(query_service):
         first, second = asyncio.run(scenario(oversized))
         assert first == {"error": "bad_request"}
         np.testing.assert_allclose(second["vector"], service_triple(params, 0, 0), rtol=1e-6)
+
+
+def test_serve_client_reset_ends_only_its_connection(query_service):
+    service, params, *_ = query_service
+    contexts = []
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: contexts.append(ctx))
+        server = await serve(service, port=0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            for _ in range(5):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b'{"op": "bundle", "e": "apple", "variant": "all"}\n' * 500)
+                await writer.drain()
+                await reader.readline()  # the server is mid-stream
+                # linger 0: closing sends a reset instead of a FIN
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                writer.transport.abort()
+            await asyncio.sleep(0.5)  # the handlers meet the resets
+            return await one_request(host, port, b'{"op": "triple", "h": "apple", "r": "color"}\n')
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    line = asyncio.run(scenario())
+    assert contexts == []
+    np.testing.assert_allclose(json.loads(line)["vector"], service_triple(params, 0, 0),
+                               rtol=1e-6)
 
 
 def test_serve_answers_non_finite_vectors_with_internal_error(query_service):
