@@ -269,7 +269,7 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     items_ep[:, 0] = pos_items
     items_arr = items_ep.ravel()  # a view: each epoch refills the negative columns
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         items_ep[:, 1:] = _sample_unobserved(
             neg_users, neg_exclude, data.n_items, observed, rng
         ).reshape(len(pos_items), config.neg_ratio)
@@ -285,6 +285,8 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
                                 + (1.0 - y_b) * np.log(1.0 - clipped)).sum())
             _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat, config.l2)
             adam.step()
+        if not math.isfinite(loss_sum):
+            raise RuntimeError(f"non-finite loss at epoch {epoch}")
         model.train_losses.append(loss_sum / len(order))
     return model
 

@@ -183,8 +183,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{header_path}: unsupported checkpoint format_version {version}")
     for key, value in sizes.items():
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{header_path}: header key {key!r} must be a non-negative integer")
+        kind, least = ("positive", 1) if key == "dim" else ("non-negative", 0)
+        if type(value) is not int or value < least:
+            raise ValueError(f"{header_path}: header key {key!r} must be a {kind} integer")
     for key, value in files.items():
         if not isinstance(value, str):
             raise ValueError(f"{header_path}: header key {key!r} must be a file name")

@@ -141,8 +141,9 @@ def read_services(path) -> ServiceBundle:
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header must be a JSON object")
     for key in ("k", "d", "count"):
-        if type(header.get(key)) is not int or header[key] < 0:
-            raise ValueError(f"{path}: header key {key!r} must be a non-negative integer")
+        kind, least = ("non-negative", 0) if key == "count" else ("positive", 1)
+        if type(header.get(key)) is not int or header[key] < least:
+            raise ValueError(f"{path}: header key {key!r} must be a {kind} integer")
     variant, k, dim, count = header.get("variant"), header["k"], header["d"], header["count"]
     if variant not in VARIANTS:
         raise ValueError(f"{path}: header key 'variant': unknown variant {variant!r}")

@@ -36,7 +36,6 @@ class PlantedKG:
     relation_triples: list[tuple[str, str, str]]
     entity_tokens: list[str]
     relation_tokens: list[str]
-    sigma: dict[str, str]
     covered: dict[str, set[str]]
     category_relation: str = "isA"
 
@@ -63,7 +62,6 @@ def planted_kg(n_entities: int = 200, powers: tuple[int, ...] = DEFAULT_POWERS,
     rng = np.random.default_rng(seed)
     entities = [f"e{i:03d}" for i in range(n_entities)]
     relations = [f"r{j}" for j in powers]
-    sigma = {entities[i]: entities[(i + 1) % n_entities] for i in range(n_entities)}
 
     relation_triples = []
     covered: dict[str, set[str]] = {}
@@ -88,7 +86,6 @@ def planted_kg(n_entities: int = 200, powers: tuple[int, ...] = DEFAULT_POWERS,
         relation_triples=relation_triples,
         entity_tokens=entities,
         relation_tokens=relations,
-        sigma=sigma,
         covered=covered,
     )
 

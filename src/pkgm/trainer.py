@@ -78,49 +78,36 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
                     keys: np.ndarray | None = None) -> np.ndarray:
     """Corrupt exactly one slot of each row of an (n, 3) array of positives.
 
-    Per row, the relation slot is chosen with probability
-    corrupt_relation_prob, otherwise head or tail with equal probability;
-    a slot with fewer than two values is redrawn. The replacement is
-    uniform over the slot's other values. Candidates that are stored
+    Only slots with two or more values are drawn: per row, the relation slot
+    with probability corrupt_relation_prob (0 with one relation, 1 with one
+    entity), otherwise head or tail with equal probability. The replacement
+    is uniform over the slot's other values. Candidates that are stored
     positives (in keys, the sorted stored-triple keys) are redrawn, capped
-    at 100 attempts; after the cap the last differing candidate is returned
-    unfiltered. Row i of the result corrupts row i.
+    at 100 attempts, after which each row keeps its last candidate. Row i
+    of the result corrupts row i.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     n_e = store.n_entities
     n_r = store.n_relations
+    if n_e < 2 and n_r < 2 and len(positives):
+        raise ValueError("store admits no corrupted triple")
     if keys is None:
         keys = stored_keys(store)
-    p = corrupt_relation_prob
+    p = 0.0 if n_r < 2 else 1.0 if n_e < 2 else corrupt_relation_prob
     neg = positives.copy()
-    todo = np.ones(len(neg), dtype=bool)
+    rows = np.arange(len(neg))
     for _ in range(100):
-        rows = np.flatnonzero(todo)
         if not len(rows):
             break
         u = rng.random(len(rows))
         slot = np.where(u < p, 1, np.where(u < p + (1.0 - p) / 2.0, 0, 2))
-        size = np.where(slot == 1, n_r, n_e)
-        # a slot that cannot change stays to be redrawn on the next attempt
-        movable = size >= 2
-        rows, slot, size = rows[movable], slot[movable], size[movable]
         # draw uniformly over the size-1 values other than the original
-        repl = rng.integers(size - 1)
+        repl = rng.integers(np.where(slot == 1, n_r, n_e) - 1)
         repl += repl >= positives[rows, slot]
         cand = positives[rows]
         cand[np.arange(len(rows)), slot] = repl
         neg[rows] = cand
-        todo[rows] = sorted_index(keys, triple_keys(cand, n_e, n_r)) >= 0
-    # rows never given a differing candidate: degenerate vocab where random
-    # draws never produced a change; take the first other tail, else relation
-    stuck = todo & (neg == positives).all(axis=1)
-    if stuck.any():
-        if n_e >= 2:
-            neg[stuck, 2] = positives[stuck, 2] == 0
-        elif n_r >= 2:
-            neg[stuck, 1] = positives[stuck, 1] == 0
-        else:
-            raise ValueError("store admits no corrupted triple")
+        rows = rows[sorted_index(keys, triple_keys(cand, n_e, n_r)) >= 0]
     return neg
 
 

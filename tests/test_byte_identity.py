@@ -1,12 +1,15 @@
-"""Byte identity: a seeded README pass and a fixed serve answer stream hash
-to pinned sha256 values.
+"""Byte identity: a seeded README pass, a fixed serve answer stream and
+`pkgm train` on both benchmark workloads' training inputs hash to pinned
+sha256 values.
 
 The pass runs the README commands over data/ at a small epoch count. Its
 checkpoint files, key-relation file, the services.bin of every variant and
 the eval-lp, eval-rel and recsys reports are hashed; train_report.json holds
 wall times and is left out. The answer stream is QueryService.answer_line
 over every op and variant, repeated requests, unknown ids, an entity with no
-key relations and malformed requests.
+key relations and malformed requests. The benchmark inputs are built from
+pkgm.synth at seed 5, as the benchmark builds them, and trained with the
+benchmark's settings.
 
 The pins hold for one numpy and BLAS build only (OpenBLAS rounds
 differently on its small-matrix paths), so on any other build the test
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pkgm import cli, keyrel, model, servicing
+from pkgm import cli, keyrel, kgstore, model, servicing, synth
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -63,6 +66,33 @@ PINS = {
         "6a1989835fbb9c00ab9e8750368270635a2dd30dcecf38198ae1f2f0632d06e4",
 }
 
+BENCH_PINS = {
+    "kg_pipeline/entities.tsv":
+        "31e9f9c7e78714b8f25671549d1c389a4d980c580c798cd4247fd67885d3a45f",
+    "kg_pipeline/entity_emb.f32":
+        "dcb678975e3fcce87b8751e91f2c5f17aed0b4f2d8abc54e27f5f6d0ff392e22",
+    "kg_pipeline/header.json":
+        "36aadd1ec6fde7c4c0da50d871f19e2b8568eed8cb5645252bb61b62eaa50d2b",
+    "kg_pipeline/relation_emb.f32":
+        "07e456c8cff7e4f3ce1c177e67f61d32bf6174c655a4722bd0de45ac908134f3",
+    "kg_pipeline/relations.tsv":
+        "4afb55a369cf000115a6cf888393f8b8e2f8cb8cd802fd39debb8e37708b8a97",
+    "kg_pipeline/transfer.f32":
+        "8a93a08b61dbf3b61cd593d2309784e358905fa9d4136dc18314287856c8454b",
+    "recsys/entities.tsv":
+        "276cbe792eed250a1d420da1408f4717c41c77b13c09ba5742fbfd2fff467d06",
+    "recsys/entity_emb.f32":
+        "39aa02a791571cc6b08cc78c71d9f135a79dcd5bd5dc6f136fbb0ec9f4cebac7",
+    "recsys/header.json":
+        "b782bd8f20eb71df3c302b3f6f16ba73158e5c682fa5a4745efe14b677ebd9fb",
+    "recsys/relation_emb.f32":
+        "abbdc5664534dce1e31be35b1db50b28b816410cdda15fb834d925d5634df01d",
+    "recsys/relations.tsv":
+        "2337d8e75dff3feb8b958aa676f07ce4b97571ca3570ea19b7d86f703fe4764b",
+    "recsys/transfer.f32":
+        "29af7ac76ce1263b30279bc9a063a3d828d9494f5e2d5f98479a54c747b820bf",
+}
+
 
 def build() -> str:
     try:
@@ -71,6 +101,16 @@ def build() -> str:
         blas = {}
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration')})")
+
+
+pytestmark = pytest.mark.skipif(build() != PINNED_BUILD,
+                                reason=f"pins were taken on {PINNED_BUILD}; this is {build()}")
+
+
+def checkpoint_hashes(ckpt: Path, prefix: str) -> dict[str, str]:
+    """sha256 of each checkpoint file but train_report.json, which holds wall times."""
+    return {f"{prefix}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(ckpt.iterdir()) if path.name != "train_report.json"}
 
 
 def readme_pass(out: Path) -> None:
@@ -115,15 +155,41 @@ def answer_stream(out: Path) -> bytes:
     return b"".join(service.answer_line(request) for request in requests)
 
 
+def bench_training(out: Path, seed: int = 5) -> None:
+    """`pkgm train` on the kg_pipeline workload's KG (the planted KG of 2,000
+    entities and 20 categories minus its 5% relation holdout) and on the
+    recsys workload's item KG, with the benchmark's settings."""
+    kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=seed)
+    train_rel, _ = synth.split_triples(kg.relation_triples, 0.05, seed=seed)
+    categories = [row for row in kg.triples if row[1] == kg.category_relation]
+    kgstore.write_triples(out / "kg.tsv", train_rel + categories)
+    kgstore.write_triples(out / "items.tsv", synth.preference_dataset(seed=seed).kg_triples)
+    commands = [
+        ["train", "--triples", str(out / "kg.tsv"), "--out", str(out / "kg_pipeline"),
+         "--seed", "0"],
+        ["train", "--triples", str(out / "items.tsv"), "--out", str(out / "recsys"),
+         "--seed", "0", "--dim", "32", "--margin", "2", "--lr", "0.001", "--batch", "4",
+         "--epochs", "10", "--neg", "4"],
+    ]
+    for argv in commands:
+        assert cli.dispatch(argv) == 0, argv
+
+
 def test_readme_pass_and_answer_stream_match_pins(tmp_path):
-    if build() != PINNED_BUILD:
-        pytest.skip(f"pins were taken on {PINNED_BUILD}; this is {build()}")
     readme_pass(tmp_path)
-    files = [f"ckpt/{name}" for name in sorted(p.name for p in (tmp_path / "ckpt").iterdir())
-             if name != "train_report.json"]
-    files += ["keyrels.tsv", *(f"services_{v}.bin" for v in servicing.VARIANTS),
-              "lp.json", "rel.json", "rec.json"]
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    got = checkpoint_hashes(tmp_path / "ckpt", "ckpt")
+    files = ["keyrels.tsv", *(f"services_{v}.bin" for v in servicing.VARIANTS),
+             "lp.json", "rel.json", "rec.json"]
+    got.update((name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+               for name in files)
     got["answer_line stream"] = hashlib.sha256(answer_stream(tmp_path)).hexdigest()
     print(json.dumps(got, indent=4))
     assert got == PINS
+
+
+def test_bench_scale_training_matches_pins(tmp_path):
+    bench_training(tmp_path)
+    got = {**checkpoint_hashes(tmp_path / "kg_pipeline", "kg_pipeline"),
+           **checkpoint_hashes(tmp_path / "recsys", "recsys")}
+    print(json.dumps(got, indent=4))
+    assert got == BENCH_PINS

@@ -154,6 +154,18 @@ def test_recsys_rejects_non_finite_learning_rate(tmp_path, capsys, value):
     assert not report.exists()
 
 
+def test_recsys_diverging_loss_is_named_error(tmp_path, capsys):
+    # a finite but huge step makes the loss NaN from the second epoch on
+    data = Path(__file__).resolve().parents[1] / "data" / "interactions.tsv"
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(data), "--services", "none",
+                     "--epochs", "3", "--lr", "1e12", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pkgm: error: non-finite loss at epoch ")
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
 def fill_disk(monkeypatch):
     """Make Path.write_text write half of its text, then run out of space."""
     real = Path.write_text

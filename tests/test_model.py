@@ -312,6 +312,18 @@ def test_checkpoint_rejects_missing_header_key(tmp_path, rng, drop):
         load_checkpoint(out)
 
 
+def test_checkpoint_rejects_zero_dim(tmp_path, rng):
+    # dim 0 with empty blobs is self-consistent, but training never writes it
+    _, _, _, out = checkpoint_fixture(tmp_path, rng)
+    header = json.loads((out / "header.json").read_text())
+    header["dim"] = 0
+    (out / "header.json").write_text(json.dumps(header))
+    for name in header["blobs"].values():
+        (out / name).write_bytes(b"")
+    with pytest.raises(ValueError, match="header.json: header key 'dim' must be a positive integer"):
+        load_checkpoint(out)
+
+
 def test_checkpoint_rejects_non_object_header(tmp_path, rng):
     _, _, _, out = checkpoint_fixture(tmp_path, rng)
     (out / "header.json").write_text("[1, 2]")

@@ -332,6 +332,10 @@ def test_services_file_rejects_unknown_variant(tmp_path):
         (b'{"variant": "all", "d": 2, "count": 0}', "header key 'k'"),
         (b'{"variant": "all", "k": "1", "d": 2, "count": 0}', "header key 'k'"),
         (b'{"variant": "all", "k": 1, "d": 2.0, "count": 0}', "header key 'd'"),
+        (b'{"variant": "all", "k": 0, "d": 2, "count": 0}',
+         "header key 'k' must be a positive integer"),
+        (b'{"variant": "all", "k": 1, "d": 0, "count": 0}',
+         "header key 'd' must be a positive integer"),
         (b'{"variant": "all", "k": 1, "d": 2, "count": true}', "header key 'count'"),
         (b'{"variant": "all", "k": 1, "d": 2, "count": -1}', "header key 'count'"),
         (b'{"k": 1, "d": 2, "count": 0}', "header key 'variant'"),

@@ -14,13 +14,6 @@ def test_planted_rule_holds_everywhere():
         assert idx(t) == idx(h) + idx(r)
 
 
-def test_sigma_is_cyclic_successor():
-    kg = synth.planted_kg(n_entities=50, powers=(1, 2))
-    assert kg.sigma["e000"] == "e001"
-    assert kg.sigma["e049"] == "e000"
-    assert len(kg.sigma) == 50
-
-
 def test_first_power_covers_all_eligible_heads():
     kg = synth.planted_kg(n_entities=100, powers=(2, 5), coverage=0.5)
     assert kg.covered["r2"] == {f"e{i:03d}" for i in range(98)}

@@ -19,35 +19,26 @@ def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0
     h, r, t = positive
     n_e = store.n_entities
     n_r = store.n_relations
+    if n_e < 2 and n_r < 2:
+        raise ValueError("store admits no corrupted triple")
+    # only a slot with two or more values is drawn
+    p = 0.0 if n_r < 2 else 1.0 if n_e < 2 else corrupt_relation_prob
     known = set(map(tuple, store.triples.tolist()))
-    fallback = None
     for _ in range(100):
         u = rng.random()
-        if u < corrupt_relation_prob:
+        if u < p:
             slot, orig, size = 1, r, n_r
-        elif u < corrupt_relation_prob + (1.0 - corrupt_relation_prob) / 2.0:
+        elif u < p + (1.0 - p) / 2.0:
             slot, orig, size = 0, h, n_e
         else:
             slot, orig, size = 2, t, n_e
-        if size < 2:
-            continue
         repl = int(rng.integers(size - 1))
         if repl >= orig:
             repl += 1
         cand = tuple(repl if i == slot else v for i, v in enumerate(positive))
-        if cand in known:
-            fallback = cand
-            continue
-        return cand
-    if fallback is not None:
-        return fallback
-    for e in range(n_e):
-        if e != t:
-            return (h, r, e)
-    for rr in range(n_r):
-        if rr != r:
-            return (h, rr, t)
-    raise ValueError("store admits no corrupted triple")
+        if cand not in known:
+            break
+    return cand
 
 
 def test_hinge_values():
@@ -154,13 +145,38 @@ def test_negative_falls_back_when_all_candidates_positive():
 
 
 def test_negative_degenerate_slots_take_first_other_value():
-    # one entity: only the relation can change, and random draws never move
-    # an entity slot, so the scan picks the first other relation
+    # one entity: only the relation slot can change, so it is drawn whatever
+    # corrupt_relation_prob says, and with two relations its one other value
+    # is relation 1
     store = store_from_triples([("a", "r", "a"), ("a", "q", "a")])
     pos = np.zeros((5, 3), dtype=np.int64)
     neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=0.0)
     np.testing.assert_array_equal(neg, [[0, 1, 0]] * 5)
     assert sample_negative_oracle(store, (0, 0, 0), np.random.default_rng(0), 0.0) == (0, 1, 0)
+
+
+def test_negative_one_relation_draws_entities_only():
+    # one relation: even at corrupt_relation_prob 1 only head and tail are
+    # drawn, so the filter sees many candidates per positive
+    store = store_from_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
+                                ("d", "r", "e")])
+    pos = np.repeat(store.triples, 50, axis=0)
+    neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=1.0)
+    assert ((neg != pos).sum(axis=1) == 1).all()
+    assert set(map(tuple, neg.tolist())).isdisjoint(map(tuple, store.triples.tolist()))
+    for block in neg.reshape(len(store.triples), 50, 3):
+        assert len(set(map(tuple, block.tolist()))) > 1
+
+
+def test_negative_one_entity_draws_every_other_relation():
+    # one entity: even at corrupt_relation_prob 0 only the relation is drawn,
+    # uniformly over the other two; every candidate is stored, so each row
+    # keeps its last one
+    store = store_from_triples([("a", "r", "a"), ("a", "q", "a"), ("a", "s", "a")])
+    pos = np.zeros((200, 3), dtype=np.int64)
+    neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=0.0)
+    assert (neg[:, [0, 2]] == 0).all()
+    assert set(neg[:, 1].tolist()) == {1, 2}
 
 
 def test_negative_impossible_on_single_triple_self_loop():
@@ -170,6 +186,8 @@ def test_negative_impossible_on_single_triple_self_loop():
         sample_negative(store, pos, np.random.default_rng(0))
     with pytest.raises(ValueError, match="no corrupted triple"):
         sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
+    # with no row to corrupt there is nothing to refuse
+    assert sample_negative(store, pos[:0], np.random.default_rng(0)).shape == (0, 3)
 
 
 def test_negatives_drawn_once_per_epoch_after_positives(monkeypatch):
