@@ -98,9 +98,8 @@ def cmd_keyrel(settings: dict) -> int:
 def cmd_export_services(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
     table = keyrel.read_keyrel_tsv(settings["keyrel"], entity_vocab, relation_vocab)
-    bundle = servicing.build_bundle(params, table, settings["variant"])
-    servicing.write_services(settings["out"], bundle)
-    print(f"{len(bundle.ids)} service records written to {settings['out']}")
+    servicing.write_services(settings["out"], params, table, settings["variant"])
+    print(f"{len(table.ids)} service records written to {settings['out']}")
     return 0
 
 

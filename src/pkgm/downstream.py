@@ -232,6 +232,8 @@ def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
     return items
 
 
+# a diverging run ends in a named error, without numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
                       config: RecConfig) -> RecModel:
     """Train on the given interactions (callers hold out test data first).
@@ -288,6 +290,9 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
         if not math.isfinite(loss_sum):
             raise RuntimeError(f"non-finite loss at epoch {epoch}")
         model.train_losses.append(loss_sum / len(order))
+    # the last step's update comes after its loss check
+    if not np.isfinite(adam.flat).all():
+        raise RuntimeError(f"non-finite parameters at epoch {config.epochs - 1}")
     return model
 
 

@@ -27,6 +27,10 @@ VARIANTS = ("item", "all", "T", "R")
 MEMO_BYTES = 16 << 20
 # bytes of records write_services stages per write call
 WRITE_CHUNK_BYTES = 1 << 20
+# OpenBLAS gives a product of few rows (about 1,200 / d of them at d >= 32
+# with OpenBLAS 0.3.31) another kernel, whose rounding differs; a formula
+# call over at least this many rows rounds each row as every larger call does
+_MIN_CALL_ROWS = 128
 # each variant's service formulas in record order, k rows apiece; "item"
 # has none and serves the entity's own embedding as its one row
 _FORMULAS = {"item": (), "T": (triple_service,), "R": (relation_service,),
@@ -35,6 +39,8 @@ _FORMULAS = {"item": (), "T": (triple_service,), "R": (relation_service,),
 
 def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
     """One export record: uint32 entity id, then its service rows as float32."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     rows = len(_FORMULAS[variant]) * k if _FORMULAS[variant] else 1
     return np.dtype([("id", "<u4"), ("vec", "<f4", (rows, dim))])
 
@@ -59,30 +65,37 @@ class ServiceBundle:
         return sorted_index(self.ids, entity_ids)
 
 
+def _fill(out: np.ndarray, params: ModelParams, ids: np.ndarray, rows: np.ndarray,
+          variant: str, group_rows: np.ndarray) -> None:
+    """Write the service rows of entities ids, whose key relations are rows
+    (n, k), into out, an (n, rows per record, d) float32 view.
+
+    out is filled one relation at a time, so only one relation's rows are
+    held besides it. group_rows[r] counts relation r's rows in the whole
+    table, and each formula call is padded with copies of its own rows to at
+    least min(group_rows[r], _MIN_CALL_ROWS) rows: it rounds as the call over
+    the whole table does, so the bytes do not depend on how the table is split.
+    """
+    formulas, k = _FORMULAS[variant], rows.shape[1]
+    if not formulas:
+        out[:, 0] = params.entity_emb[ids]
+        return
+    for r, pairs in RelationGroups(rows.reshape(len(ids) * k)).groups:
+        at, slot = np.divmod(pairs, k)
+        size = min(group_rows[r], max(len(at), _MIN_CALL_ROWS))
+        hs, rs = np.resize(ids[at], size), np.full(size, r)
+        for part, fn in enumerate(formulas):
+            out[at, part * k + slot] = fn(params, hs, rs)[:len(at)]
+
+
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                  variant: str) -> ServiceBundle:
-    """Materialize frozen service vectors for every entity in the table.
-
-    The block is allocated once and filled one relation at a time: each
-    formula gets that relation's (entity, slot) pairs in row-major order,
-    the rows one call over the whole table would give it, so the bytes do
-    not depend on the split and only one relation's rows are held besides
-    the block.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    """Materialize frozen service vectors for every entity in the table."""
     ids = keyrels.ids.astype(np.uint32)
-    k, formulas = keyrels.rows.shape[1], _FORMULAS[variant]
-    if formulas:
-        block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
-                         dtype=np.float32)
-        for r, pairs in RelationGroups(keyrels.rows.reshape(len(ids) * k)).groups:
-            at, slot = np.divmod(pairs, k)
-            hs, rs = ids[at], np.full(len(at), r)
-            for part, fn in enumerate(formulas):
-                block[at, part * k + slot] = fn(params, hs, rs)
-    else:
-        block = np.ascontiguousarray(params.entity_emb[ids][:, None, :], dtype=np.float32)
+    k = keyrels.rows.shape[1]
+    block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
+                     dtype=np.float32)
+    _fill(block, params, ids, keyrels.rows, variant, np.bincount(keyrels.rows.ravel()))
     ids.setflags(write=False)
     block.setflags(write=False)
     return ServiceBundle(variant=variant, k=k, dim=params.dim, ids=ids, block=block)
@@ -103,34 +116,41 @@ def condense_single(bundle: ServiceBundle) -> np.ndarray:
     return (total / k).reshape(count, 2 * dim)
 
 
-def write_services(path, bundle: ServiceBundle) -> None:
-    """Write a bundle to the binary export format.
+def write_services(path, params: ModelParams, keyrels: KeyRelationTable,
+                   variant: str) -> None:
+    """Write the service vectors of every entity in the table under variant
+    to the binary export format.
 
     One JSON header line {variant, k, d, count}, then per entity in
     ascending id order: uint32 little-endian entity id followed by the
-    entity's vectors as little-endian float32, row order. The records are
-    written through one buffer of about WRITE_CHUNK_BYTES. The file is
+    entity's vectors as little-endian float32, row order, as build_bundle
+    gives them. The records are filled and written one chunk of about
+    WRITE_CHUNK_BYTES at a time, so the export holds one chunk and that
+    chunk's largest relation group whatever the entity count. The file is
     written next to path and then moved into place.
     """
-    count = len(bundle.ids)
-    header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim, "count": count}
-    dtype = _record_dtype(bundle.variant, bundle.k, bundle.dim)
+    count, k = keyrels.rows.shape
+    header = {"variant": variant, "k": k, "d": params.dim, "count": count}
+    dtype = _record_dtype(variant, k, params.dim)
     step = max(1, WRITE_CHUNK_BYTES // dtype.itemsize)
     records = np.empty(min(step, count), dtype=dtype)
+    group_rows = np.bincount(keyrels.rows.ravel())
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
             for lo in range(0, count, step):
                 chunk = records[:min(step, count - lo)]
-                chunk["id"], chunk["vec"] = bundle.ids[lo:lo + step], bundle.block[lo:lo + step]
+                ids = keyrels.ids[lo:lo + step]
+                chunk["id"] = ids
+                _fill(chunk["vec"], params, ids, keyrels.rows[lo:lo + step], variant, group_rows)
                 fh.write(chunk)  # the buffer's own bytes, no copy
 
     write_atomically([(path, write)])
 
 
 def read_services(path) -> ServiceBundle:
-    """Read a bundle written by write_services; ValueError names what is malformed."""
+    """Read a file written by write_services; ValueError names what is malformed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     start = raw.find(b"\n") + 1 or len(raw)  # the records follow the header line

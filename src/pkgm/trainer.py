@@ -161,6 +161,8 @@ def _project_entity_rows(entity_emb: np.ndarray) -> None:
         entity_emb[over] /= norms[over, None]
 
 
+# a diverging run ends in a named error, without numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Optimize model parameters on the stored triples.
 
@@ -233,6 +235,9 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
             pair_count += n_pairs
         epoch_losses.append(loss_sum / pair_count)
         active_fraction.append(active / pair_count)
+    # the last step's update and projection come after its loss check
+    if not np.isfinite(adam.flat).all():
+        raise RuntimeError(f"non-finite parameters at epoch {config.epochs - 1}")
 
     report = TrainReport(
         epoch_losses=epoch_losses,

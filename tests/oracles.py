@@ -244,7 +244,8 @@ def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
 
 
 def one_array_write_services(path, bundle: servicing.ServiceBundle) -> None:
-    """servicing.write_services staging every record in one array before one write."""
+    """The export file of an in-memory bundle, every record staged in one array
+    before one write: servicing.write_services's bytes for build_bundle's bundle."""
     header = {"variant": bundle.variant, "k": bundle.k, "d": bundle.dim,
               "count": len(bundle.ids)}
     records = np.empty(len(bundle.ids),

@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from oracles import gradients, keyrel_table, same_table, service_triple
+from oracles import (
+    gradients,
+    keyrel_table,
+    one_array_write_services,
+    same_table,
+    service_triple,
+)
 
 from pkgm import downstream, keyrel, servicing, synth, trainer
 from pkgm.downstream import InteractionSet, RecConfig
@@ -318,7 +324,7 @@ def test_criterion_08_frozen_services(tmp_path):
     params, _ = trainer.train(store, config)
     bundle = build_bundle(params, select_key_relations(store, k=2), "all")
     before = tmp_path / "before.bin"
-    write_services(before, bundle)
+    one_array_write_services(before, bundle)
 
     rows = []
     for u in range(12):
@@ -333,7 +339,7 @@ def test_criterion_08_frozen_services(tmp_path):
     )
 
     after = tmp_path / "after.bin"
-    write_services(after, bundle)
+    one_array_write_services(after, bundle)
     identical = before.read_bytes() == after.read_bytes()
     record_acceptance(
         f"ACCEPTANCE 8: {'PASS' if identical else 'FAIL'} - service export "
@@ -360,12 +366,13 @@ def test_criterion_09_serialization_round_trips(tmp_path):
         (first / n).read_bytes() == (second / n).read_bytes() for n in names
     )
 
-    bundle = build_bundle(params, select_key_relations(store, k=2), "all")
+    table = select_key_relations(store, k=2)
+    bundle = build_bundle(params, table, "all")
     svc1 = tmp_path / "svc1.bin"
-    write_services(svc1, bundle)
+    write_services(svc1, params, table, "all")
     back = read_services(svc1)
     svc2 = tmp_path / "svc2.bin"
-    write_services(svc2, back)
+    one_array_write_services(svc2, back)
     svc_ok = (svc1.read_bytes() == svc2.read_bytes() and np.array_equal(back.ids, bundle.ids)
               and np.array_equal(back.block, bundle.block))
     ok = ckpt_ok and svc_ok

@@ -9,7 +9,8 @@ wall times and is left out. The answer stream is QueryService.answer_line
 over every op and variant, repeated requests, unknown ids, an entity with no
 key relations and malformed requests. The benchmark inputs are built from
 pkgm.synth at seed 5, as the benchmark builds them, and trained with the
-benchmark's settings.
+benchmark's settings; every variant's services.bin from the kg_pipeline
+checkpoint spans several write chunks.
 
 The pins hold for one numpy and BLAS build only (OpenBLAS rounds
 differently on its small-matrix paths), so on any other build the test
@@ -91,6 +92,14 @@ BENCH_PINS = {
         "2337d8e75dff3feb8b958aa676f07ce4b97571ca3570ea19b7d86f703fe4764b",
     "recsys/transfer.f32":
         "29af7ac76ce1263b30279bc9a063a3d828d9494f5e2d5f98479a54c747b820bf",
+    "kg_pipeline/services_item.bin":
+        "39b1155a375f0f592041d70dcbadf5ce3dda862737b74c73f847de71ceb140a6",
+    "kg_pipeline/services_all.bin":
+        "d62fbd61f0c490a5774ef0bb1a29cfde315c2db8156e7203bd643c77b1b5b38c",
+    "kg_pipeline/services_T.bin":
+        "694a7a02e2dcf5616329cc3ecf5eb4960d21805e76976f95d948aa29e42757dc",
+    "kg_pipeline/services_R.bin":
+        "55859b9dff8c1e8e873a311d389ee7f09de152883cb701bbe8588c47a03a7ebe",
 }
 
 
@@ -187,9 +196,24 @@ def test_readme_pass_and_answer_stream_match_pins(tmp_path):
     assert got == PINS
 
 
+def bench_exports(out: Path) -> dict[str, str]:
+    """sha256 of every variant's services.bin from the kg_pipeline checkpoint
+    at k = 10: 2,000 records, which "all" writes in 10 chunks."""
+    keyrels = str(out / "keyrels.tsv")
+    assert cli.dispatch(["keyrel", "--triples", str(out / "kg.tsv"), "--k", "10",
+                         "--out", keyrels]) == 0
+    hashes = {}
+    for variant in servicing.VARIANTS:
+        path = out / f"services_{variant}.bin"
+        assert cli.dispatch(["export-services", "--checkpoint", str(out / "kg_pipeline"),
+                             "--keyrel", keyrels, "--variant", variant, "--out", str(path)]) == 0
+        hashes[f"kg_pipeline/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
 def test_bench_scale_training_matches_pins(tmp_path):
     bench_training(tmp_path)
     got = {**checkpoint_hashes(tmp_path / "kg_pipeline", "kg_pipeline"),
-           **checkpoint_hashes(tmp_path / "recsys", "recsys")}
+           **checkpoint_hashes(tmp_path / "recsys", "recsys"), **bench_exports(tmp_path)}
     print(json.dumps(got, indent=4))
     assert got == BENCH_PINS

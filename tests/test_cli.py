@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,16 +155,37 @@ def test_recsys_rejects_non_finite_learning_rate(tmp_path, capsys, value):
     assert not report.exists()
 
 
+def dispatch_without_warnings(argv) -> int:
+    """dispatch(argv), asserting that numpy raised no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
 def test_recsys_diverging_loss_is_named_error(tmp_path, capsys):
     # a finite but huge step makes the loss NaN from the second epoch on
     data = Path(__file__).resolve().parents[1] / "data" / "interactions.tsv"
     report = tmp_path / "r.json"
-    assert dispatch(["recsys", "--interactions", str(data), "--services", "none",
-                     "--epochs", "3", "--lr", "1e12", "--report", str(report)]) == 1
+    assert dispatch_without_warnings(
+        ["recsys", "--interactions", str(data), "--services", "none", "--epochs", "3",
+         "--lr", "1e12", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("pkgm: error: non-finite loss at epoch ")
     assert err.count("\n") == 1
     assert not report.exists()
+
+
+def test_train_diverging_last_step_is_named_error(tmp_path, capsys):
+    # every loss is finite; the last step's update overflows the tables
+    data = Path(__file__).resolve().parents[1] / "data" / "planted_kg.tsv"
+    out = tmp_path / "X"
+    assert dispatch_without_warnings(["train", "--triples", str(data), "--out", str(out),
+                                      "--lr", "1e30", "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "pkgm: error: non-finite parameters at epoch 1\n"
+    assert not (out / "header.json").exists()
 
 
 def fill_disk(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import socket
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,22 @@ from oracles import (
 )
 
 from pkgm import servicing, synth
-from pkgm.keyrel import select_key_relations
+from pkgm.cli import dispatch
+from pkgm.keyrel import (
+    KeyRelationTable,
+    read_keyrel_tsv,
+    select_key_relations,
+    write_keyrel_tsv,
+)
 from pkgm.kgstore import store_from_triples
-from pkgm.model import ModelParams, init_params, relation_service, triple_service
+from pkgm.model import (
+    ModelParams,
+    init_params,
+    load_checkpoint,
+    relation_service,
+    save_checkpoint,
+    triple_service,
+)
 from pkgm.servicing import (
     QueryService,
     ServiceBundle,
@@ -221,51 +235,85 @@ def test_bundle_bit_equal_to_one_kernel_call(request, case, variant):
 def test_services_file_byte_equal_to_one_array_write(tmp_path, variant, k, dim, count_of):
     record = servicing._record_dtype(variant, k, dim).itemsize
     count = max(0, count_of(max(1, servicing.WRITE_CHUNK_BYTES // record)))
-    rows = 2 * k if variant == "all" else k
-    raw = np.random.default_rng(count).integers(0, 2**32, size=(count, rows, dim), dtype=np.uint32)
-    bundle = ServiceBundle(variant=variant, k=k, dim=dim,
-                           ids=np.arange(count, dtype=np.uint32) * 3, block=raw.view(np.float32))
-    write_services(tmp_path / "chunked.bin", bundle)
-    one_array_write_services(tmp_path / "one.bin", bundle)
+    n_relations = 3
+    rng = np.random.default_rng(count)
+    # a zero-stride transfer tensor: T never reads it, and a dense one would
+    # not fit at this d
+    transfer = (np.broadcast_to(np.float32(0.5), (n_relations, dim, dim)) if variant == "T"
+                else rng.standard_normal((n_relations, dim, dim)).astype(np.float32))
+    params = ModelParams(dim=dim,
+                         entity_emb=rng.standard_normal((3 * count, dim)).astype(np.float32),
+                         relation_emb=rng.standard_normal((n_relations, dim)).astype(np.float32),
+                         transfer=transfer)
+    ids, rows = np.arange(count) * 3, rng.integers(0, n_relations, size=(count, k))
+    # a KeyRelationTable of no entities cannot reshape its rows to (0, k);
+    # the export reads only ids and rows
+    table = KeyRelationTable(ids, rows) if count else SimpleNamespace(ids=ids, rows=rows)
+    write_services(tmp_path / "chunked.bin", params, table, variant)
+    one_array_write_services(tmp_path / "one.bin", build_bundle(params, table, variant))
     assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
 
 
-@pytest.mark.parametrize("variant", ["all", "R"])
-def test_export_holds_the_block_and_little_more(tmp_path, planted_case, variant):
-    """Build holds the block plus one relation's rows and write one chunk, no second block."""
+@pytest.mark.parametrize("variant", servicing.VARIANTS)
+@pytest.mark.parametrize("chunk_records", [1, 7, 333])
+def test_export_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, planted_case, variant,
+                                                 chunk_records):
+    """At d = 64 a relation's rows in one chunk can be few enough for the BLAS
+    to round them apart from the one call over the table."""
     params, table = planted_case
+    record = servicing._record_dtype(variant, table.rows.shape[1], params.dim).itemsize
+    monkeypatch.setattr(servicing, "WRITE_CHUNK_BYTES", chunk_records * record)
+    write_services(tmp_path / "chunked.bin", params, table, variant)
+    one_array_write_services(tmp_path / "one.bin", build_bundle(params, table, variant))
+    assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+
+
+@pytest.fixture
+def planted_export(tmp_path):
+    """A d = 64 checkpoint and k = 10 key relation file of planted_case's KG."""
+    kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=5)
+    store = store_from_triples(kg.triples)
+    params = init_params(store.n_entities, store.n_relations, 64, np.random.default_rng(5))
+    save_checkpoint(tmp_path / "ckpt", params, store.entities, store.relations)
+    write_keyrel_tsv(tmp_path / "keyrels.tsv", select_key_relations(store, k=10),
+                     store.entities, store.relations)
+    return tmp_path / "ckpt", tmp_path / "keyrels.tsv"
+
+
+@pytest.mark.parametrize("variant", ["all", "R", "item"])
+def test_export_holds_one_chunk_and_little_more(tmp_path, monkeypatch, planted_export, variant):
+    """The export holds the loaded tables, one write chunk and that chunk's
+    largest relation group, never the whole block."""
+    ckpt, keyrels = planted_export
+    chunk = 64_000
+    monkeypatch.setattr(servicing, "WRITE_CHUNK_BYTES", chunk)
+    argv = ["export-services", "--checkpoint", str(ckpt), "--keyrel", str(keyrels),
+            "--variant", variant, "--out", str(tmp_path / "services.bin")]
+    assert dispatch(argv) == 0  # first calls fill caches the traced runs should not count
     tracemalloc.start()
     try:
-        bundle = build_bundle(params, table, variant)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        # the block stays traced, so the write's peak counts it too
-        write_services(tmp_path / "services.bin", bundle)
-        write_peak = tracemalloc.get_traced_memory()[1]
+        params, entities, relations = load_checkpoint(ckpt)
+        table = read_keyrel_tsv(keyrels, entities, relations)
+        load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block_bytes = bundle.block.nbytes
-    assert build_peak <= 1.5 * block_bytes
-    assert write_peak <= 1.5 * block_bytes
-
-
-def test_item_export_holds_only_its_block(planted_case):
-    """The item block is one gather of the entity table; no key relation is read."""
-    params, table = planted_case
+    record = servicing._record_dtype(variant, table.rows.shape[1], params.dim).itemsize
+    assert len(table.ids) * record >= 8 * chunk
+    del params, entities, relations, table
     tracemalloc.start()
     try:
-        bundle = build_bundle(params, table, "item")
+        assert dispatch(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * bundle.block.nbytes
+    assert peak <= load_peak + 4 * chunk
 
 
 def test_services_file_round_trip(tmp_path, bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "all")
     path = tmp_path / "services.bin"
-    write_services(path, bundle)
+    write_services(path, params, table, "all")
 
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
@@ -296,14 +344,14 @@ def test_services_bytes_match_per_record_layout(tmp_path, bundle_setup, variant)
     params, table = bundle_setup
     bundle = build_bundle(params, table, variant)
     path = tmp_path / "services.bin"
-    write_services(path, bundle)
+    write_services(path, params, table, variant)
     assert path.read_bytes() == _per_record_bytes(bundle)
 
 
 def test_services_file_rejects_truncation(tmp_path, bundle_setup):
     params, table = bundle_setup
     path = tmp_path / "services.bin"
-    write_services(path, build_bundle(params, table, "T"))
+    write_services(path, params, table, "T")
     data = path.read_bytes()
     path.write_bytes(data[:-3])
     with pytest.raises(ValueError, match="truncated record"):
@@ -313,7 +361,7 @@ def test_services_file_rejects_truncation(tmp_path, bundle_setup):
 def test_services_file_rejects_trailing_bytes(tmp_path, bundle_setup):
     params, table = bundle_setup
     path = tmp_path / "services.bin"
-    write_services(path, build_bundle(params, table, "item"))
+    write_services(path, params, table, "item")
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes after 3 records"):
         read_services(path)
@@ -387,7 +435,7 @@ def test_services_round_trip_is_bit_exact(tmp_path_factory, variant, k, dim, ids
     bundle = ServiceBundle(variant=variant, k=k, dim=dim,
                            ids=np.asarray(ids, dtype=np.uint32), block=block)
     path = tmp_path_factory.mktemp("svc") / "services.bin"
-    write_services(path, bundle)
+    one_array_write_services(path, bundle)
     back = read_services(path)
     assert (back.variant, back.k, back.dim) == (variant, k, dim)
     assert back.ids.tobytes() == bundle.ids.tobytes()
@@ -398,7 +446,7 @@ def test_services_round_trip_is_bit_exact(tmp_path_factory, variant, k, dim, ids
 def test_services_file_truncated_anywhere_is_value_error(tmp_path, bundle_setup):
     params, table = bundle_setup
     path = tmp_path / "services.bin"
-    write_services(path, build_bundle(params, table, "all"))
+    write_services(path, params, table, "all")
     data = path.read_bytes()
     cut = tmp_path / "cut.bin"
 
@@ -415,7 +463,7 @@ def test_services_file_truncated_anywhere_is_value_error(tmp_path, bundle_setup)
 def test_failed_services_write_leaves_previous_export(tmp_path, bundle_setup, monkeypatch):
     params, table = bundle_setup
     path = tmp_path / "services.bin"
-    write_services(path, build_bundle(params, table, "all"))
+    write_services(path, params, table, "all")
     before = path.read_bytes()
 
     class FullDisk:
@@ -437,7 +485,7 @@ def test_failed_services_write_leaves_previous_export(tmp_path, bundle_setup, mo
 
     monkeypatch.setattr(servicing, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="No space left"):
-        write_services(path, build_bundle(params, table, "T"))
+        write_services(path, params, table, "T")
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["services.bin"]
     assert path.read_bytes() == before
