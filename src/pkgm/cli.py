@@ -14,6 +14,7 @@ import argparse
 import asyncio
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import downstream, evaluation, keyrel, kgstore, model, servicing, trainer
@@ -82,7 +83,7 @@ def cmd_train(settings: dict) -> int:
     out_dir = Path(settings["out"])
     model.save_checkpoint(out_dir, params, store.entities, store.relations)
     report.checkpoint_path = str(out_dir)
-    _write_report(out_dir / "train_report.json", report.as_dict())
+    _write_report(out_dir / "train_report.json", asdict(report))
     print(f"checkpoint written to {out_dir}")
     return 0
 
@@ -108,8 +109,8 @@ def cmd_eval_lp(settings: dict) -> int:
 
     def triple_ids(fields):
         h, r, t = fields
-        return (entity_vocab.lookup(h, "entity"), relation_vocab.lookup(r, "relation"),
-                entity_vocab.lookup(t, "entity"))
+        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
+                entity_vocab.id(t, "entity"))
 
     test = kgstore.read_tsv(settings["test"], 3, triple_ids)
     known = kgstore.read_tsv(settings["triples"], 3, triple_ids) if settings["triples"] else []
@@ -117,7 +118,7 @@ def cmd_eval_lp(settings: dict) -> int:
     store = kgstore.TripleStore(entities=entity_vocab, relations=relation_vocab, triples=known,
                                 category_of={}, relation_counts={})
     report = evaluation.link_prediction(params, store, test)
-    _write_report(settings["report"], report.as_dict())
+    _write_report(settings["report"], asdict(report))
     print(f"link prediction report written to {settings['report']}")
     return 0
 
@@ -129,12 +130,12 @@ def cmd_eval_rel(settings: dict) -> int:
         h, r, label = fields
         if label not in ("0", "1"):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        return (entity_vocab.lookup(h, "entity"), relation_vocab.lookup(r, "relation"),
+        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
                 label == "1")
 
     pairs = kgstore.read_tsv(settings["pairs"], 3, labeled_pair)
     report = evaluation.existence_prediction(params, None, pairs)
-    _write_report(settings["report"], report.as_dict())
+    _write_report(settings["report"], asdict(report))
     print(f"existence prediction report written to {settings['report']}")
     return 0
 
@@ -156,7 +157,7 @@ def cmd_recsys(settings: dict) -> int:
     train_data = downstream.InteractionSet(data.users, data.items, train_rows)
     rec = downstream.train_recommender(train_data, service_table, config)
     report = downstream.evaluate_leave_one_out(rec, data, seed=settings["seed"])
-    _write_report(settings["report"], {**report.as_dict(), "train_losses": rec.train_losses})
+    _write_report(settings["report"], {**asdict(report), "train_losses": rec.train_losses})
     print(f"recommendation report written to {settings['report']}")
     return 0
 

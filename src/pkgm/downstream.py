@@ -20,6 +20,8 @@ from .kgstore import Vocab, id_rows, read_tsv, sorted_index
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
+LOO_NEGATIVES, LOO_CUTOFFS = 100, (5, 10, 30)  # sampled negatives per user; hr@k, ndcg@k at k
+
 
 @dataclass(eq=False)
 class InteractionSet:
@@ -209,26 +211,22 @@ def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, label
         _segment_sum(idx, block + l2 * rows[side], grads[name])
 
 
-def _sample_unobserved(users: np.ndarray, exclude: np.ndarray, n_items: int,
-                       observed: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sample_unobserved(users: np.ndarray, n_items: int, observed: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
     """One item per row that user users[i] has not interacted with.
 
     observed holds the sorted keys u*n_items + i of the observed pairs. A
-    draw of an observed item is redrawn, capped at 100 attempts; a row
-    still open after that belongs to a dense user and takes any item other
-    than its positive exclude[i] (another 100 attempts, then exclude[i]).
+    draw of an observed item is redrawn, capped at 100 attempts, after which
+    the row keeps its last draw, as trainer.sample_negative does.
     """
     items = np.empty(len(users), dtype=np.int64)
     todo = np.arange(len(users))
-    for attempt in range(200):
+    for _ in range(100):
         if not len(todo):
             break
         draw = rng.integers(n_items, size=len(todo))
         items[todo] = draw
-        redraw = (sorted_index(observed, users[todo] * n_items + draw) >= 0 if attempt < 100
-                  else draw == exclude[todo])  # a dense user: any item but the positive
-        todo = todo[redraw]
-    items[todo] = exclude[todo]
+        todo = todo[sorted_index(observed, users[todo] * n_items + draw) >= 0]
     return items
 
 
@@ -266,15 +264,13 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     users_arr = np.repeat(pos_users, width)
     labels_arr = np.tile(np.eye(1, width, dtype=np.float32)[0], len(pos_users))
     neg_users = np.repeat(pos_users, config.neg_ratio)
-    neg_exclude = np.repeat(pos_items, config.neg_ratio)
     items_ep = np.empty((len(pos_items), width), dtype=np.int64)
     items_ep[:, 0] = pos_items
     items_arr = items_ep.ravel()  # a view: each epoch refills the negative columns
 
     for epoch in range(config.epochs):
         items_ep[:, 1:] = _sample_unobserved(
-            neg_users, neg_exclude, data.n_items, observed, rng
-        ).reshape(len(pos_items), config.neg_ratio)
+            neg_users, data.n_items, observed, rng).reshape(len(pos_items), config.neg_ratio)
         order = rng.permutation(len(labels_arr))
 
         loss_sum = 0.0
@@ -321,7 +317,7 @@ def leave_one_out_split(data: InteractionSet):
 
 
 def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
-                        data: InteractionSet, n_negatives: int = 100,
+                        data: InteractionSet, n_negatives: int = LOO_NEGATIVES,
                         seed: int = 0) -> np.ndarray:
     """Rank each user's held-out item against sampled unobserved items.
 
@@ -336,6 +332,8 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
     items = np.arange(data.n_items)
     for u in range(data.n_users):
         pool = items[sorted_index(keys, u * data.n_items + items) < 0]  # u's unobserved items
+        if not len(pool):
+            raise ValueError(f"user {data.users.token(u)!r} has interacted with every item")
         if len(pool) > n_negatives:
             negatives = rng.choice(pool, size=n_negatives, replace=False)
         else:
@@ -351,16 +349,14 @@ def ndcg_at(ranks: np.ndarray, k: int) -> float:
     return float(gains.mean())
 
 
-def evaluate_leave_one_out(model: RecModel, data: InteractionSet,
-                           cutoffs=(5, 10, 30), n_negatives: int = 100,
-                           seed: int = 0) -> EvalReport:
+def evaluate_leave_one_out(model: RecModel, data: InteractionSet, seed: int = 0) -> EvalReport:
     def score_fn(u: int, item_ids: np.ndarray) -> np.ndarray:
         users = np.full(len(item_ids), u, dtype=np.int64)
         return model.predict(users, np.asarray(item_ids, dtype=np.int64))
 
-    ranks = leave_one_out_ranks(score_fn, data, n_negatives=n_negatives, seed=seed)
+    ranks = leave_one_out_ranks(score_fn, data, seed=seed)
     metrics = {}
-    for k in cutoffs:
+    for k in LOO_CUTOFFS:
         metrics[f"ndcg@{k}"] = ndcg_at(ranks, k)
         metrics[f"hr@{k}"] = float((ranks <= k).mean())
     return EvalReport(
@@ -368,6 +364,6 @@ def evaluate_leave_one_out(model: RecModel, data: InteractionSet,
         metrics=metrics,
         sizes={"n_users": data.n_users, "n_items": data.n_items,
                "n_interactions": len(data.interactions)},
-        config={"cutoffs": list(cutoffs), "n_negatives": n_negatives, "seed": seed,
+        config={"cutoffs": list(LOO_CUTOFFS), "n_negatives": LOO_NEGATIVES, "seed": seed,
                 "with_services": model.service is not None},
     )

@@ -7,12 +7,14 @@ to the target count against it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kgstore import TripleStore, id_rows, triple_keys
 from .model import ModelParams, relation_service, triple_service
+
+HIT_KS = (1, 3, 10)
 
 
 @dataclass
@@ -22,18 +24,13 @@ class EvalReport:
     sizes: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
-                          filtered: bool = True) -> np.ndarray:
-    """Rank the true tail of each test triple among all entities.
+def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples) -> np.ndarray:
+    """Rank the true tail of each test triple among all entities, filtered.
 
     Candidates are ordered by ascending score S_c = |q - e_c|_1 in float64,
-    q = e_h + r_r. Under the filtered protocol, tails forming other known
-    positives (store or test) are excluded. rank = number of candidates
-    scoring <= the true tail, including the tail itself.
+    q = e_h + r_r; the other known tails of (h, r), stored or tested, are left
+    out. rank = number of candidates scoring <= the true tail, itself included.
 
     A float32 screen over a (d, n_e) table scores every candidate, and those
     within tol_c of the target are settled with the exact S_c. With
@@ -74,7 +71,7 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
             below = screen + tol < target
             unsure = ~(below | (screen - tol > target))
             # the target counts unless NaN; filtered tails never count
-            tails = keys[runs[i, 0]:runs[i, 1]] - bases[i] if filtered else t
+            tails = keys[runs[i, 0]:runs[i, 1]] - bases[i]
             below[tails] = unsure[tails] = False
             idx = np.flatnonzero(unsure)
             ranks[i] = (np.count_nonzero(below) + int(target <= target)
@@ -82,18 +79,17 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples,
     return ranks
 
 
-def link_prediction(params: ModelParams, store: TripleStore, test_triples,
-                    ks=(1, 3, 10)) -> EvalReport:
-    """Filtered tail ranking over the whole entity set; hit@k and MRR."""
-    ranks = link_prediction_ranks(params, store, test_triples, filtered=True)
-    metrics = {f"hit@{k}": float((ranks <= k).mean()) for k in ks}
+def link_prediction(params: ModelParams, store: TripleStore, test_triples) -> EvalReport:
+    """Filtered tail ranking over the whole entity set; hit@k for k in HIT_KS, and MRR."""
+    ranks = link_prediction_ranks(params, store, test_triples)
+    metrics = {f"hit@{k}": float((ranks <= k).mean()) for k in HIT_KS}
     metrics["mrr"] = float((1.0 / ranks).mean())
     return EvalReport(
         task="link_prediction",
         metrics=metrics,
         sizes={"n_test": len(ranks), "n_entities": params.n_entities,
                "n_relations": params.n_relations},
-        config={"filtered": True, "ks": list(ks)},
+        config={"filtered": True, "ks": list(HIT_KS)},
     )
 
 

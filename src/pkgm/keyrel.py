@@ -77,14 +77,14 @@ def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRela
     def add(fields):
         entity, rels = fields
         tokens = rels.split(",")
-        rel_ids = tuple(relation_vocab.lookup(tok, "relation") for tok in tokens)
+        rel_ids = tuple(relation_vocab.id(tok, "relation") for tok in tokens)
         k = len(next(iter(rows.values()), rel_ids))  # the first line sets k
         if len(rel_ids) != k:
             raise ValueError(f"expected {k} relations, got {len(rel_ids)}")
         if len(set(rel_ids)) != k:
             twice = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
             raise ValueError(f"relation {twice!r} listed twice")
-        e = entity_vocab.lookup(entity, "entity")
+        e = entity_vocab.id(entity, "entity")
         if e in rows:
             raise ValueError(f"entity {entity!r} listed twice")
         rows[e] = rel_ids

@@ -38,10 +38,7 @@ class Vocab:
             self._tokens.append(token)
         return idx
 
-    def id(self, token: str) -> int:
-        return self._ids[token]
-
-    def lookup(self, token: str, kind: str) -> int:
+    def id(self, token: str, kind: str = "vocabulary") -> int:
         """The id of token; ValueError("unknown <kind> token ...") when absent."""
         if token not in self._ids:
             raise ValueError(f"unknown {kind} token {token!r}")

@@ -47,9 +47,9 @@ class ModelParams:
         return self.relation_emb.shape[0]
 
 
-def init_params(n_entities: int, n_relations: int, dim: int, rng: np.random.Generator,
-                dtype=np.float32) -> ModelParams:
-    """Initialize parameter tables.
+def init_params(n_entities: int, n_relations: int, dim: int,
+                rng: np.random.Generator) -> ModelParams:
+    """Initialize float32 parameter tables.
 
     Entity and relation rows are drawn uniformly from [-6/sqrt(d), 6/sqrt(d)]
     and L2-normalized per row. Transfer matrices start at the identity plus
@@ -57,12 +57,12 @@ def init_params(n_entities: int, n_relations: int, dim: int, rng: np.random.Gene
     identity transfer without symmetry lock.
     """
     bound = 6.0 / np.sqrt(dim)
-    ent = rng.uniform(-bound, bound, size=(n_entities, dim)).astype(dtype)
+    ent = rng.uniform(-bound, bound, size=(n_entities, dim)).astype(np.float32)
     ent /= np.linalg.norm(ent, axis=1, keepdims=True)
-    rel = rng.uniform(-bound, bound, size=(n_relations, dim)).astype(dtype)
+    rel = rng.uniform(-bound, bound, size=(n_relations, dim)).astype(np.float32)
     rel /= np.linalg.norm(rel, axis=1, keepdims=True)
-    transfer = np.tile(np.eye(dim, dtype=dtype), (n_relations, 1, 1))
-    transfer += rng.uniform(-0.01, 0.01, size=(n_relations, dim, dim)).astype(dtype)
+    transfer = np.tile(np.eye(dim, dtype=np.float32), (n_relations, 1, 1))
+    transfer += rng.uniform(-0.01, 0.01, size=(n_relations, dim, dim)).astype(np.float32)
     return ModelParams(dim=dim, entity_emb=ent, relation_emb=rel, transfer=transfer)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba (ICLR 2015)
+
 
 class Adam:
     """Adam over named tables copied into one contiguous buffer.
@@ -14,8 +16,7 @@ class Adam:
     every step, so bias correction uses one shared step counter.
     """
 
-    def __init__(self, tables: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, tables: dict[str, np.ndarray], lr: float):
         dtypes = {table.dtype for table in tables.values()}
         if len(dtypes) != 1:
             raise ValueError(f"tables must share one dtype, got {sorted(map(str, dtypes))}")
@@ -33,32 +34,29 @@ class Adam:
             self.grads[name] = self.grad[lo:hi].reshape(table.shape)
             lo = hi
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
 
     def step(self) -> None:
         """Apply one update from the gradient in grad, in place."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         g, m, v = self.grad, self.m, self.v
         s, u = self._scratch
         # in place, with the per-element operation order of the expression
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is
         # bit-equal to evaluating it table by table with temporaries
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s)
         m += s
-        v *= self.beta2
+        v *= BETA2
         np.square(g, out=s)
-        s *= 1.0 - self.beta2
+        s *= 1.0 - BETA2
         v += s
         np.divide(m, bc1, out=s)
         s *= self.lr
         np.divide(v, bc2, out=u)
         np.sqrt(u, out=u)
-        u += self.eps
+        u += EPS
         s /= u
         self.flat -= s

@@ -68,31 +68,25 @@ class TrainReport:
     checkpoint_path: str | None = None
     config: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def sample_negative(store: TripleStore, positives: np.ndarray,
                     rng: np.random.Generator,
-                    corrupt_relation_prob: float = 1.0 / 3.0,
-                    keys: np.ndarray | None = None) -> np.ndarray:
+                    corrupt_relation_prob: float = 1.0 / 3.0) -> np.ndarray:
     """Corrupt exactly one slot of each row of an (n, 3) array of positives.
 
     Only slots with two or more values are drawn: per row, the relation slot
     with probability corrupt_relation_prob (0 with one relation, 1 with one
     entity), otherwise head or tail with equal probability. The replacement
     is uniform over the slot's other values. Candidates that are stored
-    positives (in keys, the sorted stored-triple keys) are redrawn, capped
-    at 100 attempts, after which each row keeps its last candidate. Row i
-    of the result corrupts row i.
+    positives are redrawn, capped at 100 attempts, after which each row
+    keeps its last candidate. Row i of the result corrupts row i.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     n_e = store.n_entities
     n_r = store.n_relations
     if n_e < 2 and n_r < 2 and len(positives):
         raise ValueError("store admits no corrupted triple")
-    if keys is None:
-        keys = stored_keys(store)
+    keys = stored_keys(store)
     p = 0.0 if n_r < 2 else 1.0 if n_e < 2 else corrupt_relation_prob
     neg = positives.copy()
     rows = np.arange(len(neg))
@@ -189,14 +183,13 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
     active_fraction: list[float] = []
     phase_s = dict.fromkeys(PHASES, 0.0)
 
-    keys = stored_keys(store)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         begin = time.perf_counter()
         # one draw per epoch; the neg_k negatives of a positive follow it in
         # the order of np.repeat, which each step's slice and pair losses keep
         negatives = sample_negative(store, np.repeat(triples[order], neg_k, axis=0), rng,
-                                    config.corrupt_relation_prob, keys=keys)
+                                    config.corrupt_relation_prob)
         phase_s["sample"] += time.perf_counter() - begin
         loss_sum = 0.0
         active = 0

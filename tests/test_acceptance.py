@@ -106,7 +106,7 @@ def test_criterion_02_oracle_ranking_equivalence():
         cand = (h, r, (t + 3) % 20)
         if cand not in known_triples:
             test.append(cand)
-    got = link_prediction_ranks(params, store, test, filtered=True)
+    got = link_prediction_ranks(params, store, test)
 
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
@@ -137,7 +137,7 @@ def test_criterion_03_learning_separation():
     )
     params, _ = trainer.train(store, config)
 
-    ranks = link_prediction_ranks(params, store, store.triples, filtered=True)
+    ranks = link_prediction_ranks(params, store, store.triples)
     hit10 = float((ranks <= 10).mean())
 
     rng = np.random.default_rng(17)
@@ -292,9 +292,7 @@ def test_criterion_07_downstream_direction():
         for tag, svc in (("base", None), ("pkgm", services)):
             config = RecConfig(learning_rate=1e-3, epochs=60, seed=seed)
             model = downstream.train_recommender(train_set, svc, config)
-            report = downstream.evaluate_leave_one_out(
-                model, inter, cutoffs=(10,), n_negatives=100, seed=123
-            )
+            report = downstream.evaluate_leave_one_out(model, inter, seed=123)
             (base_scores if tag == "base" else pkgm_scores).append(
                 report.metrics["ndcg@10"]
             )

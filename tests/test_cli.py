@@ -155,6 +155,18 @@ def test_recsys_rejects_non_finite_learning_rate(tmp_path, capsys, value):
     assert not report.exists()
 
 
+def test_recsys_rejects_user_who_has_seen_every_item(tmp_path, capsys):
+    # u1's held-out item would be ranked against no candidate at all
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("u1\ti1\t0\nu1\ti2\t1\nu2\ti1\t0\nu2\ti2\t1\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", "none",
+                     "--epochs", "2", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == "pkgm: error: user 'u1' has interacted with every item\n"
+    assert not report.exists()
+
+
 def dispatch_without_warnings(argv) -> int:
     """dispatch(argv), asserting that numpy raised no RuntimeWarning."""
     with warnings.catch_warnings(record=True) as caught:

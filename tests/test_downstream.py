@@ -181,17 +181,19 @@ def test_service_table_size_checked():
         train_recommender(data, service, small_config())
 
 
-def sample_unobserved_oracle(user_items, n_items, rng, exclude):
-    """Per-row reference for downstream._sample_unobserved."""
+def sample_unobserved_oracle(users, observed_sets, n_items, rng):
+    """Reference for downstream._sample_unobserved over Python sets: each
+    attempt draws one item for every open row, in row order; a row closes on
+    an item its user has not seen, or keeps its draw of the 100th attempt."""
+    items = [-1] * len(users)
+    todo = list(range(len(users)))
     for _ in range(100):
-        j = int(rng.integers(n_items))
-        if j not in user_items:
-            return j
-    for _ in range(100):
-        j = int(rng.integers(n_items))
-        if j != exclude:
-            return j
-    return exclude
+        if not todo:
+            break
+        for i, j in zip(todo, rng.integers(n_items, size=len(todo)).tolist()):
+            items[i] = j
+        todo = [i for i in todo if items[i] in observed_sets[users[i]]]
+    return items
 
 
 def test_unobserved_sampler_skips_observed_items():
@@ -200,27 +202,24 @@ def test_unobserved_sampler_skips_observed_items():
     observed_sets = {0: {0, 3, 4}, 1: set(range(10)), 2: set(range(n_items))}
     keys = np.unique([u * n_items + i for u, items in observed_sets.items() for i in items])
     users = np.resize(np.array([0, 1, 2], dtype=np.int64), 3000)
-    exclude = np.resize(np.array([3, 5, 7], dtype=np.int64), 3000)
-    got = downstream._sample_unobserved(users, exclude, n_items, keys,
-                                        np.random.default_rng(0))
-    assert got.shape == users.shape
-    rng = np.random.default_rng(1)
+    rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
+    got = downstream._sample_unobserved(users, n_items, keys, rng)
+    np.testing.assert_array_equal(got, sample_unobserved_oracle(users.tolist(), observed_sets,
+                                                                n_items, oracle_rng))
+    assert rng.integers(1 << 30) == oracle_rng.integers(1 << 30)  # no draw beyond the oracle's
     for u in (0, 1):
-        want = {sample_unobserved_oracle(observed_sets[u], n_items, rng, -1)
-                for _ in range(300)}
-        assert set(got[users == u].tolist()) == want == set(range(n_items)) - observed_sets[u]
-    dense = got[users == 2]
-    assert (dense != 7).all()
-    assert set(dense.tolist()) == set(range(n_items)) - {7}
-    assert sample_unobserved_oracle(observed_sets[2], n_items, rng, 7) != 7
+        assert set(got[users == u].tolist()) == set(range(n_items)) - observed_sets[u]
+    # the dense user keeps its draws of the 100th attempt, seen items all
+    assert set(got[users == 2].tolist()) <= observed_sets[2]
 
 
 def test_unobserved_sampler_dense_fallback_returns_positive_when_alone():
+    # a user who has seen the only item keeps its last draw, that item
     keys = np.array([0], dtype=np.int64)
-    got = downstream._sample_unobserved(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                                        1, keys, np.random.default_rng(0))
+    got = downstream._sample_unobserved(np.zeros(4, dtype=np.int64), 1, keys,
+                                        np.random.default_rng(0))
     np.testing.assert_array_equal(got, [0, 0, 0, 0])
-    assert sample_unobserved_oracle({0}, 1, np.random.default_rng(0), 0) == 0
+    assert sample_unobserved_oracle([0] * 4, {0: {0}}, 1, np.random.default_rng(0)) == [0] * 4
 
 
 def test_recommender_draws_negatives_once_per_epoch(monkeypatch):
@@ -228,9 +227,9 @@ def test_recommender_draws_negatives_once_per_epoch(monkeypatch):
     calls = []
     original = downstream._sample_unobserved
 
-    def spy(users, exclude, *args):
-        out = original(users, exclude, *args)
-        calls.append((users, exclude, out))
+    def spy(users, *args):
+        out = original(users, *args)
+        calls.append((users, out))
         return out
 
     monkeypatch.setattr(downstream, "_sample_unobserved", spy)
@@ -238,9 +237,8 @@ def test_recommender_draws_negatives_once_per_epoch(monkeypatch):
     assert len(calls) == 3
     pos = np.asarray(data.interactions)[:, :2]
     observed = set(map(tuple, pos.tolist()))
-    for users, exclude, out in calls:
+    for users, out in calls:
         np.testing.assert_array_equal(users, np.repeat(pos[:, 0], 2))
-        np.testing.assert_array_equal(exclude, np.repeat(pos[:, 1], 2))
         assert not any((u, i) in observed for u, i in zip(users.tolist(), out.tolist()))
 
 
@@ -473,9 +471,10 @@ def test_ndcg_hand_values():
 def test_evaluate_leave_one_out_report():
     data = block_interactions()
     model = train_recommender(data, None, small_config(epochs=2))
-    report = evaluate_leave_one_out(model, data, cutoffs=(5, 10), n_negatives=10, seed=3)
+    report = evaluate_leave_one_out(model, data, seed=3)
     assert report.task == "recommendation"
-    assert set(report.metrics) == {"ndcg@5", "hr@5", "ndcg@10", "hr@10"}
+    assert set(report.metrics) == {f"{m}@{k}" for m in ("ndcg", "hr") for k in (5, 10, 30)}
+    assert report.config["cutoffs"] == [5, 10, 30] and report.config["n_negatives"] == 100
     assert report.config["with_services"] is False
     assert report.sizes["n_users"] == data.n_users
 
@@ -483,6 +482,6 @@ def test_evaluate_leave_one_out_report():
         users = np.full(len(candidates), u, dtype=np.int64)
         return model.predict(users, np.asarray(candidates, dtype=np.int64))
 
-    ranks = leave_one_out_ranks(score_fn, data, n_negatives=10, seed=3)
+    ranks = leave_one_out_ranks(score_fn, data, n_negatives=100, seed=3)
     assert report.metrics["ndcg@10"] == pytest.approx(ndcg_at(ranks, 10))
     assert report.metrics["hr@10"] == pytest.approx(float((ranks <= 10).mean()))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def random_graph(rng, n_entities=12, n_relations=3, n_rows=25):
     return store_from_triples(sorted(rows))
 
 
-def oracle_ranks(params, store, test, filtered):
+def oracle_ranks(params, store, test):
     ent = params.entity_emb.astype(np.float64)
     rel = params.relation_emb.astype(np.float64)
     known = {}
@@ -37,7 +39,7 @@ def oracle_ranks(params, store, test, filtered):
         target = np.abs(ent[h] + rel[r] - ent[t]).sum()
         count = 0
         for e in range(store.n_entities):
-            if filtered and e != t and e in known[(h, r)]:
+            if e != t and e in known[(h, r)]:
                 continue
             if np.abs(ent[h] + rel[r] - ent[e]).sum() <= target:
                 count += 1
@@ -85,11 +87,10 @@ def adversarial_setup(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("filtered", [True, False])
-def test_ranks_match_oracle_on_near_ties(dtype, filtered):
+def test_ranks_match_oracle_on_near_ties(dtype):
     params, store, test = adversarial_setup(dtype)
-    got = link_prediction_ranks(params, store, test, filtered=filtered)
-    np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered))
+    got = link_prediction_ranks(params, store, test)
+    np.testing.assert_array_equal(got, oracle_ranks(params, store, test))
 
 
 def test_filtered_tails_never_count_at_infinite_target():
@@ -101,9 +102,9 @@ def test_filtered_tails_never_count_at_infinite_target():
     params = ModelParams(dim=3, entity_emb=ent, relation_emb=np.zeros((1, 3), dtype=np.float32),
                          transfer=np.eye(3, dtype=np.float32)[None])
     test = [(store.entities.id("a"), store.relations.id("r"), store.entities.id("b"))]
-    got = link_prediction_ranks(params, store, test, filtered=True)
+    got = link_prediction_ranks(params, store, test)
     np.testing.assert_array_equal(got, [3])
-    np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered=True))
+    np.testing.assert_array_equal(got, oracle_ranks(params, store, test))
 
 
 @pytest.fixture
@@ -127,23 +128,15 @@ def ranking_setup(rng):
     return params, store, test
 
 
-@pytest.mark.parametrize("filtered", [True, False])
-def test_ranks_match_exhaustive_oracle(ranking_setup, filtered):
+def test_ranks_match_exhaustive_oracle(ranking_setup):
     params, store, test = ranking_setup
-    got = link_prediction_ranks(params, store, test, filtered=filtered)
-    np.testing.assert_array_equal(got, oracle_ranks(params, store, test, filtered))
-
-
-def test_filtering_never_hurts_rank(ranking_setup):
-    params, store, test = ranking_setup
-    raw = link_prediction_ranks(params, store, test, filtered=False)
-    filt = link_prediction_ranks(params, store, test, filtered=True)
-    assert (filt <= raw).all()
-    assert (filt >= 1).all()
+    got = link_prediction_ranks(params, store, test)
+    np.testing.assert_array_equal(got, oracle_ranks(params, store, test))
 
 
 def test_ties_count_against_the_target(toy_store):
-    # all-equal embeddings make every candidate tie: pessimistic rank is n
+    # all-equal embeddings make every candidate tie: the pessimistic rank is n
+    # less the other known tails of (h, r), which the filter leaves out
     n = toy_store.n_entities
     params = ModelParams(
         dim=3,
@@ -151,9 +144,12 @@ def test_ties_count_against_the_target(toy_store):
         relation_emb=np.zeros((toy_store.n_relations, 3), dtype=np.float32),
         transfer=np.tile(np.eye(3, dtype=np.float32), (toy_store.n_relations, 1, 1)),
     )
-    ranks = link_prediction_ranks(params, toy_store, toy_store.triples[:2],
-                                  filtered=False)
-    np.testing.assert_array_equal(ranks, [n, n])
+    ent, rel = toy_store.entities.id, toy_store.relations.id
+    # (apple, color) has two known tails: red is stored, yellow is tested
+    test = [(ent("apple"), rel("color"), ent("red")), (ent("apple"), rel("tastes"), ent("sweet")),
+            (ent("apple"), rel("color"), ent("yellow"))]
+    ranks = link_prediction_ranks(params, toy_store, test)
+    np.testing.assert_array_equal(ranks, [n - 1, n, n - 1])
 
 
 def test_empty_test_set_rejected(ranking_setup):
@@ -176,14 +172,14 @@ def test_ids_outside_the_model_rejected(ranking_setup):
 
 def test_link_prediction_metrics_consistent(ranking_setup):
     params, store, test = ranking_setup
-    report = link_prediction(params, store, test, ks=(1, 5))
-    ranks = link_prediction_ranks(params, store, test, filtered=True)
-    assert report.metrics["hit@1"] == pytest.approx(float((ranks <= 1).mean()))
-    assert report.metrics["hit@5"] == pytest.approx(float((ranks <= 5).mean()))
+    report = link_prediction(params, store, test)
+    ranks = link_prediction_ranks(params, store, test)
+    for k in (1, 3, 10):
+        assert report.metrics[f"hit@{k}"] == pytest.approx(float((ranks <= k).mean()))
     assert report.metrics["mrr"] == pytest.approx(float((1.0 / ranks).mean()))
     assert report.sizes["n_test"] == len(test)
     assert report.task == "link_prediction"
-    assert report.as_dict()["config"]["ks"] == [1, 5]
+    assert asdict(report)["config"] == {"filtered": True, "ks": [1, 3, 10]}
 
 
 def test_relation_scores_match_loop(rng):
@@ -202,7 +198,9 @@ def test_relation_scores_match_loop(rng):
 
 def test_relation_scores_match_score_relation(rng):
     # float64 tables make the per-pair score_relation loop exact to 1e-12
-    params = init_params(8, 4, 5, rng, dtype=np.float64)
+    tables = init_params(8, 4, 5, rng)
+    params = ModelParams(5, *(getattr(tables, name).astype(np.float64)
+                              for name in ("entity_emb", "relation_emb", "transfer")))
     pairs = [(5, 3), (0, 1), (2, 3), (7, 0), (5, 1), (1, 3)]
     want = [score_relation(params, h, r) for h, r in pairs]
     np.testing.assert_allclose(relation_scores(params, pairs), want, rtol=1e-12)

@@ -28,6 +28,15 @@ def test_vocab_interning_order():
     assert list(v) == ["b", "a"]
 
 
+def test_vocab_id_names_the_kind_of_an_unknown_token():
+    v = Vocab(["a"])
+    assert v.id("a", "entity") == 0
+    with pytest.raises(ValueError, match="^unknown entity token 'c'$"):
+        v.id("c", "entity")
+    with pytest.raises(ValueError, match="^unknown vocabulary token 'c'$"):
+        v.id("c")
+
+
 def test_vocab_equality():
     assert Vocab(["x", "y"]) == Vocab(["x", "y"])
     assert Vocab(["x", "y"]) != Vocab(["y", "x"])

@@ -27,7 +27,7 @@ from pkgm.keyrel import (
     select_key_relations,
     write_keyrel_tsv,
 )
-from pkgm.kgstore import store_from_triples
+from pkgm.kgstore import Vocab, store_from_triples
 from pkgm.model import (
     ModelParams,
     init_params,
@@ -554,6 +554,33 @@ def test_handle_bundle_variants(query_service):
     assert service.handle({"op": "bundle", "e": "fruit", "variant": "all"}) == {
         "error": "unknown_id"
     }
+
+
+@pytest.mark.parametrize("variant", servicing.VARIANTS)
+def test_served_bundle_rows_match_the_export(tmp_path, planted_case, variant):
+    """Served item and triple rows are the export's bytes. A served relation
+    row is one of an entity's k rows, which the BLAS rounds on its few-row
+    path, while the export multiplies a relation's many rows at once, so both
+    sides are checked against the float64 value within the float32 bound."""
+    params, table = planted_case
+    k = table.rows.shape[1]
+    group_rows = np.bincount(table.rows.ravel())
+    assert group_rows[group_rows > 0].min() >= servicing._MIN_CALL_ROWS
+    write_services(tmp_path / "services.bin", params, table, variant)
+    exported = read_services(tmp_path / "services.bin")
+    service = QueryService(params, table, Vocab(map(str, range(params.n_entities))),
+                           Vocab(map(str, range(params.n_relations))))
+    triple_rows = {"item": 1, "T": k, "all": k, "R": 0}[variant]
+    for at in range(0, len(table.ids), 7):
+        e = int(table.ids[at])
+        answer = service.handle({"op": "bundle", "e": str(e), "variant": variant})
+        served = np.asarray(answer["vectors"], dtype=np.float32)
+        assert served.shape == exported.block[at].shape
+        assert served[:triple_rows].tobytes() == exported.block[at, :triple_rows].tobytes()
+        for i, r in enumerate(table.rows[at].tolist() if variant in ("R", "all") else []):
+            exact, bound = relation_error_bound(params, e, r)
+            for rows in (served, exported.block[at]):
+                assert np.all(np.abs(rows[triple_rows + i] - exact) <= bound)
 
 
 _json_values = st.recursive(
