@@ -65,7 +65,11 @@ def _merge_settings(args, spec: dict) -> dict:
 
 
 def _write_report(path, payload: dict) -> None:
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+    try:
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:  # strict JSON has no NaN or Infinity
+        raise ValueError(f"{path}: report holds a NaN or infinite value") from None
     kgstore.write_atomically([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))])
 
 
@@ -153,7 +157,9 @@ def cmd_recsys(settings: dict) -> int:
     config = downstream.RecConfig(
         learning_rate=settings["lr"], epochs=settings["epochs"], batch_size=settings["batch"],
         neg_ratio=settings["neg"], seed=settings["seed"])
+    config.validate()
     train_rows, _ = downstream.leave_one_out_split(data)
+    downstream.require_unobserved_items(data)  # before training, which cannot mend it
     train_data = downstream.InteractionSet(data.users, data.items, train_rows)
     rec = downstream.train_recommender(train_data, service_table, config)
     report = downstream.evaluate_leave_one_out(rec, data, seed=settings["seed"])

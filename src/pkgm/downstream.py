@@ -59,9 +59,12 @@ def load_interactions(path) -> InteractionSet:
     def row(fields):
         user, item, order = fields
         try:
-            return user, item, int(order)
+            order = int(order)
         except ValueError:
             raise ValueError("order index must be an integer") from None
+        if not -2**63 <= order < 2**63:
+            raise ValueError(f"order index {order} is outside the int64 range")
+        return user, item, order
 
     return interactions_from_rows(read_tsv(path, 3, row))
 
@@ -316,6 +319,15 @@ def leave_one_out_split(data: InteractionSet):
     return np.delete(data.interactions, last, axis=0), items[last]
 
 
+def require_unobserved_items(data: InteractionSet) -> None:
+    """Raise ValueError naming the first user who has interacted with every item."""
+    seen = np.bincount(_observed_keys(data) // data.n_items, minlength=data.n_users)
+    full = seen == data.n_items
+    if full.any():
+        raise ValueError(f"user {data.users.token(int(np.argmax(full)))!r} "
+                         f"has interacted with every item")
+
+
 def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
                         data: InteractionSet, n_negatives: int = LOO_NEGATIVES,
                         seed: int = 0) -> np.ndarray:
@@ -327,13 +339,12 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
     """
     _, held = leave_one_out_split(data)
     keys = _observed_keys(data)
+    require_unobserved_items(data)
     rng = np.random.default_rng(seed)
     ranks = np.zeros(data.n_users, dtype=np.int64)
     items = np.arange(data.n_items)
     for u in range(data.n_users):
         pool = items[sorted_index(keys, u * data.n_items + items) < 0]  # u's unobserved items
-        if not len(pool):
-            raise ValueError(f"user {data.users.token(u)!r} has interacted with every item")
         if len(pool) > n_negatives:
             negatives = rng.choice(pool, size=n_negatives, replace=False)
         else:

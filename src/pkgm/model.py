@@ -89,7 +89,7 @@ class RelationGroups:
         """Row i of the result is M_r x_i for the relation r of row i."""
         out = np.empty(x.shape, dtype=np.result_type(x, transfer))
         for r, idx in self.groups:
-            out[idx] = x[idx] @ transfer[r].T
+            out[idx] = x[idx] @ transfer[r].T.astype(out.dtype, copy=False)
         return out
 
     def backward(self, transfer: np.ndarray, grad_out: np.ndarray, x: np.ndarray,
@@ -124,10 +124,10 @@ def triple_service(params: ModelParams, hs, rs, dtype=np.float32) -> np.ndarray:
 def relation_service(params: ModelParams, hs, rs, dtype=np.float32,
                      groups: RelationGroups | None = None) -> np.ndarray:
     """The rows M_r e_h - r_r of S_rel in dtype; groups, when given, is RelationGroups(rs).
-    Tables already in dtype are not copied, which spares one-row queries an (n_r, d, d) copy."""
+    No table is copied whole: only the gathered rows and each group's M_r are cast to dtype."""
     groups = RelationGroups(rs) if groups is None else groups
     heads = params.entity_emb[hs].astype(dtype, copy=False)
-    return (groups.forward(params.transfer.astype(dtype, copy=False), heads)
+    return (groups.forward(params.transfer, heads)
             - params.relation_emb[rs].astype(dtype, copy=False))
 
 
@@ -164,7 +164,8 @@ def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
-    """Read a checkpoint directory; ValueError names the file that is malformed."""
+    """Read a checkpoint directory; ValueError names the file that is malformed
+    or whose table holds a NaN or infinite entry."""
     ckpt_dir = Path(ckpt_dir)
     header_path = ckpt_dir / HEADER_FILE
     try:
@@ -197,7 +198,10 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
         if len(raw) != 4 * math.prod(shape):
             raise ValueError(f"{path}: {len(raw)} bytes, expected 4 per entry of shape {shape}")
         # frombuffer views are read-only; training needs writable copies
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        values = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: holds a NaN or infinite entry")
+        return values
 
     params = ModelParams(
         dim=dim,

@@ -27,14 +27,17 @@ VARIANTS = ("item", "all", "T", "R")
 MEMO_BYTES = 16 << 20
 # bytes of records write_services stages per write call
 WRITE_CHUNK_BYTES = 1 << 20
-# OpenBLAS gives a product of few rows (about 1,200 / d of them at d >= 32
-# with OpenBLAS 0.3.31) another kernel, whose rounding differs; a formula
-# call over at least this many rows rounds each row as every larger call does
-_MIN_CALL_ROWS = 128
+
+
+def _relation_rows(params: ModelParams, hs, rs) -> np.ndarray:
+    """S_rel rows summed in float64 and rounded once, whatever rows share the BLAS call."""
+    return relation_service(params, hs, rs, dtype=np.float64).astype(np.float32)
+
+
 # each variant's service formulas in record order, k rows apiece; "item"
 # has none and serves the entity's own embedding as its one row
-_FORMULAS = {"item": (), "T": (triple_service,), "R": (relation_service,),
-             "all": (triple_service, relation_service)}
+_FORMULAS = {"item": (), "T": (triple_service,), "R": (_relation_rows,),
+             "all": (triple_service, _relation_rows)}
 
 
 def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:
@@ -66,15 +69,12 @@ class ServiceBundle:
 
 
 def _fill(out: np.ndarray, params: ModelParams, ids: np.ndarray, rows: np.ndarray,
-          variant: str, group_rows: np.ndarray) -> None:
+          variant: str) -> None:
     """Write the service rows of entities ids, whose key relations are rows
     (n, k), into out, an (n, rows per record, d) float32 view.
 
     out is filled one relation at a time, so only one relation's rows are
-    held besides it. group_rows[r] counts relation r's rows in the whole
-    table, and each formula call is padded with copies of its own rows to at
-    least min(group_rows[r], _MIN_CALL_ROWS) rows: it rounds as the call over
-    the whole table does, so the bytes do not depend on how the table is split.
+    held besides it; no row's bytes depend on the chunk (see _relation_rows).
     """
     formulas, k = _FORMULAS[variant], rows.shape[1]
     if not formulas:
@@ -82,10 +82,9 @@ def _fill(out: np.ndarray, params: ModelParams, ids: np.ndarray, rows: np.ndarra
         return
     for r, pairs in RelationGroups(rows.reshape(len(ids) * k)).groups:
         at, slot = np.divmod(pairs, k)
-        size = min(group_rows[r], max(len(at), _MIN_CALL_ROWS))
-        hs, rs = np.resize(ids[at], size), np.full(size, r)
+        hs, rs = ids[at], np.full(len(at), r)
         for part, fn in enumerate(formulas):
-            out[at, part * k + slot] = fn(params, hs, rs)[:len(at)]
+            out[at, part * k + slot] = fn(params, hs, rs)
 
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
@@ -95,7 +94,7 @@ def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
     k = keyrels.rows.shape[1]
     block = np.empty((len(ids), *_record_dtype(variant, k, params.dim)["vec"].shape),
                      dtype=np.float32)
-    _fill(block, params, ids, keyrels.rows, variant, np.bincount(keyrels.rows.ravel()))
+    _fill(block, params, ids, keyrels.rows, variant)
     ids.setflags(write=False)
     block.setflags(write=False)
     return ServiceBundle(variant=variant, k=k, dim=params.dim, ids=ids, block=block)
@@ -134,7 +133,6 @@ def write_services(path, params: ModelParams, keyrels: KeyRelationTable,
     dtype = _record_dtype(variant, k, params.dim)
     step = max(1, WRITE_CHUNK_BYTES // dtype.itemsize)
     records = np.empty(min(step, count), dtype=dtype)
-    group_rows = np.bincount(keyrels.rows.ravel())
 
     def write(tmp):
         with open(tmp, "wb") as fh:
@@ -143,7 +141,7 @@ def write_services(path, params: ModelParams, keyrels: KeyRelationTable,
                 chunk = records[:min(step, count - lo)]
                 ids = keyrels.ids[lo:lo + step]
                 chunk["id"] = ids
-                _fill(chunk["vec"], params, ids, keyrels.rows[lo:lo + step], variant, group_rows)
+                _fill(chunk["vec"], params, ids, keyrels.rows[lo:lo + step], variant)
                 fh.write(chunk)  # the buffer's own bytes, no copy
 
     write_atomically([(path, write)])
@@ -232,7 +230,7 @@ def _answer(snap: _Snapshot, key: tuple | dict) -> dict:
         return key
     op, h, arg = key
     if op != "bundle":
-        fn = triple_service if op == "triple" else relation_service
+        fn = triple_service if op == "triple" else _relation_rows
         return {"vector": fn(snap.params, [h], [arg])[0].tolist()}
     if arg == "item":
         return {"vectors": snap.params.entity_emb[[h]].astype(np.float32, copy=False).tolist()}

@@ -227,15 +227,20 @@ def same_table(a: KeyRelationTable, b: KeyRelationTable) -> bool:
 
 def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                           variant: str) -> servicing.ServiceBundle:
-    """servicing.build_bundle with one kernel call per module over the whole table."""
+    """servicing.build_bundle with one kernel call per module over the whole table;
+    relation rows are the float64 kernel's rounded once to float32."""
     ids = keyrels.ids.astype(np.uint32)
     n, k = keyrels.rows.shape
     rels = keyrels.rows.reshape(n * k)
+
+    def relation_rows(params, hs, rs):
+        return relation_service(params, hs, rs, dtype=np.float64).astype(np.float32)
+
     if variant == "item":
         block = params.entity_emb[ids][:, None, :]
     else:
-        fns = {"T": [triple_service], "R": [relation_service],
-               "all": [triple_service, relation_service]}[variant]
+        fns = {"T": [triple_service], "R": [relation_rows],
+               "all": [triple_service, relation_rows]}[variant]
         hs = np.repeat(ids, k)
         block = np.concatenate([fn(params, hs, rels).reshape(n, k, params.dim) for fn in fns],
                                axis=1)

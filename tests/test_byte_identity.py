@@ -52,11 +52,11 @@ PINS = {
     "services_item.bin":
         "e21f35eab67698d82fb38741ee5de4c1b2304e10b117db7e196b4bb6416c25f9",
     "services_all.bin":
-        "da8ac625babb5e73a586a1d628429a2275aa8815eb21c3e9e4866edb9110196e",
+        "ad9706f3c767c7fe4c82dbff7e23e57fbccc4d647d16393d108d7fc53d3030b3",
     "services_T.bin":
         "de602babbb638db3d23d3a140cd0088ff30f79343f0efd8bb5995b3ddc4eaa61",
     "services_R.bin":
-        "677518a3db1ce993c0336404c7dfcb824f5fddcfab3dfb2d848d6ae5944acf44",
+        "0cf263570f9243586cb84292cc282ec8abcef26b87b92f5d2632944831f9e3e4",
     "lp.json":
         "e4bb330e2325f1fbd18cbb27b447e15ce3305bbeaef8baed58e75a189f5aa323",
     "rel.json":
@@ -64,7 +64,7 @@ PINS = {
     "rec.json":
         "88d63664c05b6d65cb928f68f489c8f93c391c70c637508a64ca2a538237e3ad",
     "answer_line stream":
-        "6a1989835fbb9c00ab9e8750368270635a2dd30dcecf38198ae1f2f0632d06e4",
+        "829e0de76e0847a5fbe7fe31da240ecf0f516e3668a3405cc635978e052938f2",
 }
 
 BENCH_PINS = {
@@ -95,11 +95,11 @@ BENCH_PINS = {
     "kg_pipeline/services_item.bin":
         "39b1155a375f0f592041d70dcbadf5ce3dda862737b74c73f847de71ceb140a6",
     "kg_pipeline/services_all.bin":
-        "d62fbd61f0c490a5774ef0bb1a29cfde315c2db8156e7203bd643c77b1b5b38c",
+        "a88d4da0b352f5b34e314271dbc4f1c1313fbeccaf05154409b40b281a764f3b",
     "kg_pipeline/services_T.bin":
         "694a7a02e2dcf5616329cc3ecf5eb4960d21805e76976f95d948aa29e42757dc",
     "kg_pipeline/services_R.bin":
-        "55859b9dff8c1e8e873a311d389ee7f09de152883cb701bbe8588c47a03a7ebe",
+        "5bfbf47ab9422b2f8e9613bdb66e7ed6f87298567a6f0176a192f482a98fbf37",
 }
 
 

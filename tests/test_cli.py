@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pkgm import servicing, synth
+from pkgm import cli, downstream, servicing, synth
 from pkgm.cli import build_parser, dispatch
 from pkgm.model import load_checkpoint
 from pkgm.servicing import read_services
@@ -164,6 +164,44 @@ def test_recsys_rejects_user_who_has_seen_every_item(tmp_path, capsys):
                      "--epochs", "2", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err == "pkgm: error: user 'u1' has interacted with every item\n"
+    assert not report.exists()
+
+
+def test_recsys_rejects_user_who_has_seen_every_item_before_training(tmp_path, capsys,
+                                                                      monkeypatch):
+    data = Path(__file__).resolve().parents[1] / "data" / "interactions.tsv"
+    text = data.read_text(encoding="utf-8")
+    items = sorted({line.split("\t")[1] for line in text.splitlines()})
+    inter = tmp_path / "inter.tsv"
+    inter.write_text(text + "".join(f"every\t{item}\t{n}\n" for n, item in enumerate(items)),
+                     encoding="utf-8")
+
+    def train_recommender(*args):
+        raise AssertionError("trained before the interactions were checked")
+
+    monkeypatch.setattr(downstream, "train_recommender", train_recommender)
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", "none",
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "pkgm: error: user 'every' has interacted with every item\n"
+    assert not report.exists()
+
+
+def test_recsys_order_index_beyond_int64_is_named_error(tmp_path, capsys):
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("u1\ti1\t0\nu1\ti1\t99999999999999999999999\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", "none",
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (f"pkgm: error: {inter}: line 2: order index "
+                                       f"99999999999999999999999 is outside the int64 range\n")
+    assert not report.exists()
+
+
+def test_report_with_nan_is_named_error_and_not_written(tmp_path):
+    report = tmp_path / "r.json"
+    with pytest.raises(ValueError, match=re.escape(f"{report}: report holds a NaN")):
+        cli._write_report(report, {"mrr": float("inf")})
     assert not report.exists()
 
 
@@ -492,6 +530,10 @@ def drop_last_bytes(path, n):
     path.write_bytes(path.read_bytes()[:-n])
 
 
+def set_last_entry(path, value):
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(value).tobytes())
+
+
 @pytest.mark.parametrize("file_name, damage", [
     pytest.param("header.json", lambda c: set_header_key(c, "dim", "4"), id="dim-string"),
     pytest.param("header.json", lambda c: set_header_key(c, "dim", -4), id="dim-negative"),
@@ -508,6 +550,10 @@ def drop_last_bytes(path, n):
                  id="entity-blob-short"),
     pytest.param("transfer.f32", lambda c: drop_last_bytes(c / "transfer.f32", 2),
                  id="transfer-blob-short"),
+    pytest.param("transfer.f32", lambda c: set_last_entry(c / "transfer.f32", np.inf),
+                 id="transfer-blob-inf"),
+    pytest.param("relation_emb.f32", lambda c: set_last_entry(c / "relation_emb.f32", np.nan),
+                 id="relation-blob-nan"),
 ])
 def test_damaged_checkpoint_is_named_error(tmp_path, ckpt_and_keyrels, capsys, file_name,
                                            damage):
@@ -518,6 +564,23 @@ def test_damaged_checkpoint_is_named_error(tmp_path, ckpt_and_keyrels, capsys, f
     err = capsys.readouterr().err
     assert err.startswith(f"pkgm: error: {ckpt / file_name}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_lp_on_nan_checkpoint_exits_with_named_error(tmp_path, ckpt_and_keyrels):
+    # a NaN target would rank 0 and report hit@1 = 1.0 and "mrr": Infinity
+    ckpt, _ = ckpt_and_keyrels
+    blob = ckpt / "entity_emb.f32"
+    blob.write_bytes(np.full(len(blob.read_bytes()) // 4, np.nan, dtype="<f4").tobytes())
+    test = tmp_path / "test.tsv"
+    test.write_text("e001\tr1\te002\n", encoding="utf-8")
+    report = tmp_path / "lp.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pkgm.cli", "eval-lp", "--checkpoint", str(ckpt),
+         "--test", str(test), "--report", str(report)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"pkgm: error: {blob}: holds a NaN or infinite entry\n"
+    assert not report.exists()
 
 
 def test_repeated_training_is_byte_identical(tmp_path, kg_file):

@@ -91,10 +91,9 @@ def test_bundle_matches_direct_recomputation(bundle_setup):
     for at, e in enumerate(sorted(BUNDLE_ROWS)):
         for i, rel in enumerate(BUNDLE_ROWS[e]):
             np.testing.assert_allclose(t.block[at, i], service_triple(params, e, rel))
-            # the bundle applies M_r to all rows of relation r in one matrix
-            # product, whose float32 sums may round apart from a single
-            # matrix-vector product, so it is checked against the float64
-            # value within the float32 error bound of its summands
+            # a relation row is the float64 sum rounded once to float32, so
+            # it is checked against the float64 value within the float32
+            # error bound of its summands
             exact, bound = relation_error_bound(params, e, rel)
             assert np.all(np.abs(r.block[at, i] - exact) <= bound)
         # "all" is the T bundle followed by the R bundle
@@ -558,14 +557,11 @@ def test_handle_bundle_variants(query_service):
 
 @pytest.mark.parametrize("variant", servicing.VARIANTS)
 def test_served_bundle_rows_match_the_export(tmp_path, planted_case, variant):
-    """Served item and triple rows are the export's bytes. A served relation
-    row is one of an entity's k rows, which the BLAS rounds on its few-row
-    path, while the export multiplies a relation's many rows at once, so both
-    sides are checked against the float64 value within the float32 bound."""
+    """A served bundle multiplies one entity's k rows and the export a
+    relation's many rows at once, yet every served row is the export's bytes;
+    the exported relation rows are also held to the float32 bound."""
     params, table = planted_case
     k = table.rows.shape[1]
-    group_rows = np.bincount(table.rows.ravel())
-    assert group_rows[group_rows > 0].min() >= servicing._MIN_CALL_ROWS
     write_services(tmp_path / "services.bin", params, table, variant)
     exported = read_services(tmp_path / "services.bin")
     service = QueryService(params, table, Vocab(map(str, range(params.n_entities))),
@@ -576,11 +572,25 @@ def test_served_bundle_rows_match_the_export(tmp_path, planted_case, variant):
         answer = service.handle({"op": "bundle", "e": str(e), "variant": variant})
         served = np.asarray(answer["vectors"], dtype=np.float32)
         assert served.shape == exported.block[at].shape
-        assert served[:triple_rows].tobytes() == exported.block[at, :triple_rows].tobytes()
+        assert served.tobytes() == exported.block[at].tobytes()
         for i, r in enumerate(table.rows[at].tolist() if variant in ("R", "all") else []):
             exact, bound = relation_error_bound(params, e, r)
-            for rows in (served, exported.block[at]):
-                assert np.all(np.abs(rows[triple_rows + i] - exact) <= bound)
+            assert np.all(np.abs(exported.block[at, triple_rows + i] - exact) <= bound)
+
+
+def test_served_relation_rows_match_the_export(tmp_path, planted_case):
+    """A relation answer is a one-row product, and still the exported R row's bytes."""
+    params, table = planted_case
+    write_services(tmp_path / "services.bin", params, table, "R")
+    exported = read_services(tmp_path / "services.bin")
+    service = QueryService(params, table, Vocab(map(str, range(params.n_entities))),
+                           Vocab(map(str, range(params.n_relations))))
+    for at in range(0, len(table.ids), 5):
+        e = int(table.ids[at])
+        for i, r in enumerate(table.rows[at].tolist()):
+            answer = service.handle({"op": "relation", "h": str(e), "r": str(r)})
+            served = np.asarray(answer["vector"], dtype=np.float32)
+            assert served.tobytes() == exported.block[at, i].tobytes()
 
 
 _json_values = st.recursive(
