@@ -278,8 +278,9 @@ def dispatch(argv) -> int:
     handler, _, spec = COMMANDS[args.command]
     try:
         return handler(_merge_settings(args, spec))
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"pkgm: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text
+        print(f"pkgm: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,14 +93,15 @@ class RelationGroups:
             out[idx] = x[idx] @ transfer[r].T.astype(out.dtype, copy=False)
         return out
 
-    def backward(self, transfer: np.ndarray, grad_out: np.ndarray, x: np.ndarray,
-                 grad_transfer: np.ndarray) -> np.ndarray:
-        """Return the rows M_r^T g_i and add sum_i g_i x_i^T into grad_transfer[r]."""
+    def backward(self, transfer: np.ndarray, grad_out: np.ndarray, table: np.ndarray,
+                 ids: np.ndarray, grad_transfer: np.ndarray) -> np.ndarray:
+        """Return the rows M_r^T g_i and add sum_i g_i x_i^T into grad_transfer[r],
+        x_i = table[ids[i]] gathered one group at a time."""
         back = np.empty(grad_out.shape, dtype=np.result_type(grad_out, transfer))
         for r, idx in self.groups:
             g = grad_out[idx]
             back[idx] = g @ transfer[r]
-            grad_transfer[r] += g.T @ x[idx]
+            grad_transfer[r] += g.T @ table[ids[idx]]
         return back
 
     def add_row_sums(self, rows: np.ndarray, table: np.ndarray) -> None:
@@ -194,11 +196,12 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, Vocab, Vocab]:
 
     def blob(name, shape):
         path = ckpt_dir / files[name]
-        raw = path.read_bytes()
-        if len(raw) != 4 * math.prod(shape):
-            raise ValueError(f"{path}: {len(raw)} bytes, expected 4 per entry of shape {shape}")
-        # frombuffer views are read-only; training needs writable copies
-        values = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        # one read, straight into the writable table
+        with path.open("rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != 4 * math.prod(shape):
+                raise ValueError(f"{path}: {size} bytes, expected 4 per entry of shape {shape}")
+            values = np.fromfile(f, dtype="<f4").reshape(shape).astype(np.float32, copy=False)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: holds a NaN or infinite entry")
         return values

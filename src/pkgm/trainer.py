@@ -11,7 +11,7 @@ import numpy as np
 
 from .kgstore import TripleStore, sorted_index, stored_keys, triple_keys
 from .model import ModelParams, RelationGroups, init_params, relation_service, triple_service
-from .optim import Adam
+from .optim import SCRATCH_BYTES, Adam
 
 
 @dataclass
@@ -111,7 +111,6 @@ class BatchTerms(NamedTuple):
     scores: np.ndarray
     diff: np.ndarray
     resid: np.ndarray
-    heads: np.ndarray
     groups: RelationGroups
 
 
@@ -120,7 +119,7 @@ def _batch_terms(params: ModelParams, hs, rs, ts) -> BatchTerms:
     diff = triple_service(params, hs, rs) - params.entity_emb[ts]
     resid = relation_service(params, hs, rs, groups=groups)
     scores = np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1)
-    return BatchTerms(scores, diff, resid, params.entity_emb[hs], groups)
+    return BatchTerms(scores, diff, resid, groups)
 
 
 def _scatter_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
@@ -128,31 +127,46 @@ def _scatter_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
 
     One scatter over the flattened table gives every element its addends in
     the order np.add.at(table, idx, rows) does, at about a quarter of its cost.
+    Positions are int32 while they can address the table: half the index
+    array, and a faster scatter.
     """
     d = table.shape[1]
-    np.add.at(table.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
+    dtype = np.int32 if table.size < 2**31 else np.int64
+    pos = np.multiply(idx, d, dtype=dtype)[:, None] + np.arange(d, dtype=dtype)
+    np.add.at(table.reshape(-1), pos.ravel(), rows.ravel())
 
 
 def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weight) -> None:
     """Add weighted subgradients for a batch of triples into dense tables.
 
     weight is per-triple: positive for positives, negative for negatives,
-    zero where the hinge is inactive.
+    zero where the hinge is inactive. terms is spent: its diff and resid
+    hold sign rows afterwards, so the step allocates two (B, d) float rows
+    and one (B, d) index array beyond them.
     """
-    s_t = np.sign(terms.diff) * weight[:, None]
-    s_r = np.sign(terms.resid) * weight[:, None]
-    back = terms.groups.backward(params.transfer, s_r, terms.heads, grads["transfer"])
-    _scatter_rows(grads["entity_emb"], hs, s_t + back)
-    _scatter_rows(grads["entity_emb"], ts, -s_t)
-    terms.groups.add_row_sums(s_t - s_r, grads["relation_emb"])
+    w = weight[:, None]
+    s_t = np.sign(terms.diff)
+    s_t *= w
+    # np.sign into another buffer; into its own input it runs several times slower
+    s_r = np.sign(terms.resid, out=terms.diff)
+    s_r *= w
+    back = terms.groups.backward(params.transfer, s_r, params.entity_emb, hs, grads["transfer"])
+    terms.groups.add_row_sums(np.subtract(s_t, s_r, out=terms.resid), grads["relation_emb"])
+    back += s_t
+    _scatter_rows(grads["entity_emb"], hs, back)
+    _scatter_rows(grads["entity_emb"], ts, np.negative(s_t, out=s_t))
 
 
 def _project_entity_rows(entity_emb: np.ndarray) -> None:
-    # keep entity rows inside the L2 unit ball to prevent norm inflation
-    norms = np.linalg.norm(entity_emb, axis=1)
-    over = norms > 1.0
-    if over.any():
-        entity_emb[over] /= norms[over, None]
+    # keep entity rows inside the L2 unit ball to prevent norm inflation; a
+    # block of rows at a time, so no temporary is the size of the table
+    step = max(1, SCRATCH_BYTES // (entity_emb.shape[1] * entity_emb.itemsize))
+    for lo in range(0, len(entity_emb), step):
+        block = entity_emb[lo:lo + step]
+        norms = np.linalg.norm(block, axis=1)
+        over = norms > 1.0
+        if over.any():
+            block[over] /= norms[over, None]
 
 
 # a diverging run ends in a named error, without numpy's overflow warnings
@@ -174,6 +188,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
     init = init_params(store.n_entities, store.n_relations, config.dim, rng)
     adam = Adam({name: getattr(init, name) for name in ("entity_emb", "relation_emb", "transfer")},
                 lr=config.learning_rate)
+    del init  # Adam holds its own copy
     # the tables the steps update are views of the optimizer's flat buffer
     params = ModelParams(config.dim, **adam.params)
     triples = store.triples
@@ -215,6 +230,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
             weight = np.concatenate([pair_weight.reshape(n_pos, neg_k).sum(axis=1), -pair_weight])
             adam.grad.fill(0)
             _accumulate(adam.grads, params, hs, rs, ts, terms, weight)
+            del terms  # spent; the next batch's terms must not share the peak with these
             stamps.append(time.perf_counter())
             adam.step()
             stamps.append(time.perf_counter())

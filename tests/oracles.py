@@ -129,7 +129,7 @@ def accumulate_add_at(grads, params: ModelParams, hs, rs, ts, terms, weight) -> 
     """trainer._accumulate with one row-wise np.add.at per table slot."""
     s_t = np.sign(terms.diff) * weight[:, None]
     s_r = np.sign(terms.resid) * weight[:, None]
-    back = terms.groups.backward(params.transfer, s_r, terms.heads, grads["transfer"])
+    back = terms.groups.backward(params.transfer, s_r, params.entity_emb, hs, grads["transfer"])
     np.add.at(grads["entity_emb"], hs, s_t + back)
     np.add.at(grads["entity_emb"], ts, -s_t)
     np.add.at(grads["relation_emb"], rs, s_t - s_r)

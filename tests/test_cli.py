@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import shlex
 import signal
 import socket
@@ -581,6 +582,27 @@ def test_eval_lp_on_nan_checkpoint_exits_with_named_error(tmp_path, ckpt_and_key
     assert proc.returncode == 1
     assert proc.stderr == f"pkgm: error: {blob}: holds a NaN or infinite entry\n"
     assert not report.exists()
+
+
+def cap_address_space():
+    # where the kernel overcommits, an oversized request could succeed lazily
+    # and fill memory as it is written; under this cap it fails when made
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (min(hard, 4 << 30), hard))
+
+
+def test_train_beyond_memory_exits_with_named_error(tmp_path):
+    # at dim 2**38 the 2-entity table alone needs 4 TiB: no machine hands that out
+    triples = tmp_path / "kg.tsv"
+    triples.write_text("a\tr\tb\n", encoding="utf-8")
+    out = tmp_path / "ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pkgm.cli", "train", "--triples", str(triples), "--out", str(out),
+         "--dim", str(2**38), "--epochs", "0"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("pkgm: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
 
 
 def test_repeated_training_is_byte_identical(tmp_path, kg_file):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pkgm.optim import Adam
+from pkgm.optim import SCRATCH_BYTES, Adam
 
 
 class TableAdam:
@@ -97,6 +99,47 @@ def test_bit_identical_to_table_oracle_in_float32():
         assert np.array_equal(opt.params[name], oracle.params[name]), name
     assert np.array_equal(opt.m, np.concatenate([oracle.m[k].ravel() for k in shapes]))
     assert np.array_equal(opt.v, np.concatenate([oracle.v[k].ravel() for k in shapes]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bit_identical_to_table_oracle_across_scratch_slices(dtype):
+    # more elements than the scratch holds, and not a multiple of it: a table
+    # spans a slice boundary and the last slice is partial
+    per_slice = SCRATCH_BYTES // np.dtype(dtype).itemsize
+    rng = np.random.default_rng(5)
+    shapes = {"emb": (per_slice // 64 + 3, 64), "long": (per_slice + 1001,), "transfer": (3, 17, 17)}
+    tables = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    assert sum(t.size for t in tables.values()) % per_slice
+    opt = Adam(tables, lr=1e-3)
+    oracle = TableAdam({k: v.copy() for k, v in tables.items()}, lr=1e-3)
+    for step in range(5):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s).astype(dtype)
+                 for k, s in shapes.items()}
+        grads["long"][rng.random(shapes["long"]) < 0.3] = 0.0
+        step_with(opt, grads)
+        oracle.step(grads)
+    for name in shapes:
+        assert np.array_equal(opt.params[name], oracle.params[name]), name
+    assert np.array_equal(opt.m, np.concatenate([oracle.m[k].ravel() for k in shapes]))
+    assert np.array_equal(opt.v, np.concatenate([oracle.v[k].ravel() for k in shapes]))
+
+
+def test_holds_four_buffers_and_steps_in_its_scratch():
+    table = np.ones(1_000_000, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        opt = Adam({"w": table}, lr=1e-3)
+        held = tracemalloc.get_traced_memory()[0]
+        opt.grads["w"][...] = 0.5
+        tracemalloc.reset_peak()
+        opt.step()
+        step_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # flat, grad, m and v, the scratch, and the slice views
+    assert held <= 4 * table.nbytes + SCRATCH_BYTES + (1 << 16)
+    assert step_peak <= SCRATCH_BYTES
+    assert opt.params["w"][0] < 1.0
 
 
 def test_tables_are_views_of_flat_buffers():

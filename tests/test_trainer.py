@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import accumulate_add_at, gradients, score_combined
 from pkgm import synth, trainer
 from pkgm.kgstore import store_from_triples
 from pkgm.model import init_params
+from pkgm.optim import SCRATCH_BYTES
 from pkgm.trainer import TrainConfig, sample_negative, train
 
 
@@ -291,10 +293,10 @@ def mixed_weights(rng, n):
 
 def assert_accumulate_is_add_at_form(params, hs, rs, ts, weight):
     hs, rs, ts = np.asarray(hs), np.asarray(rs), np.asarray(ts)
-    terms = trainer._batch_terms(params, hs, rs, ts)
     got, want = zero_grads(params), zero_grads(params)
-    trainer._accumulate(got, params, hs, rs, ts, terms, weight)
-    accumulate_add_at(want, params, hs, rs, ts, terms, weight)
+    # _accumulate spends its terms, so each side computes its own
+    trainer._accumulate(got, params, hs, rs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
+    accumulate_add_at(want, params, hs, rs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
     for name in got:
         assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
     return got
@@ -330,6 +332,51 @@ def test_accumulate_is_bit_equal_to_add_at_form_on_group_sizes(rng, dim):
 def planted_store(n_entities=20):
     kg = synth.planted_kg(n_entities=n_entities, powers=(1, 2), coverage=1.0, seed=0)
     return store_from_triples(kg.triples)
+
+
+def test_projection_is_bit_equal_to_whole_table_form_in_small_blocks(rng):
+    # 3.5 blocks of rows; about half the rows lie outside the unit ball
+    rows = 7 * SCRATCH_BYTES // (2 * 64 * 4)
+    table = (rng.standard_normal((rows, 64)) * rng.uniform(0.05, 0.25, (rows, 1)))
+    table = table.astype(np.float32)
+    want = table.copy()
+    norms = np.linalg.norm(want, axis=1)
+    want[norms > 1.0] /= norms[norms > 1.0, None]
+    tracemalloc.start()
+    try:
+        trainer._project_entity_rows(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.view(np.uint32), want.view(np.uint32))
+    assert peak <= 2 * SCRATCH_BYTES + (1 << 16)  # one block's norms and gathered rows
+
+
+def test_steps_hold_four_model_buffers_and_one_batch(monkeypatch):
+    # 400 relations make the transfer tensor most of the model, and 2,000
+    # triples keep the epoch's order and negatives small next to one batch
+    store = store_from_triples([(f"e{i}", f"r{i % 400}", f"e{i + 1}") for i in range(2000)])
+    config = TrainConfig(dim=32, batch_size=1000)
+    train(store, config)  # numpy's lazy imports stay out of the count
+    draw = trainer.sample_negative
+
+    def peak_from_here(*args, **kwargs):
+        tracemalloc.reset_peak()  # after the optimizer's copy: the epochs only
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "sample_negative", peak_from_here)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        params, _ = train(store, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    model = sum(table.nbytes for table in (params.entity_emb, params.relation_emb, params.transfer))
+    block = 2 * config.batch_size * config.dim * 4  # one (B, d) float32 array of a batch
+    # flat, grad, m and v; the optimizer's scratch; a batch's terms, sign rows,
+    # scatter positions and the rest of its working set
+    assert peak <= 4 * model + SCRATCH_BYTES + 8 * block, (peak / model, peak / block)
 
 
 def test_zero_epochs_returns_untouched_init():
