@@ -15,7 +15,10 @@ import asyncio
 import json
 import sys
 from dataclasses import asdict
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import downstream, evaluation, keyrel, kgstore, model, servicing, trainer
 
@@ -108,16 +111,28 @@ def cmd_export_services(settings: dict) -> int:
     return 0
 
 
+def _triple_ids(path, entity_vocab, relation_vocab) -> np.ndarray:
+    """(n, 3) int64 ids of a triple file's lines under a checkpoint's vocabularies."""
+    rows = kgstore.read_tsv(path, 3)
+    return np.stack([rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation"),
+                     rows.ids(2, entity_vocab, "entity")], axis=1)
+
+
+def _labeled_pairs(path, entity_vocab, relation_vocab) -> list[tuple[int, int, bool]]:
+    """(h, r, exists) of each "head<TAB>relation<TAB>0|1" line."""
+    rows = kgstore.read_tsv(path, 3)
+    labels = rows.columns[2]
+    exists = np.fromiter(map({"0": 0, "1": 1}.get, labels, repeat(-1)), np.int64, len(rows))
+    rows.reject(exists < 0, lambda i: f"label must be 0 or 1, got {labels[i]!r}")
+    return list(zip(rows.ids(0, entity_vocab, "entity").tolist(),
+                    rows.ids(1, relation_vocab, "relation").tolist(), (exists == 1).tolist()))
+
+
 def cmd_eval_lp(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
-
-    def triple_ids(fields):
-        h, r, t = fields
-        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
-                entity_vocab.id(t, "entity"))
-
-    test = kgstore.read_tsv(settings["test"], 3, triple_ids)
-    known = kgstore.read_tsv(settings["triples"], 3, triple_ids) if settings["triples"] else []
+    test = _triple_ids(settings["test"], entity_vocab, relation_vocab)
+    known = (_triple_ids(settings["triples"], entity_vocab, relation_vocab)
+             if settings["triples"] else [])
     # link prediction reads only the triples
     store = kgstore.TripleStore(entities=entity_vocab, relations=relation_vocab, triples=known,
                                 category_of={}, relation_counts={})
@@ -129,15 +144,7 @@ def cmd_eval_lp(settings: dict) -> int:
 
 def cmd_eval_rel(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
-
-    def labeled_pair(fields):
-        h, r, label = fields
-        if label not in ("0", "1"):
-            raise ValueError(f"label must be 0 or 1, got {label!r}")
-        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
-                label == "1")
-
-    pairs = kgstore.read_tsv(settings["pairs"], 3, labeled_pair)
+    pairs = _labeled_pairs(settings["pairs"], entity_vocab, relation_vocab)
     report = evaluation.existence_prediction(params, None, pairs)
     _write_report(settings["report"], asdict(report))
     print(f"existence prediction report written to {settings['report']}")

@@ -45,28 +45,23 @@ class InteractionSet:
 
 
 def interactions_from_rows(rows: Iterable[tuple[str, str, int]]) -> InteractionSet:
-    users = Vocab()
-    items = Vocab()
-    interactions = [(users.add(u), items.add(i), int(o)) for u, i, o in rows]
-    if not interactions:
+    users, items, order = list(zip(*rows)) or [(), (), ()]
+    if not users:
         raise ValueError("no interactions")
-    return InteractionSet(users=users, items=items, interactions=interactions)
+    user_vocab, item_vocab = Vocab(users), Vocab(items)
+    return InteractionSet(users=user_vocab, items=item_vocab, interactions=np.stack(
+        [user_vocab.ids(users), item_vocab.ids(items), np.array(order, dtype=np.int64)],
+        axis=1))
 
 
 def load_interactions(path) -> InteractionSet:
     """Parse "user<TAB>item<TAB>order_index" lines."""
-
-    def row(fields):
-        user, item, order = fields
-        try:
-            order = int(order)
-        except ValueError:
-            raise ValueError("order index must be an integer") from None
-        if not -2**63 <= order < 2**63:
-            raise ValueError(f"order index {order} is outside the int64 range")
-        return user, item, order
-
-    return interactions_from_rows(read_tsv(path, 3, row))
+    rows = read_tsv(path, 3)
+    order = rows.ints(2, "order index must be an integer")
+    wide = np.array(order, dtype=object)
+    rows.reject((wide < -2**63) | (wide >= 2**63),
+                lambda i: f"order index {order[i]} is outside the int64 range")
+    return interactions_from_rows(zip(*rows.columns[:2], order))
 
 
 def write_interactions(path, rows: Iterable[tuple[str, str, int]]) -> None:
@@ -83,7 +78,7 @@ def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
     no service vector.
     """
     tokens = list(data.items)
-    at = bundle.index([entity_vocab.id(t) if t in entity_vocab else -1 for t in tokens])
+    at = bundle.index(entity_vocab.ids(tokens))
     if (at < 0).any():
         raise ValueError(f"item {tokens[np.argmax(at < 0)]!r} has no service vector")
     table = condense_single(bundle)[at]

@@ -61,13 +61,16 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples)
 
     ranks = np.zeros(len(test), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # these only leave non-finite bounds
-        for i, t in enumerate(test[:, 2].tolist()):
+        # a row's sum does not depend on the row count, so these equal per-query
+        # sums; the offsets are Python floats, which keep tol float32
+        targets = np.abs(queries - ent[test[:, 2]]).sum(axis=1)
+        offsets = (np.abs(queries).sum(axis=1) + 2.0 ** -126).tolist()
+        for i, target in enumerate(targets):
             q = queries[i]
             np.subtract(q.astype(np.float32)[:, None], ent_t, out=buf)
             np.abs(buf, out=buf)
             buf.sum(axis=0, out=screen)
-            target = np.abs(q - ent[t:t + 1]).sum(axis=1)[0]
-            tol = slack * (screen + (float(np.abs(q).sum()) + 2.0 ** -126))
+            tol = slack * (screen + offsets[i])
             below = screen + tol < target
             unsure = ~(below | (screen - tol > target))
             # the target counts unless NaN; filtered tails never count

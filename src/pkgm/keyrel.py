@@ -9,6 +9,7 @@ broken by ascending relation id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -72,24 +73,32 @@ def write_keyrel_tsv(path, table: KeyRelationTable, entity_vocab: Vocab,
 def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRelationTable:
     """Read "entity<TAB>r1,...,rk" lines: every line lists k distinct
     relations, the same k on every line, and no entity is listed twice."""
-    rows: dict[int, tuple[int, ...]] = {}
-
-    def add(fields):
-        entity, rels = fields
-        tokens = rels.split(",")
-        rel_ids = tuple(relation_vocab.id(tok, "relation") for tok in tokens)
-        k = len(next(iter(rows.values()), rel_ids))  # the first line sets k
-        if len(rel_ids) != k:
-            raise ValueError(f"expected {k} relations, got {len(rel_ids)}")
-        if len(set(rel_ids)) != k:
-            twice = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
-            raise ValueError(f"relation {twice!r} listed twice")
-        e = entity_vocab.id(entity, "entity")
-        if e in rows:
-            raise ValueError(f"entity {entity!r} listed twice")
-        rows[e] = rel_ids
-
-    read_tsv(path, 2, add, comments=False)
-    if not rows:
+    rows = read_tsv(path, 2, comments=False)
+    entities, lists = rows.columns
+    if not entities:
         raise ValueError(f"{path}: empty key relation table")
-    return KeyRelationTable(*zip(*sorted(rows.items())))  # ids and rows, in id order
+    # every relation list split at once: row i's counts[i] tokens follow the rows before it
+    counts = np.fromiter(map(str.count, lists, repeat(",")), np.int64, len(lists)) + 1
+    tokens = ",".join(lists).split(",")
+    rels = relation_vocab.ids(tokens)
+    unknown = np.flatnonzero(rels < 0)
+    if len(unknown):
+        row = int(np.searchsorted(np.cumsum(counts), unknown[0], side="right"))
+        raise rows.error(row, f"unknown relation token {tokens[unknown[0]]!r}")
+    k = int(counts[0])  # the first line sets k
+    rows.reject(counts != k, lambda i: f"expected {k} relations, got {counts[i]}")
+    rels = rels.reshape(-1, k)
+    ranked = np.sort(rels, axis=1)
+    rows.reject((ranked[:, 1:] == ranked[:, :-1]).any(axis=1),
+                lambda i: f"relation {_repeated(lists[i].split(','))!r} listed twice")
+    ids = rows.ids(0, entity_vocab, "entity")
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True  # all but the first
+    rows.reject(repeated, lambda i: f"entity {entities[i]!r} listed twice")
+    return KeyRelationTable(ids=ids[order], rows=rels[order])
+
+
+def _repeated(tokens: list[str]) -> str:
+    """The first token that an earlier one repeats."""
+    return next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])

@@ -4,16 +4,21 @@ Triple files are UTF-8 text, one triple per line, fields separated by a
 single TAB, no header. Lines starting with "#" are ignored. read_tsv is
 the one parser of TAB files: these "#"-commented inputs (triples,
 existence pairs, interactions) and, with comments off, the vocabulary and
-key-relation files. Category membership is encoded as ordinary triples under a
-configurable relation name (default "isA"), i.e. (entity, isA, category).
-Interned id rows are read-only (n, 3) int64 arrays; triple_keys alone encodes
-a triple's int64 key, and sorted_index is the one lookup in a sorted array.
+key-relation files. It reads a whole file into columns of strings, which
+callers map to int64 ids a column at a time (Vocab.ids). Category membership
+is encoded as ordinary triples under a configurable relation name (default
+"isA"), i.e. (entity, isA, category). Interned id rows are read-only (n, 3)
+int64 arrays; triple_keys alone encodes a triple's int64 key, and
+sorted_index is the one lookup in a sorted array.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -24,25 +29,18 @@ class Vocab:
     """Dense string-to-id interning, ids assigned in first-appearance order."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self._tokens: list[str] = []
-        self._ids: dict[str, int] = {}
-        for tok in tokens:
-            self.add(tok)
-
-    def add(self, token: str) -> int:
-        """Intern token, returning its id (existing or newly assigned)."""
-        idx = self._ids.get(token)
-        if idx is None:
-            idx = len(self._tokens)
-            self._ids[token] = idx
-            self._tokens.append(token)
-        return idx
+        self._tokens: list[str] = list(dict.fromkeys(tokens))
+        self._ids: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
 
     def id(self, token: str, kind: str = "vocabulary") -> int:
         """The id of token; ValueError("unknown <kind> token ...") when absent."""
         if token not in self._ids:
             raise ValueError(f"unknown {kind} token {token!r}")
         return self._ids[token]
+
+    def ids(self, tokens) -> np.ndarray:
+        """int64 id of each of a sequence of tokens, -1 where a token is unknown."""
+        return np.fromiter(map(self._ids.get, tokens, repeat(-1)), np.int64, len(tokens))
 
     def token(self, idx: int) -> str:
         return self._tokens[idx]
@@ -68,19 +66,59 @@ class Vocab:
     @classmethod
     def read_tsv(cls, path) -> "Vocab":
         """Read "token<TAB>id" lines whose ids count up from 0."""
-        vocab = cls()
-
-        def add(fields):
-            try:
-                tok, idx = fields
-                idx = int(idx)
-            except ValueError:
-                raise ValueError("expected token<TAB>integer id") from None
-            if vocab.add(tok) != idx:
-                raise ValueError(f"ids are not dense: {tok} -> {idx}")
-
-        read_tsv(path, None, add, comments=False)
+        message = "expected token<TAB>integer id"
+        rows = read_tsv(path, 2, comments=False, miscount=message)
+        tokens = rows.columns[0]
+        ids = rows.ints(1, message)
+        vocab = cls(tokens)
+        # ids count up in order of first appearance; a repeated token repeats its first id
+        dense = list(range(len(ids))) if len(vocab) == len(ids) else vocab.ids(tokens).tolist()
+        if ids != dense:
+            rows.reject(np.fromiter(map(int.__ne__, ids, dense), bool, len(ids)),
+                        lambda i: f"ids are not dense: {tokens[i]} -> {ids[i]}")
         return vocab
+
+
+@dataclass(eq=False)
+class TsvRows:
+    """The data lines of a TAB file as columns of strings: columns[j][i] is
+    field j of data row i, and lines[i] the file line that row came from."""
+
+    path: object
+    lines: np.ndarray
+    columns: list[list[str]]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def error(self, row: int, message: str) -> ValueError:
+        """The ValueError of a fault in data row row, prefixed with "path: line N:"."""
+        return ValueError(f"{self.path}: line {self.lines[row]}: {message}")
+
+    def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Raise the error of the first row where the bool array bad holds,
+        with text message(row); do nothing where it holds nowhere."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise self.error(row, message(row))
+
+    def ints(self, column: int, message: str) -> list[int]:
+        """int() of each field of a column; the error message at the first
+        field that int() refuses."""
+        values: list[int] = []
+        try:
+            values.extend(map(int, self.columns[column]))
+        except ValueError:  # extend keeps what it took before the refusal
+            raise self.error(len(values), message) from None
+        return values
+
+    def ids(self, column: int, vocab: Vocab, kind: str) -> np.ndarray:
+        """int64 ids of a column's tokens in vocab; an unknown token is the
+        error "unknown <kind> token ..." of its row."""
+        tokens = self.columns[column]
+        ids = vocab.ids(tokens)
+        self.reject(ids < 0, lambda i: f"unknown {kind} token {tokens[i]!r}")
+        return ids
 
 
 def id_rows(rows, shape=(-1, 3)) -> np.ndarray:
@@ -158,55 +196,86 @@ def store_from_triples(
     triples keep the lexicographically smallest category token; the paper
     setting assumes one category per entity, so this is only a tie-break.
     """
-    unique = list(dict.fromkeys((h, r, t) for h, r, t in rows))
-    if not unique:
+    return _store_from_columns(*(list(zip(*rows)) or [(), (), ()]), category_relation)
+
+
+def _store_from_columns(heads, rels, tails, category_relation: str) -> TripleStore:
+    """store_from_triples of the rows zip(heads, rels, tails)."""
+    if not heads:
         raise ValueError("no triples")
+    ends = [None] * (2 * len(heads))  # h0, t0, h1, t1, ...: entities in order of appearance
+    ends[::2], ends[1::2] = heads, tails
+    entities, relations = Vocab(ends), Vocab(rels)
+    ht = entities.ids(ends).reshape(-1, 2)
+    ids = np.stack([ht[:, 0], relations.ids(rels), ht[:, 1]], axis=1)
+    # a repeated row holds no token's first appearance, so keeping first
+    # occurrences leaves every id as it is
+    _, first = np.unique(triple_keys(ids, len(entities), len(relations)), return_index=True)
+    triples = ids[np.sort(first)]
 
-    entities = Vocab()
-    relations = Vocab()
-    ids: list[int] = []  # flat: one conversion gives the (n, 3) array
-    categories: dict[int, str] = {}
-    for head, rel, tail in unique:
-        h = entities.add(head)
-        ids += (h, relations.add(rel), entities.add(tail))
-        if rel == category_relation:
-            categories[h] = min(tail, categories.get(h, tail))
-
-    category_of = {e: entities.id(tok) for e, tok in categories.items()}
+    category_of: dict[int, int] = {}
+    if category_relation in relations:
+        cat = triples[triples[:, 1] == relations.id(category_relation)]
+        tokens = map(entities._tokens.__getitem__, cat[:, 2].tolist())
+        # sorted descending, the last pair a head gets holds its smallest category token
+        smallest = dict(sorted(zip(cat[:, 0].tolist(), tokens), reverse=True))
+        category_of = dict(zip(smallest, entities.ids(list(smallest.values())).tolist()))
     return TripleStore(
         entities=entities,
         relations=relations,
-        triples=ids,
+        triples=triples,
         category_of=category_of,
-        relation_counts=dict(enumerate(np.bincount(ids[1::3]).tolist())),
+        relation_counts=dict(enumerate(np.bincount(triples[:, 1]).tolist())),
         category_relation=category_relation,
     )
 
 
-def read_tsv(path, n_fields: int | None, convert: Callable[[list[str]], object] = tuple,
-             comments: bool = True) -> list:
-    """Rows of a TAB-separated UTF-8 file, convert(fields) for each data line.
+def read_tsv(path, n_fields: int, comments: bool = True, miscount: str | None = None) -> TsvRows:
+    """The data lines of a TAB-separated UTF-8 file, as n_fields columns.
 
-    A carriage return before a line's newline is dropped. Blank lines are
+    The file is read and decoded whole and split into fields at once.
+    Carriage returns before a line's newline are dropped. Blank lines are
     skipped, and so are lines starting with "#" unless comments is False.
-    A line that is not UTF-8, has other than n_fields fields (any count
-    when n_fields is None), or makes convert raise ValueError ends the read
-    in ValueError prefixed with "path: line N:".
+    A file that is not UTF-8 ends the read in ValueError naming the line of
+    its first bad byte with the error of decoding that line alone; a line
+    with other than n_fields fields, in ValueError with text miscount, by
+    default "expected <n_fields> TAB-separated fields, got <count>". Both
+    are prefixed with "path: line N:".
     """
-    rows = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line or comments and line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if n_fields is not None and len(fields) != n_fields:
-                    raise ValueError(
-                        f"expected {n_fields} TAB-separated fields, got {len(fields)}")
-                rows.append(convert(fields))
-            except ValueError as exc:  # UnicodeDecodeError included
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data[start:data.find(b"\n", exc.start) + 1 or len(data)]
+        lineno, reason = data.count(b"\n", 0, start) + 1, exc
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            reason = line_exc
+        raise ValueError(f"{path}: line {lineno}: {reason}") from None
+    if "\r" in text:
+        text = re.sub("\r+$", "", text, flags=re.MULTILINE)
+    # the TAB count of each line, from the bytes, where TAB and newline are
+    # single bytes; what follows a last newline is no line
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(raw == 10), len(raw))
+    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
+    numbers = np.arange(1, len(tabs) + (0 if text.endswith("\n") or not text else 1))
+    if text.startswith("\n") or "\n\n" in text or comments and (
+            text.startswith("#") or "\n#" in text):
+        lines = text.split("\n")[:len(numbers)]
+        keep = np.fromiter(map(bool, lines), bool, len(lines))
+        if comments:
+            keep &= ~np.fromiter(map(methodcaller("startswith", "#"), lines), bool, len(lines))
+        text, numbers = "\n".join(compress(lines, keep)), numbers[keep]
+
+    rows = TsvRows(path, numbers, [])
+    rows.reject(tabs[numbers - 1] != n_fields - 1, lambda i: miscount
+                or f"expected {n_fields} TAB-separated fields, got {tabs[numbers[i] - 1] + 1}")
+    fields = text.replace("\n", "\t").split("\t")
+    del fields[n_fields * len(rows):]  # the empty line after a last newline
+    rows.columns = [fields[j::n_fields] for j in range(n_fields)]
     return rows
 
 
@@ -216,7 +285,7 @@ def load_triples(path, category_relation: str = "isA") -> TripleStore:
     Raises ValueError naming the line number for malformed lines and
     ValueError("no triples") when the file holds no data lines.
     """
-    return store_from_triples(read_tsv(path, 3), category_relation=category_relation)
+    return _store_from_columns(*read_tsv(path, 3).columns, category_relation)
 
 
 def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
@@ -227,14 +296,12 @@ def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    keep = []
-    for head, rel, tail in store.token_triples():
-        rid = store.relations.id(rel)
-        if store.relation_counts[rid] >= min_count or rel == store.category_relation:
-            keep.append((head, rel, tail))
-    if not keep:
+    keep = [store.relation_counts[rid] >= min_count or rel == store.category_relation
+            for rid, rel in enumerate(store.relations)]
+    rows = list(compress(store.token_triples(), np.array(keep)[store.triples[:, 1]]))
+    if not rows:
         raise ValueError("all relations filtered")
-    return store_from_triples(keep, category_relation=store.category_relation)
+    return store_from_triples(rows, category_relation=store.category_relation)
 
 
 def write_triples(path, rows: Iterable[tuple[str, str, str]]) -> None:

@@ -244,6 +244,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
             pair_count += n_pairs
         epoch_losses.append(loss_sum / pair_count)
         active_fraction.append(active / pair_count)
+        del negatives  # spent; the next epoch's draw must not share the peak with these
     # the last step's update and projection come after its loss check
     if not np.isfinite(adam.flat).all():
         raise RuntimeError(f"non-finite parameters at epoch {config.epochs - 1}")

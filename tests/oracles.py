@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from pkgm import servicing
+from pkgm.downstream import InteractionSet
 from pkgm.keyrel import KeyRelationTable
+from pkgm.kgstore import TripleStore, Vocab
 from pkgm.model import ModelParams, relation_service, triple_service
 
 
@@ -265,3 +267,141 @@ def concatenated_condense(bundle: servicing.ServiceBundle) -> np.ndarray:
     """servicing.condense_single as a mean over the concatenated halves."""
     k = bundle.k
     return np.concatenate([bundle.block[:, :k], bundle.block[:, k:]], axis=2).mean(axis=1)
+
+
+def line_read_tsv(path, n_fields, convert=tuple, comments=True) -> list:
+    """Rows of a TAB-separated UTF-8 file, convert(fields) for each data line.
+
+    A carriage return before a line's newline is dropped. Blank lines are
+    skipped, and so are lines starting with "#" unless comments is False.
+    A line that is not UTF-8, has other than n_fields fields (any count
+    when n_fields is None), or makes convert raise ValueError ends the read
+    in ValueError prefixed with "path: line N:".
+    """
+    rows = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line or comments and line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if n_fields is not None and len(fields) != n_fields:
+                    raise ValueError(
+                        f"expected {n_fields} TAB-separated fields, got {len(fields)}")
+                rows.append(convert(fields))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return rows
+
+
+def _intern(ids: dict, token) -> int:
+    return ids.setdefault(token, len(ids))
+
+
+def line_store_from_triples(rows, category_relation="isA") -> TripleStore:
+    """kgstore.store_from_triples, one dict insert per token of each distinct row."""
+    unique = list(dict.fromkeys((h, r, t) for h, r, t in rows))
+    if not unique:
+        raise ValueError("no triples")
+    entities, relations, ids, categories = {}, {}, [], {}
+    for head, rel, tail in unique:
+        h = _intern(entities, head)
+        ids.append((h, _intern(relations, rel), _intern(entities, tail)))
+        if rel == category_relation:
+            categories[h] = min(tail, categories.get(h, tail))
+    return TripleStore(
+        entities=Vocab(entities), relations=Vocab(relations), triples=ids,
+        category_of={e: entities[tok] for e, tok in categories.items()},
+        relation_counts=dict(enumerate(np.bincount([r for _, r, _ in ids]).tolist())),
+        category_relation=category_relation)
+
+
+def line_load_triples(path, category_relation="isA") -> TripleStore:
+    return line_store_from_triples(line_read_tsv(path, 3), category_relation)
+
+
+def line_vocab_read_tsv(path) -> Vocab:
+    """Vocab.read_tsv: "token<TAB>id" lines whose ids count up from 0."""
+    ids: dict[str, int] = {}
+
+    def add(fields):
+        try:
+            tok, idx = fields
+            idx = int(idx)
+        except ValueError:
+            raise ValueError("expected token<TAB>integer id") from None
+        if _intern(ids, tok) != idx:
+            raise ValueError(f"ids are not dense: {tok} -> {idx}")
+
+    line_read_tsv(path, None, add, comments=False)
+    return Vocab(ids)
+
+
+def line_read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRelationTable:
+    """keyrel.read_keyrel_tsv: k distinct relations per line, one k, no entity twice."""
+    rows: dict[int, tuple[int, ...]] = {}
+
+    def add(fields):
+        entity, rels = fields
+        tokens = rels.split(",")
+        rel_ids = tuple(relation_vocab.id(tok, "relation") for tok in tokens)
+        k = len(next(iter(rows.values()), rel_ids))  # the first line sets k
+        if len(rel_ids) != k:
+            raise ValueError(f"expected {k} relations, got {len(rel_ids)}")
+        if len(set(rel_ids)) != k:
+            twice = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
+            raise ValueError(f"relation {twice!r} listed twice")
+        e = entity_vocab.id(entity, "entity")
+        if e in rows:
+            raise ValueError(f"entity {entity!r} listed twice")
+        rows[e] = rel_ids
+
+    line_read_tsv(path, 2, add, comments=False)
+    if not rows:
+        raise ValueError(f"{path}: empty key relation table")
+    return keyrel_table(rows)
+
+
+def line_load_interactions(path) -> InteractionSet:
+    """downstream.load_interactions: "user<TAB>item<TAB>order_index" lines."""
+
+    def row(fields):
+        user, item, order = fields
+        try:
+            order = int(order)
+        except ValueError:
+            raise ValueError("order index must be an integer") from None
+        if not -2**63 <= order < 2**63:
+            raise ValueError(f"order index {order} is outside the int64 range")
+        return user, item, order
+
+    users, items = {}, {}
+    interactions = [(_intern(users, u), _intern(items, i), o)
+                    for u, i, o in line_read_tsv(path, 3, row)]
+    if not interactions:
+        raise ValueError("no interactions")
+    return InteractionSet(users=Vocab(users), items=Vocab(items), interactions=interactions)
+
+
+def line_triple_ids(path, entity_vocab: Vocab, relation_vocab: Vocab) -> np.ndarray:
+    """The ids eval-lp reads from a triple file, one (h, r, t) tuple per line."""
+
+    def triple_ids(fields):
+        h, r, t = fields
+        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
+                entity_vocab.id(t, "entity"))
+
+    return np.array(line_read_tsv(path, 3, triple_ids), dtype=np.int64).reshape(-1, 3)
+
+
+def line_labeled_pairs(path, entity_vocab: Vocab, relation_vocab: Vocab) -> list:
+    """The (h, r, exists) pairs eval-rel reads, one tuple per line."""
+
+    def labeled_pair(fields):
+        h, r, label = fields
+        if label not in ("0", "1"):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"), label == "1")
+
+    return line_read_tsv(path, 3, labeled_pair)

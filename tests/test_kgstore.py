@@ -17,10 +17,10 @@ from pkgm.kgstore import (
 
 
 def test_vocab_interning_order():
-    v = Vocab()
-    assert v.add("b") == 0
-    assert v.add("a") == 1
-    assert v.add("b") == 0  # re-adding returns the existing id
+    v = Vocab(["b", "a", "b"])  # a repeated token keeps its first id
+    assert v.id("b") == 0
+    assert v.id("a") == 1
+    assert list(v.ids(["b", "a", "b", "c"])) == [0, 1, 0, -1]
     assert len(v) == 2
     assert v.id("a") == 1
     assert v.token(0) == "b"
@@ -87,8 +87,10 @@ def test_vocab_tsv_keeps_hash_tokens(tmp_path):
 def test_read_tsv_skips_comments_and_blanks_and_converts(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_bytes(b"# a\tb\n\nx\t1\r\n#\n\r\ny\t2")
-    assert read_tsv(path, 2) == [("x", "1"), ("y", "2")]
-    assert read_tsv(path, 2, lambda f: (f[0], int(f[1]))) == [("x", 1), ("y", 2)]
+    rows = read_tsv(path, 2)
+    assert rows.columns == [["x", "y"], ["1", "2"]]
+    assert rows.ints(1, "not an integer") == [1, 2]
+    assert list(rows.lines) == [3, 6]
 
 
 def test_read_tsv_prefixes_errors_with_path_and_line(tmp_path):
@@ -98,11 +100,8 @@ def test_read_tsv_prefixes_errors_with_path_and_line(tmp_path):
         read_tsv(path, 3)
     assert str(info.value).startswith(f"{path}: line 2: ")
 
-    def convert(fields):
-        return fields[0], int(fields[1])
-
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: invalid literal"):
-        read_tsv(path, 2, convert)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not an integer$"):
+        read_tsv(path, 2).ints(1, "not an integer")
 
     path.write_bytes(b"x\t1\n# \xff\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 2: 'utf-8' codec"):
@@ -120,7 +119,8 @@ def test_read_tsv_on_arbitrary_bytes_returns_rows_or_names_a_line(tmp_path_facto
     except ValueError as exc:
         assert re.search(r": line \d+: ", str(exc))
     else:
-        assert all(len(row) == n_fields for row in rows)
+        assert len(rows.columns) == n_fields
+        assert all(len(column) == len(rows) for column in rows.columns)
 
 
 def test_store_interning_and_counts(toy_store):
