@@ -118,14 +118,14 @@ def _triple_ids(path, entity_vocab, relation_vocab) -> np.ndarray:
                      rows.ids(2, entity_vocab, "entity")], axis=1)
 
 
-def _labeled_pairs(path, entity_vocab, relation_vocab) -> list[tuple[int, int, bool]]:
-    """(h, r, exists) of each "head<TAB>relation<TAB>0|1" line."""
+def _labeled_pairs(path, entity_vocab, relation_vocab) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) int64 (h, r) ids and (n,) bool exists of "head<TAB>relation<TAB>0|1" lines."""
     rows = kgstore.read_tsv(path, 3)
     labels = rows.columns[2]
     exists = np.fromiter(map({"0": 0, "1": 1}.get, labels, repeat(-1)), np.int64, len(rows))
     rows.reject(exists < 0, lambda i: f"label must be 0 or 1, got {labels[i]!r}")
-    return list(zip(rows.ids(0, entity_vocab, "entity").tolist(),
-                    rows.ids(1, relation_vocab, "relation").tolist(), (exists == 1).tolist()))
+    heads, rels = rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation")
+    return np.stack([heads, rels], axis=1), exists == 1
 
 
 def cmd_eval_lp(settings: dict) -> int:
@@ -144,8 +144,8 @@ def cmd_eval_lp(settings: dict) -> int:
 
 def cmd_eval_rel(settings: dict) -> int:
     params, entity_vocab, relation_vocab = model.load_checkpoint(settings["checkpoint"])
-    pairs = _labeled_pairs(settings["pairs"], entity_vocab, relation_vocab)
-    report = evaluation.existence_prediction(params, None, pairs)
+    pairs, labels = _labeled_pairs(settings["pairs"], entity_vocab, relation_vocab)
+    report = evaluation.existence_prediction(params, pairs, labels)
     _write_report(settings["report"], asdict(report))
     print(f"existence prediction report written to {settings['report']}")
     return 0

@@ -78,7 +78,7 @@ def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
     no service vector.
     """
     tokens = list(data.items)
-    at = bundle.index(entity_vocab.ids(tokens))
+    at = sorted_index(bundle.ids, entity_vocab.ids(tokens))
     if (at < 0).any():
         raise ValueError(f"item {tokens[np.argmax(at < 0)]!r} has no service vector")
     table = condense_single(bundle)[at]

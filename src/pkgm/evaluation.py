@@ -7,7 +7,7 @@ to the target count against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,8 @@ HIT_KS = (1, 3, 10)
 class EvalReport:
     task: str
     metrics: dict
-    sizes: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    sizes: dict
+    config: dict
 
 
 def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples) -> np.ndarray:
@@ -121,24 +121,20 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(cands[np.argmax(correct)])
 
 
-def existence_prediction(params: ModelParams, store: TripleStore | None,
-                         pairs) -> EvalReport:
+def existence_prediction(params: ModelParams, pairs, labels) -> EvalReport:
     """Classify (h, r) existence by thresholding the relation-module score.
 
-    pairs are (h, r, label) with label truthy for existing. The threshold
-    is chosen on a stratified half (even positions within each class, in
-    input order); accuracy is reported on the other half. The separation
-    ratio mean(score | absent) / mean(score | present) uses all pairs.
-    store is informational only (echoed in the report when given); the
-    labels carry the ground truth.
+    pairs is an (n, 2) int64 array of (h, r) ids and labels an (n,) bool
+    array, True for existing. The threshold is chosen on a stratified half
+    (even positions within each class, in input order); accuracy is reported
+    on the other half. The separation ratio
+    mean(score | absent) / mean(score | present) uses all pairs.
     """
-    pairs = [(int(h), int(r), bool(y)) for h, r, y in pairs]
-    if not pairs:
+    if not len(labels):
         raise ValueError("empty pair set")
-    labels = np.asarray([y for _, _, y in pairs], dtype=bool)
     if labels.all() or not labels.any():
         raise ValueError("single-class pair set")
-    scores = relation_scores(params, [(h, r) for h, r, _ in pairs])
+    scores = relation_scores(params, pairs)
 
     pos = np.flatnonzero(labels)
     neg = np.flatnonzero(~labels)
@@ -161,9 +157,8 @@ def existence_prediction(params: ModelParams, store: TripleStore | None,
             "mean_score_present": mean_present,
             "mean_score_absent": mean_absent,
         },
-        sizes={"n_pairs": len(pairs), "n_validation": int(len(val_idx)),
+        sizes={"n_pairs": len(labels), "n_validation": int(len(val_idx)),
                "n_test": int(len(test_idx)), "n_positive": int(labels.sum()),
-               "n_negative": int((~labels).sum()),
-               "n_store_triples": len(store.triples) if store is not None else 0},
+               "n_negative": int((~labels).sum())},
         config={"n_entities": params.n_entities, "n_relations": params.n_relations},
     )

@@ -32,10 +32,10 @@ class Vocab:
         self._tokens: list[str] = list(dict.fromkeys(tokens))
         self._ids: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
 
-    def id(self, token: str, kind: str = "vocabulary") -> int:
-        """The id of token; ValueError("unknown <kind> token ...") when absent."""
+    def id(self, token: str) -> int:
+        """The id of token; ValueError("unknown vocabulary token ...") when absent."""
         if token not in self._ids:
-            raise ValueError(f"unknown {kind} token {token!r}")
+            raise ValueError(f"unknown vocabulary token {token!r}")
         return self._ids[token]
 
     def ids(self, tokens) -> np.ndarray:
@@ -53,9 +53,6 @@ class Vocab:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._tokens)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self._tokens == other._tokens
 
     def write_tsv(self, path) -> None:
         """Write one "token<TAB>id" line per entry."""

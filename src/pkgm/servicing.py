@@ -63,10 +63,6 @@ class ServiceBundle:
     ids: np.ndarray
     block: np.ndarray
 
-    def index(self, entity_ids) -> np.ndarray:
-        """Position in ids of each entity id, -1 where it has no service vector."""
-        return sorted_index(self.ids, entity_ids)
-
 
 def _fill(out: np.ndarray, params: ModelParams, ids: np.ndarray, rows: np.ndarray,
           variant: str) -> None:

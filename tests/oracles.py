@@ -10,12 +10,13 @@ backward with separate GMF and MLP embedding tables per side, which its
 one-table-per-side layout reproduces bit for bit; they use their own copies
 of the sigmoid and the float64 segment sum, so a change to either shows.
 keyrel_table builds a key relation table from an {entity: relations} dict,
-the form the brute-force key relation oracles give, and same_table compares
-two tables. one_call_build_bundle, one_array_write_services and
-concatenated_condense are the service export's forms that hold the whole
-table at once: one kernel call per module over every (entity, slot) pair,
-one records array the size of the export, and a (count, k, 2d) copy of the
-two halves; the bounded-memory forms in pkgm.servicing reproduce their bytes.
+the form the brute-force key relation oracles give, same_table compares
+two tables and same_vocab two vocabularies. one_call_build_bundle,
+one_array_write_services and concatenated_condense are the service
+export's forms that hold the whole table at once: one kernel call per
+module over every (entity, slot) pair, one records array the size of the
+export, and a (count, k, 2d) copy of the two halves; the bounded-memory
+forms in pkgm.servicing reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -227,6 +228,11 @@ def same_table(a: KeyRelationTable, b: KeyRelationTable) -> bool:
                for x, y in ((a.ids, b.ids), (a.rows, b.rows)))
 
 
+def same_vocab(a: Vocab, b: Vocab) -> bool:
+    """Whether a and b are vocabularies of the same tokens in the same id order."""
+    return isinstance(a, Vocab) and isinstance(b, Vocab) and list(a) == list(b)
+
+
 def one_call_build_bundle(params: ModelParams, keyrels: KeyRelationTable,
                           variant: str) -> servicing.ServiceBundle:
     """servicing.build_bundle with one kernel call per module over the whole table;
@@ -295,6 +301,13 @@ def line_read_tsv(path, n_fields, convert=tuple, comments=True) -> list:
     return rows
 
 
+def _id(vocab: Vocab, token: str, kind: str) -> int:
+    """The id of token in vocab; ValueError("unknown <kind> token ...") when absent."""
+    if token not in vocab:
+        raise ValueError(f"unknown {kind} token {token!r}")
+    return vocab.id(token)
+
+
 def _intern(ids: dict, token) -> int:
     return ids.setdefault(token, len(ids))
 
@@ -345,14 +358,14 @@ def line_read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> Ke
     def add(fields):
         entity, rels = fields
         tokens = rels.split(",")
-        rel_ids = tuple(relation_vocab.id(tok, "relation") for tok in tokens)
+        rel_ids = tuple(_id(relation_vocab, tok, "relation") for tok in tokens)
         k = len(next(iter(rows.values()), rel_ids))  # the first line sets k
         if len(rel_ids) != k:
             raise ValueError(f"expected {k} relations, got {len(rel_ids)}")
         if len(set(rel_ids)) != k:
             twice = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
             raise ValueError(f"relation {twice!r} listed twice")
-        e = entity_vocab.id(entity, "entity")
+        e = _id(entity_vocab, entity, "entity")
         if e in rows:
             raise ValueError(f"entity {entity!r} listed twice")
         rows[e] = rel_ids
@@ -389,8 +402,8 @@ def line_triple_ids(path, entity_vocab: Vocab, relation_vocab: Vocab) -> np.ndar
 
     def triple_ids(fields):
         h, r, t = fields
-        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"),
-                entity_vocab.id(t, "entity"))
+        return (_id(entity_vocab, h, "entity"), _id(relation_vocab, r, "relation"),
+                _id(entity_vocab, t, "entity"))
 
     return np.array(line_read_tsv(path, 3, triple_ids), dtype=np.int64).reshape(-1, 3)
 
@@ -402,6 +415,6 @@ def line_labeled_pairs(path, entity_vocab: Vocab, relation_vocab: Vocab) -> list
         h, r, label = fields
         if label not in ("0", "1"):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        return (entity_vocab.id(h, "entity"), relation_vocab.id(r, "relation"), label == "1")
+        return (_id(entity_vocab, h, "entity"), _id(relation_vocab, r, "relation"), label == "1")
 
     return line_read_tsv(path, 3, labeled_pair)

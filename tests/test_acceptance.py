@@ -207,15 +207,15 @@ def test_criterion_05_existence_encoding():
     store = store_from_triples(kg.triples)
     params, _ = trainer.train(store, completion_config())
 
-    pairs = []
+    pairs, labels = [], []
     for rel in kg.relation_tokens:
         power = int(rel[1:])
         for e in kg.entity_tokens:
             if int(e[1:]) + power >= len(kg.entity_tokens):
                 continue  # out of range for the planted rule
-            pairs.append((store.entities.id(e), store.relations.id(rel),
-                          e in kg.covered[rel]))
-    report = existence_prediction(params, store, pairs)
+            pairs.append((store.entities.id(e), store.relations.id(rel)))
+            labels.append(e in kg.covered[rel])
+    report = existence_prediction(params, np.array(pairs), np.array(labels))
     ratio = report.metrics["separation_ratio"]
     acc = report.metrics["accuracy"]
     ok = ratio > 2.0 and acc >= 0.8

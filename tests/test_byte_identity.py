@@ -60,7 +60,7 @@ PINS = {
     "lp.json":
         "e4bb330e2325f1fbd18cbb27b447e15ce3305bbeaef8baed58e75a189f5aa323",
     "rel.json":
-        "7ad5ce245004d7417db40a1c0e03c309ade40f7fb8434004fab4eba8ed646f8e",
+        "64249bf563bc5c25ae0b850feeeaf15dcdbd79fcc2fe08371dbf814469dca6f6",
     "rec.json":
         "88d63664c05b6d65cb928f68f489c8f93c391c70c637508a64ca2a538237e3ad",
     "answer_line stream":

@@ -154,6 +154,9 @@ ROWS = [
      "{path}: line 2: unknown relation token 'nosuch'"),
     ("pairs-fields", "eval-rel", "pairs.tsv", line(0, lambda _: "x"),
      "{path}: line 1: expected 3 TAB-separated fields, got 1"),
+    ("pairs-empty", "eval-rel", "pairs.tsv", write(b"# a comment\n\n\r\n"), "empty pair set"),
+    ("pairs-one-class", "eval-rel", "pairs.tsv", both(field(1, 2, "1"), field(3, 2, "1")),
+     "single-class pair set"),
     # keyrel.read_keyrel_tsv
     ("keyrel-unknown-relation", "export-services", "keyrels.tsv",
      relations(1, lambda rels: ["nosuch"] + rels[1:]),

@@ -17,7 +17,7 @@ from pkgm.downstream import (
     train_recommender,
     write_interactions,
 )
-from pkgm.kgstore import Vocab
+from pkgm.kgstore import Vocab, sorted_index
 from pkgm.model import init_params
 from pkgm.optim import Adam
 from pkgm.servicing import build_bundle, condense_single
@@ -77,7 +77,7 @@ def test_service_table_rows_follow_item_ids(item_bundle):
     k = bundle.k
     for idx in range(3):
         # the per-entity mean, bit for bit
-        (at,) = bundle.index([vocab.id(data.items.token(idx))])
+        (at,) = sorted_index(bundle.ids, [vocab.id(data.items.token(idx))])
         arr = bundle.block[at]
         np.testing.assert_array_equal(
             table[idx], np.concatenate([arr[:k], arr[k:]], axis=1).mean(axis=0))

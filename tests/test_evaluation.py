@@ -266,8 +266,8 @@ def separable_params():
 
 def test_existence_prediction_on_separable_scores():
     params = separable_params()
-    pairs = [(e, 0, e % 2 == 0) for e in range(8)]
-    report = existence_prediction(params, None, pairs)
+    pairs = np.array([(e, 0) for e in range(8)])
+    report = existence_prediction(params, pairs, pairs[:, 0] % 2 == 0)
     assert report.metrics["accuracy"] == 1.0
     assert report.metrics["mean_score_present"] == pytest.approx(0.2)
     assert report.metrics["mean_score_absent"] == pytest.approx(10.0)
@@ -281,10 +281,9 @@ def test_existence_prediction_on_separable_scores():
 def test_existence_prediction_rejects_degenerate_inputs():
     params = separable_params()
     with pytest.raises(ValueError, match="empty pair set"):
-        existence_prediction(params, None, [])
+        existence_prediction(params, np.zeros((0, 2), np.int64), np.zeros(0, bool))
     with pytest.raises(ValueError, match="single-class pair set"):
-        existence_prediction(params, None, [(0, 0, True), (1, 0, True)])
+        existence_prediction(params, np.array([(0, 0), (1, 0)]), np.array([True, True]))
     with pytest.raises(ValueError, match="need >= 2 pairs per class"):
-        existence_prediction(
-            params, None, [(0, 0, True), (1, 0, False), (3, 0, False), (5, 0, False)]
-        )
+        existence_prediction(params, np.array([(0, 0), (1, 0), (3, 0), (5, 0)]),
+                             np.array([True, False, False, False]))

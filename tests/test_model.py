@@ -240,7 +240,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(loaded.relation_emb, params.relation_emb)
     np.testing.assert_array_equal(loaded.transfer, params.transfer)
     assert loaded.entity_emb.dtype == np.float32
-    assert ev2 == ev and rv2 == rv
+    assert list(ev2) == list(ev) and list(rv2) == list(rv)
     assert loaded.entity_emb.flags.writeable
 
 
@@ -271,7 +271,7 @@ def test_failed_checkpoint_write_leaves_previous_checkpoint(tmp_path, rng, monke
     loaded, ev2, rv2 = load_checkpoint(out)
     for name in ("entity_emb", "relation_emb", "transfer"):
         assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes(), name
-    assert ev2 == ev and rv2 == rv
+    assert list(ev2) == list(ev) and list(rv2) == list(rv)
 
 
 def test_checkpoint_replaces_header_last(tmp_path, rng, monkeypatch):

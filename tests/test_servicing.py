@@ -27,7 +27,7 @@ from pkgm.keyrel import (
     select_key_relations,
     write_keyrel_tsv,
 )
-from pkgm.kgstore import Vocab, store_from_triples
+from pkgm.kgstore import Vocab, sorted_index, store_from_triples
 from pkgm.model import (
     ModelParams,
     init_params,
@@ -117,10 +117,11 @@ def test_bundle_vectors_frozen(bundle_setup):
 def test_bundle_index_finds_served_entities(bundle_setup):
     params, table = bundle_setup
     bundle = build_bundle(params, table, "T")
-    np.testing.assert_array_equal(bundle.index([5, 0, 1, 3, 6, -1]), [2, 0, -1, 1, -1, -1])
+    np.testing.assert_array_equal(sorted_index(bundle.ids, [5, 0, 1, 3, 6, -1]),
+                                  [2, 0, -1, 1, -1, -1])
     empty = ServiceBundle(variant="T", k=3, dim=5, ids=np.empty(0, dtype=np.uint32),
                           block=np.empty((0, 3, 5), dtype=np.float32))
-    np.testing.assert_array_equal(empty.index([0, 2]), [-1, -1])
+    np.testing.assert_array_equal(sorted_index(empty.ids, [0, 2]), [-1, -1])
 
 
 def test_bundle_rejects_unknown_variant(bundle_setup):
@@ -543,7 +544,7 @@ def test_handle_bundle_variants(query_service):
     service, params, keyrels, store = query_service
     bundle = build_bundle(params, keyrels, "all")
     resp = service.handle({"op": "bundle", "e": "apple", "variant": "all"})
-    (at,) = bundle.index([store.entities.id("apple")])
+    (at,) = sorted_index(bundle.ids, [store.entities.id("apple")])
     np.testing.assert_allclose(resp["vectors"], bundle.block[at], rtol=1e-6)
 
     # "fruit" is in the vocabulary but has no key relations: item still works

@@ -1,0 +1,105 @@
+"""The library's settable values, pinned.
+
+SETTABLE lists every parameter with a default of every function and method
+defined in pkgm, dataclass fields with defaults (TrainConfig, RecConfig and
+the rest) as parameters of their generated __init__. Adding or removing an
+option is then a one-line edit of this list.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pkgm
+
+SETTABLE = [
+    "downstream.RecConfig.__init__(batch_size)",
+    "downstream.RecConfig.__init__(epochs)",
+    "downstream.RecConfig.__init__(gmf_dim)",
+    "downstream.RecConfig.__init__(hidden)",
+    "downstream.RecConfig.__init__(l2)",
+    "downstream.RecConfig.__init__(learning_rate)",
+    "downstream.RecConfig.__init__(mlp_dim)",
+    "downstream.RecConfig.__init__(neg_ratio)",
+    "downstream.RecConfig.__init__(seed)",
+    "downstream.RecModel.__init__(service)",
+    "downstream.RecModel.__init__(train_losses)",
+    "downstream.evaluate_leave_one_out(seed)",
+    "downstream.leave_one_out_ranks(n_negatives)",
+    "downstream.leave_one_out_ranks(seed)",
+    "kgstore.TripleStore.__init__(category_relation)",
+    "kgstore.Vocab.__init__(tokens)",
+    "kgstore.id_rows(shape)",
+    "kgstore.load_triples(category_relation)",
+    "kgstore.read_tsv(comments)",
+    "kgstore.read_tsv(miscount)",
+    "kgstore.store_from_triples(category_relation)",
+    "model.relation_service(dtype)",
+    "model.relation_service(groups)",
+    "model.triple_service(dtype)",
+    "servicing.QueryService.handle(snap)",
+    "servicing._Snapshot.__init__(memo)",
+    "servicing._Snapshot.__init__(memo_bytes)",
+    "servicing.serve(host)",
+    "servicing.serve(port)",
+    "synth.PlantedKG.__init__(category_relation)",
+    "synth.PreferenceData.__init__(preferences)",
+    "synth.planted_kg(coverage)",
+    "synth.planted_kg(n_categories)",
+    "synth.planted_kg(n_entities)",
+    "synth.planted_kg(powers)",
+    "synth.planted_kg(seed)",
+    "synth.preference_dataset(interactions_per_user)",
+    "synth.preference_dataset(n_categories)",
+    "synth.preference_dataset(n_items)",
+    "synth.preference_dataset(n_users)",
+    "synth.preference_dataset(n_values)",
+    "synth.preference_dataset(preferred_prob)",
+    "synth.preference_dataset(seed)",
+    "synth.split_triples(seed)",
+    "trainer.TrainConfig.__init__(batch_size)",
+    "trainer.TrainConfig.__init__(corrupt_relation_prob)",
+    "trainer.TrainConfig.__init__(dim)",
+    "trainer.TrainConfig.__init__(epochs)",
+    "trainer.TrainConfig.__init__(learning_rate)",
+    "trainer.TrainConfig.__init__(margin)",
+    "trainer.TrainConfig.__init__(min_rel_count)",
+    "trainer.TrainConfig.__init__(negatives_per_positive)",
+    "trainer.TrainConfig.__init__(seed)",
+    "trainer.TrainReport.__init__(active_fraction)",
+    "trainer.TrainReport.__init__(checkpoint_path)",
+    "trainer.TrainReport.__init__(config)",
+    "trainer.TrainReport.__init__(epoch_losses)",
+    "trainer.TrainReport.__init__(phase_s)",
+    "trainer.TrainReport.__init__(wall_time_s)",
+    "trainer.sample_negative(corrupt_relation_prob)",
+]
+
+
+def _functions(module):
+    """(qualified name, function) of each function and method defined in module."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # staticmethod, classmethod
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def settable_values() -> list[str]:
+    names = []
+    for info in pkgutil.iter_modules(pkgm.__path__):
+        module = importlib.import_module(f"pkgm.{info.name}")
+        for name, fn in _functions(module):
+            names += [f"{info.name}.{name}({param.name})"
+                      for param in inspect.signature(fn).parameters.values()
+                      if param.default is not inspect.Parameter.empty]
+    return sorted(names)
+
+
+def test_settable_library_values_are_pinned():
+    assert settable_values() == SETTABLE
