@@ -123,7 +123,7 @@ class RecModel:
     hidden: tuple[int, ...]
     gmf_dim: int
     service: np.ndarray | None = None
-    train_losses: list[float] = field(default_factory=list)
+    train_losses: list[float] = field(default_factory=list, init=False)
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return _forward(self, np.asarray(users), np.asarray(items))[0]

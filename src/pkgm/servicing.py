@@ -19,7 +19,7 @@ import numpy as np
 
 from .keyrel import KeyRelationTable
 from .kgstore import Vocab, sorted_index, write_atomically
-from .model import ModelParams, RelationGroups, relation_service, triple_service
+from .model import ModelParams, relation_service, triple_service
 
 VARIANTS = ("item", "all", "T", "R")
 # encoded response bytes one snapshot's answer memo keeps; the least
@@ -69,18 +69,15 @@ def _fill(out: np.ndarray, params: ModelParams, ids: np.ndarray, rows: np.ndarra
     """Write the service rows of entities ids, whose key relations are rows
     (n, k), into out, an (n, rows per record, d) float32 view.
 
-    out is filled one relation at a time, so only one relation's rows are
-    held besides it; no row's bytes depend on the chunk (see _relation_rows).
+    out is filled one key-relation slot at a time, so only one slot's n rows
+    are held besides it; no row's bytes depend on the chunk (see _relation_rows).
     """
     formulas, k = _FORMULAS[variant], rows.shape[1]
     if not formulas:
         out[:, 0] = params.entity_emb[ids]
-        return
-    for r, pairs in RelationGroups(rows.reshape(len(ids) * k)).groups:
-        at, slot = np.divmod(pairs, k)
-        hs, rs = ids[at], np.full(len(at), r)
-        for part, fn in enumerate(formulas):
-            out[at, part * k + slot] = fn(params, hs, rs)
+    for part, fn in enumerate(formulas):
+        for j in range(k):
+            out[:, part * k + j] = fn(params, ids, rows[:, j])
 
 
 def build_bundle(params: ModelParams, keyrels: KeyRelationTable,
@@ -120,8 +117,8 @@ def write_services(path, params: ModelParams, keyrels: KeyRelationTable,
     ascending id order: uint32 little-endian entity id followed by the
     entity's vectors as little-endian float32, row order, as build_bundle
     gives them. The records are filled and written one chunk of about
-    WRITE_CHUNK_BYTES at a time, so the export holds one chunk and that
-    chunk's largest relation group whatever the entity count. The file is
+    WRITE_CHUNK_BYTES at a time, so the export holds one chunk and one
+    key-relation slot's rows of it whatever the entity count. The file is
     written next to path and then moved into place.
     """
     count, k = keyrels.rows.shape
@@ -188,8 +185,8 @@ class _Snapshot:
     entity_vocab: Vocab
     relation_vocab: Vocab
     # _resolve's key -> encoded vector answer line, least recently used first
-    memo: OrderedDict = field(default_factory=OrderedDict)
-    memo_bytes: int = 0
+    memo: OrderedDict = field(default_factory=OrderedDict, init=False)
+    memo_bytes: int = field(default=0, init=False)
 
 
 def _resolve(request, snap: _Snapshot) -> tuple | dict:
@@ -231,7 +228,7 @@ def _answer(snap: _Snapshot, key: tuple | dict) -> dict:
     if arg == "item":
         return {"vectors": snap.params.entity_emb[[h]].astype(np.float32, copy=False).tolist()}
     rels = snap.keyrels.rows[sorted_index(snap.keyrels.ids, [h])[0]]
-    vecs = [fn(snap.params, np.full(len(rels), h), rels) for fn in _FORMULAS[arg]]
+    vecs = [fn(snap.params, [h] * len(rels), rels) for fn in _FORMULAS[arg]]
     return {"vectors": np.concatenate(vecs).tolist()}
 
 

@@ -10,7 +10,8 @@ over every op and variant, repeated requests, unknown ids, an entity with no
 key relations and malformed requests. The benchmark inputs are built from
 pkgm.synth at seed 5, as the benchmark builds them, and trained with the
 benchmark's settings; every variant's services.bin from the kg_pipeline
-checkpoint spans several write chunks.
+checkpoint spans several write chunks, and the recsys checkpoint's "all"
+export is the one the recsys workload writes.
 
 The pins hold for one numpy and BLAS build only (OpenBLAS rounds
 differently on its small-matrix paths), so on any other build the test
@@ -100,6 +101,8 @@ BENCH_PINS = {
         "694a7a02e2dcf5616329cc3ecf5eb4960d21805e76976f95d948aa29e42757dc",
     "kg_pipeline/services_R.bin":
         "5bfbf47ab9422b2f8e9613bdb66e7ed6f87298567a6f0176a192f482a98fbf37",
+    "recsys/services_all.bin":
+        "942d2fb3cc5c02dfc6c0583335d28555c0f7f39c033fd63d1da0f3887e0599f3",
 }
 
 
@@ -198,16 +201,22 @@ def test_readme_pass_and_answer_stream_match_pins(tmp_path):
 
 def bench_exports(out: Path) -> dict[str, str]:
     """sha256 of every variant's services.bin from the kg_pipeline checkpoint
-    at k = 10: 2,000 records, which "all" writes in 10 chunks."""
-    keyrels = str(out / "keyrels.tsv")
-    assert cli.dispatch(["keyrel", "--triples", str(out / "kg.tsv"), "--k", "10",
-                         "--out", keyrels]) == 0
+    at k = 10: 2,000 records, which "all" writes in 10 chunks; and of the
+    recsys workload's export, "all" from the recsys checkpoint at k = 2."""
+    exports = [("kg_pipeline", "kg.tsv", "10", servicing.VARIANTS),
+               ("recsys", "items.tsv", "2", ("all",))]
     hashes = {}
-    for variant in servicing.VARIANTS:
-        path = out / f"services_{variant}.bin"
-        assert cli.dispatch(["export-services", "--checkpoint", str(out / "kg_pipeline"),
-                             "--keyrel", keyrels, "--variant", variant, "--out", str(path)]) == 0
-        hashes[f"kg_pipeline/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for workload, triples, k, variants in exports:
+        keyrels = str(out / f"{workload}_keyrels.tsv")
+        assert cli.dispatch(["keyrel", "--triples", str(out / triples), "--k", k,
+                             "--out", keyrels]) == 0
+        for variant in variants:
+            path = out / f"{workload}_services_{variant}.bin"
+            assert cli.dispatch(["export-services", "--checkpoint", str(out / workload),
+                                 "--keyrel", keyrels, "--variant", variant,
+                                 "--out", str(path)]) == 0
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            hashes[f"{workload}/services_{variant}.bin"] = digest
     return hashes
 
 

@@ -282,8 +282,8 @@ def planted_export(tmp_path):
 
 @pytest.mark.parametrize("variant", ["all", "R", "item"])
 def test_export_holds_one_chunk_and_little_more(tmp_path, monkeypatch, planted_export, variant):
-    """The export holds the loaded tables, one write chunk and that chunk's
-    largest relation group, never the whole block."""
+    """The export holds the loaded tables, one write chunk and one
+    key-relation slot's rows of it, never the whole block."""
     ckpt, keyrels = planted_export
     chunk = 64_000
     monkeypatch.setattr(servicing, "WRITE_CHUNK_BYTES", chunk)
