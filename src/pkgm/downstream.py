@@ -48,7 +48,7 @@ def interactions_from_rows(rows: Iterable[tuple[str, str, int]]) -> InteractionS
     users, items, order = list(zip(*rows)) or [(), (), ()]
     if not users:
         raise ValueError("no interactions")
-    user_vocab, item_vocab = Vocab(users), Vocab(items)
+    user_vocab, item_vocab = Vocab(dict.fromkeys(users)), Vocab(dict.fromkeys(items))
     return InteractionSet(users=user_vocab, items=item_vocab, interactions=np.stack(
         [user_vocab.ids(users), item_vocab.ids(items), np.array(order, dtype=np.int64)],
         axis=1))
@@ -130,12 +130,9 @@ class RecModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| only, so no branch overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, np.float32(1), e) / (1 + e)
 
 
 def _init_rec_params(n_users: int, n_items: int, config: RecConfig,
@@ -195,15 +192,19 @@ def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, label
     dfeat = np.outer(dlogit, p["w_out"])
     dgmf = dfeat[:, :g]
     dz = dfeat[:, g:]
+    n_mlp = 2 * (rows[0].shape[1] - g)
     for layer in range(len(model.hidden), 0, -1):
         dz = dz * (activations[layer] > 0)
         np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
         dz.sum(axis=0, out=grads[f"b{layer}"])
-        dz = dz @ p[f"w{layer}"].T
+        w = p[f"w{layer}"]
+        # layer 1 needs only the embedding rows' columns; a C-contiguous copy of
+        # their weights keeps the product on OpenBLAS's single-threaded path
+        dz = dz @ (w.T if layer > 1 else np.ascontiguousarray(w[:n_mlp].T))
     # rows are _forward's (user, item) rows; a side's GMF columns take dgmf times
     # the other side's, its MLP columns its half of dz (service vectors get no
     # gradient); l2 is weight decay on the embedding rows seen in the batch
-    dmlp = np.split(dz[:, :2 * (rows[0].shape[1] - g)], 2, axis=1)
+    dmlp = np.split(dz, 2, axis=1)
     for side, (name, idx) in enumerate((("user", users), ("item", items))):
         block = np.concatenate([dgmf * rows[1 - side][:, :g], dmlp[side]], axis=1)
         _segment_sum(idx, block + l2 * rows[side], grads[name])

@@ -29,8 +29,13 @@ class Vocab:
     """Dense string-to-id interning, ids assigned in first-appearance order."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self._tokens: list[str] = list(dict.fromkeys(tokens))
+        # one dict when the tokens are distinct, as a checkpoint's are; callers
+        # with many repeats pass dict.fromkeys(tokens) to stay on that path
+        self._tokens: list[str] = list(tokens)
         self._ids: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
+        if len(self._ids) < len(self._tokens):
+            self._tokens = list(dict.fromkeys(self._tokens))
+            self._ids = dict(zip(self._tokens, range(len(self._tokens))))
 
     def id(self, token: str) -> int:
         """The id of token; ValueError("unknown vocabulary token ...") when absent."""
@@ -202,7 +207,7 @@ def _store_from_columns(heads, rels, tails, category_relation: str) -> TripleSto
         raise ValueError("no triples")
     ends = [None] * (2 * len(heads))  # h0, t0, h1, t1, ...: entities in order of appearance
     ends[::2], ends[1::2] = heads, tails
-    entities, relations = Vocab(ends), Vocab(rels)
+    entities, relations = Vocab(dict.fromkeys(ends)), Vocab(dict.fromkeys(rels))
     ht = entities.ids(ends).reshape(-1, 2)
     ids = np.stack([ht[:, 0], relations.ids(rels), ht[:, 1]], axis=1)
     # a repeated row holds no token's first appearance, so keeping first

@@ -106,20 +106,29 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
 
 
 class BatchTerms(NamedTuple):
-    """Scores of a batch plus the intermediates the subgradients reuse."""
+    """Scores of a batch in batch order plus, in relation order, the
+    intermediates the subgradients reuse: row i of heads, diff and resid
+    belongs to the batch's row order[i], and groups spans those rows."""
 
     scores: np.ndarray
+    order: np.ndarray
+    heads: np.ndarray
     diff: np.ndarray
     resid: np.ndarray
     groups: RelationGroups
 
 
 def _batch_terms(params: ModelParams, hs, rs, ts) -> BatchTerms:
+    # one stable sort by relation; each relation's rows are then one slice,
+    # and every row keeps its values and its place among its relation's rows
+    order = np.argsort(rs, kind="stable")
+    hs, rs, ts = hs[order], rs[order], ts[order]
     groups = RelationGroups(rs)
     diff = triple_service(params, hs, rs) - params.entity_emb[ts]
     resid = relation_service(params, hs, rs, groups=groups)
-    scores = np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1)
-    return BatchTerms(scores, diff, resid, groups)
+    scores = np.empty(len(order), dtype=diff.dtype)
+    scores[order] = np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1)
+    return BatchTerms(scores, order, hs, diff, resid, groups)
 
 
 def _scatter_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
@@ -140,21 +149,29 @@ def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weigh
     """Add weighted subgradients for a batch of triples into dense tables.
 
     weight is per-triple: positive for positives, negative for negatives,
-    zero where the hinge is inactive. terms is spent: its diff and resid
-    hold sign rows afterwards, so the step allocates two (B, d) float rows
-    and one (B, d) index array beyond them.
+    zero where the hinge is inactive. hs, ts and weight are in batch order;
+    the per-relation work runs on terms' relation-ordered rows, and only the
+    entity rows go back to batch order, so every table adds its addends in
+    batch order. terms is spent: its diff and resid hold those rows
+    afterwards, so the step allocates two (B, d) float rows and one (B, d)
+    index array beyond them.
     """
-    w = weight[:, None]
+    order = terms.order
+    w = weight[order][:, None]
     s_t = np.sign(terms.diff)
     s_t *= w
     # np.sign into another buffer; into its own input it runs several times slower
     s_r = np.sign(terms.resid, out=terms.diff)
     s_r *= w
-    back = terms.groups.backward(params.transfer, s_r, params.entity_emb, hs, grads["transfer"])
+    back = terms.groups.backward(params.transfer, s_r, params.entity_emb, terms.heads,
+                                 grads["transfer"])
     terms.groups.add_row_sums(np.subtract(s_t, s_r, out=terms.resid), grads["relation_emb"])
     back += s_t
-    _scatter_rows(grads["entity_emb"], hs, back)
-    _scatter_rows(grads["entity_emb"], ts, np.negative(s_t, out=s_t))
+    terms.resid[order] = back
+    del back  # spent; the scatter positions must not share the peak with it
+    _scatter_rows(grads["entity_emb"], hs, terms.resid)
+    terms.diff[order] = np.negative(s_t, out=s_t)
+    _scatter_rows(grads["entity_emb"], ts, terms.diff)
 
 
 def _project_entity_rows(entity_emb: np.ndarray) -> None:
@@ -163,10 +180,10 @@ def _project_entity_rows(entity_emb: np.ndarray) -> None:
     step = max(1, SCRATCH_BYTES // (entity_emb.shape[1] * entity_emb.itemsize))
     for lo in range(0, len(entity_emb), step):
         block = entity_emb[lo:lo + step]
-        norms = np.linalg.norm(block, axis=1)
-        over = norms > 1.0
-        if over.any():
-            block[over] /= norms[over, None]
+        # np.linalg.norm's own steps, without its checks and copies
+        norms = np.add.reduce(np.multiply(block, block), axis=1)
+        np.sqrt(norms, out=norms)
+        np.divide(block, norms[:, None], out=block, where=(norms > 1.0)[:, None])
 
 
 # a diverging run ends in a named error, without numpy's overflow warnings

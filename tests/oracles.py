@@ -3,12 +3,15 @@
 The trainer, evaluation and servicing compute service vectors, scores and
 subgradients for whole batches at once; these functions compute the same
 formulas one triple at a time and serve as the reference the tests compare
-them with. accumulate_add_at is the trainer's gradient scatter in its
-row-wise np.add.at form, the addition order its faster form keeps. The
-four_table_* functions are the recommender's initialization, forward and
-backward with separate GMF and MLP embedding tables per side, which its
-one-table-per-side layout reproduces bit for bit; they use their own copies
-of the sigmoid and the float64 segment sum, so a change to either shows.
+them with. PerGroupRelationGroups is the transfer kernel with one gather
+and one scatter per relation group, batch_order_terms the trainer's batch
+terms without its relation sort, and accumulate_add_at the trainer's
+gradient scatter in its batch-order, row-wise np.add.at form: the
+addition order its faster form keeps. The four_table_* functions are the
+recommender's initialization, forward and backward with separate GMF and
+MLP embedding tables per side, which its one-table-per-side layout
+reproduces bit for bit; they use their own copies of the sigmoid (its
+boolean-mask form) and the float64 segment sum, so a change to either shows.
 keyrel_table builds a key relation table from an {entity: relations} dict,
 the form the brute-force key relation oracles give, same_table compares
 two tables and same_vocab two vocabularies. one_call_build_bundle,
@@ -128,11 +131,54 @@ def gradients(params: ModelParams, h: int, r: int, t: int) -> Gradients:
     )
 
 
-def accumulate_add_at(grads, params: ModelParams, hs, rs, ts, terms, weight) -> None:
-    """trainer._accumulate with one row-wise np.add.at per table slot."""
-    s_t = np.sign(terms.diff) * weight[:, None]
-    s_r = np.sign(terms.resid) * weight[:, None]
-    back = terms.groups.backward(params.transfer, s_r, params.entity_emb, hs, grads["transfer"])
+class PerGroupRelationGroups:
+    """pkgm.model.RelationGroups in its per-group form: each relation's rows
+    are gathered, multiplied and scattered back on their own, in batch order."""
+
+    def __init__(self, rel_ids):
+        rel_ids = np.asarray(rel_ids, dtype=np.int64)
+        order = np.argsort(rel_ids, kind="stable")
+        ordered = rel_ids[order]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        starts, ends = [0, *cuts][:len(order)], [*cuts, len(order)]
+        rels = ordered[starts].tolist()
+        self.groups = [(r, order[lo:hi]) for r, lo, hi in zip(rels, starts, ends)]
+
+    def forward(self, transfer, x):
+        out = np.empty(x.shape, dtype=np.result_type(x, transfer))
+        for r, idx in self.groups:
+            out[idx] = x[idx] @ transfer[r].T.astype(out.dtype, copy=False)
+        return out
+
+    def backward(self, transfer, grad_out, table, ids, grad_transfer):
+        back = np.empty(grad_out.shape, dtype=np.result_type(grad_out, transfer))
+        for r, idx in self.groups:
+            g = grad_out[idx]
+            back[idx] = g @ transfer[r]
+            grad_transfer[r] += g.T @ table[ids[idx]]
+        return back
+
+    def add_row_sums(self, rows, table):
+        for r, idx in self.groups:
+            block = rows[idx]
+            table[r] += block.sum(axis=0) if block.shape[1] > 1 else np.cumsum(block, axis=0)[-1]
+
+
+def batch_order_terms(params: ModelParams, hs, rs, ts):
+    """trainer._batch_terms' scores, diff and resid, all in batch order."""
+    diff = triple_service(params, hs, rs) - params.entity_emb[ts]
+    resid = relation_service(params, hs, rs, groups=PerGroupRelationGroups(rs))
+    return np.abs(diff).sum(axis=1) + np.abs(resid).sum(axis=1), diff, resid
+
+
+def accumulate_add_at(grads, params: ModelParams, hs, rs, ts, weight) -> None:
+    """trainer._accumulate in batch order, with per-group products and one
+    row-wise np.add.at per table slot."""
+    _, diff, resid = batch_order_terms(params, hs, rs, ts)
+    s_t = np.sign(diff) * weight[:, None]
+    s_r = np.sign(resid) * weight[:, None]
+    back = PerGroupRelationGroups(rs).backward(params.transfer, s_r, params.entity_emb, hs,
+                                               grads["transfer"])
     np.add.at(grads["entity_emb"], hs, s_t + back)
     np.add.at(grads["entity_emb"], ts, -s_t)
     np.add.at(grads["relation_emb"], rs, s_t - s_r)

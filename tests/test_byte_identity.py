@@ -15,8 +15,13 @@ export is the one the recsys workload writes.
 
 The pins hold for one numpy and BLAS build only (OpenBLAS rounds
 differently on its small-matrix paths), so on any other build the test
-skips and names both builds. A change meant to alter these bytes updates
-the pins and says so.
+skips and names both builds. They also depend on the OpenBLAS core that
+the DYNAMIC_ARCH library picks when it loads, which the guard does not
+read: the build string names Haswell, but the pins were made on the
+SkylakeX core (an AVX-512 host). Forced onto the Haswell core with
+OPENBLAS_CORETYPE=Haswell, the same wheel fails both pin tests, so a host
+without AVX-512 would likely fail them too. A change meant to alter these
+bytes updates the pins and says so.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     Gradients,
+    PerGroupRelationGroups,
     gradients,
     relation_error_bound,
     score_combined,
@@ -205,8 +206,42 @@ def test_relation_service_matches_oracle(rng, hs, rs):
 
 
 def test_empty_batch_has_no_groups(rng):
-    assert RelationGroups([]).groups == []
+    assert RelationGroups([]).spans == []
     assert relation_service(init_params(8, 4, 5, rng), [], []).shape == (0, 5)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16])
+@pytest.mark.parametrize("rs", [
+    np.random.default_rng(5).integers(0, 5, 60),  # unsorted, with repeats
+    np.sort(np.random.default_rng(6).integers(0, 5, 60)),  # already in relation order
+    np.array([3]),
+    np.array([], dtype=np.int64),
+    np.full(9, 2),  # one relation
+], ids=["unsorted", "sorted", "one-row", "empty", "one-relation"])
+def test_relation_groups_are_bit_equal_to_per_group_form(rng, rs, dim):
+    params = init_params(12, 5, dim, rng)
+    params.transfer += rng.standard_normal(params.transfer.shape).astype(np.float32)
+    hs = rng.integers(0, 12, len(rs))
+    got, want = RelationGroups(rs), PerGroupRelationGroups(rs)
+    assert (got.order is None) == bool((np.diff(rs) >= 0).all())
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((len(rs), dim)).astype(dtype)
+        assert same_bits(got.forward(params.transfer, x), want.forward(params.transfer, x))
+        assert same_bits(relation_service(params, hs, rs, dtype),
+                         relation_service(params, hs, rs, dtype, groups=want))
+        rows = (x * 10.0 ** rng.integers(-6, 7, x.shape)).astype(dtype)  # order shows in the bits
+        sums = [np.zeros((5, dim), dtype), np.zeros((5, dim), dtype)]
+        got.add_row_sums(rows, sums[0])
+        want.add_row_sums(rows, sums[1])
+        assert same_bits(*sums)
+        grad_transfer = [np.zeros((5, dim, dim), dtype), np.zeros((5, dim, dim), dtype)]
+        backs = [groups.backward(params.transfer, rows, params.entity_emb, hs, grads)
+                 for groups, grads in zip((got, want), grad_transfer)]
+        assert same_bits(*backs) and same_bits(*grad_transfer)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 64])

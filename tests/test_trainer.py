@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import accumulate_add_at, gradients, score_combined
+from oracles import accumulate_add_at, batch_order_terms, gradients, score_combined
 from pkgm import synth, trainer
 from pkgm.kgstore import store_from_triples
 from pkgm.model import init_params
@@ -259,6 +259,19 @@ def test_batch_terms_match_single_scores(rng):
             assert scores[i] == pytest.approx(want, rel=1e-6)
 
 
+def test_batch_terms_are_the_batch_order_terms_in_relation_order(rng):
+    params = init_params(9, 4, 6, rng)
+    for hs, rs, ts in BATCHES:
+        hs, rs, ts = np.array(hs), np.array(rs), np.array(ts)
+        terms = trainer._batch_terms(params, hs, rs, ts)
+        scores, diff, resid = batch_order_terms(params, hs, rs, ts)
+        assert np.array_equal(terms.order, np.argsort(rs, kind="stable"))
+        assert np.array_equal(terms.heads, hs[terms.order])
+        assert terms.scores.tobytes() == scores.tobytes()
+        assert terms.diff.tobytes() == diff[terms.order].tobytes()
+        assert terms.resid.tobytes() == resid[terms.order].tobytes()
+
+
 def zero_grads(params):
     return {name: np.zeros_like(getattr(params, name))
             for name in ("entity_emb", "relation_emb", "transfer")}
@@ -294,9 +307,8 @@ def mixed_weights(rng, n):
 def assert_accumulate_is_add_at_form(params, hs, rs, ts, weight):
     hs, rs, ts = np.asarray(hs), np.asarray(rs), np.asarray(ts)
     got, want = zero_grads(params), zero_grads(params)
-    # _accumulate spends its terms, so each side computes its own
     trainer._accumulate(got, params, hs, rs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
-    accumulate_add_at(want, params, hs, rs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
+    accumulate_add_at(want, params, hs, rs, ts, weight)
     for name in got:
         assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
     return got
