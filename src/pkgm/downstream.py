@@ -122,7 +122,7 @@ class RecModel:
     params: dict[str, np.ndarray]
     hidden: tuple[int, ...]
     gmf_dim: int
-    service: np.ndarray | None = None
+    service: np.ndarray | None
     train_losses: list[float] = field(default_factory=list, init=False)
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -356,7 +356,7 @@ def ndcg_at(ranks: np.ndarray, k: int) -> float:
     return float(gains.mean())
 
 
-def evaluate_leave_one_out(model: RecModel, data: InteractionSet, seed: int = 0) -> EvalReport:
+def evaluate_leave_one_out(model: RecModel, data: InteractionSet, seed: int) -> EvalReport:
     def score_fn(u: int, item_ids: np.ndarray) -> np.ndarray:
         users = np.full(len(item_ids), u, dtype=np.int64)
         return model.predict(users, np.asarray(item_ids, dtype=np.int64))

@@ -68,73 +68,49 @@ def init_params(n_entities: int, n_relations: int, dim: int,
 
 
 class RelationGroups:
-    """The rows of a batch as one span [lo, hi) per relation id over the rows
-    in relation order.
+    """The rows of a batch in relation order as one span [lo, hi) per
+    relation id; rel_ids must be ascending.
 
     The relation count is small, so applying each transfer matrix M_r to
     its own rows as one matrix product needs no (B, d, d) gather of the
     transfer tensor, and the transfer gradient becomes one product per
     relation instead of a scatter of B outer products (the block-wise
-    relation operator of PyTorch-BigGraph). Ids already in relation order,
-    as the trainer passes them, are used as they are; other ids are sorted
-    once, stably, so the methods take one gather in and one scatter out.
+    relation operator of PyTorch-BigGraph). The trainer sorts each batch
+    once and relation_service sorts the rows of other callers.
     """
 
     def __init__(self, rel_ids):
-        ordered = np.asarray(rel_ids, dtype=np.int64)
-        step = ordered[1:] - ordered[:-1]
-        self.order = None
-        if step.min(initial=0) < 0:
-            self.order = np.argsort(ordered, kind="stable")
-            ordered = ordered[self.order]
-            step = ordered[1:] - ordered[:-1]
-        starts = np.flatnonzero(step) + 1
-        rels, starts = ordered[starts].tolist(), starts.tolist()
-        if len(ordered):  # no span when empty
-            rels.insert(0, int(ordered[0]))
-            starts.insert(0, 0)
-        self.spans = list(zip(rels, starts, [*starts[1:], len(ordered)]))
-
-    def _sorted(self, rows: np.ndarray) -> np.ndarray:
-        # C-contiguous either way, as the sums and products expect
-        return np.ascontiguousarray(rows) if self.order is None else rows[self.order]
-
-    def _unsorted(self, rows: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            return rows
-        out = np.empty_like(rows)
-        out[self.order] = rows
-        return out
+        rel_ids = np.asarray(rel_ids, dtype=np.int64)
+        cuts = (np.flatnonzero(rel_ids[1:] != rel_ids[:-1]) + 1).tolist()
+        starts = [0, *cuts][:len(rel_ids)]  # no span when empty
+        self.spans = list(zip(rel_ids[starts].tolist(), starts, [*cuts, len(rel_ids)]))
 
     def forward(self, transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of the result is M_r x_i for the relation r of row i."""
-        x = self._sorted(x)
         out = np.empty(x.shape, dtype=np.result_type(x, transfer))
         for r, lo, hi in self.spans:
             np.matmul(x[lo:hi], transfer[r].T.astype(out.dtype, copy=False), out=out[lo:hi])
-        return self._unsorted(out)
+        return out
 
     def backward(self, transfer: np.ndarray, grad_out: np.ndarray, table: np.ndarray,
                  ids: np.ndarray, grad_transfer: np.ndarray) -> np.ndarray:
         """Return the rows M_r^T g_i and add sum_i g_i x_i^T into grad_transfer[r],
         x_i = table[ids[i]] gathered one span at a time."""
-        grad_out, ids = self._sorted(grad_out), self._sorted(ids)
         back = np.empty(grad_out.shape, dtype=np.result_type(grad_out, transfer))
         for r, lo, hi in self.spans:
             g = grad_out[lo:hi]
             np.matmul(g, transfer[r], out=back[lo:hi])
             grad_transfer[r] += g.T @ table[ids[lo:hi]]
-        return self._unsorted(back)
+        return back
 
     def add_row_sums(self, rows: np.ndarray, table: np.ndarray) -> None:
-        """Add the sum of each span's rows into table[r].
+        """Add the sum of each span's rows into table[r], rows C-contiguous.
 
         numpy sums axis 0 of a C-contiguous (n, d > 1) block one row after
-        another in batch order, so into a zeroed table this equals
-        np.add.at(table, rel_ids, rows) bit for bit; a single column would
-        be summed pairwise, so it is summed by a running sum instead.
+        another, so into a zeroed table this equals np.add.at(table,
+        rel_ids, rows) bit for bit; a single column would be summed
+        pairwise, so it is summed by a running sum instead.
         """
-        rows = self._sorted(rows)
         for r, lo, hi in self.spans:
             block = rows[lo:hi]
             table[r] += block.sum(axis=0) if block.shape[1] > 1 else np.cumsum(block, axis=0)[-1]
@@ -148,12 +124,23 @@ def triple_service(params: ModelParams, hs, rs, dtype=np.float32) -> np.ndarray:
 
 def relation_service(params: ModelParams, hs, rs, dtype=np.float32,
                      groups: RelationGroups | None = None) -> np.ndarray:
-    """The rows M_r e_h - r_r of S_rel in dtype; groups, when given, is RelationGroups(rs).
+    """The rows M_r e_h - r_r of S_rel in dtype. groups, when given, is
+    RelationGroups(rs) of rows already in relation order; other rows are
+    sorted by relation once, stably, and the result scattered back once.
     No table is copied whole: only the gathered rows and each relation's M_r are cast to dtype."""
-    groups = RelationGroups(rs) if groups is None else groups
-    heads = params.entity_emb[hs].astype(dtype, copy=False)
-    return (groups.forward(params.transfer, heads)
-            - params.relation_emb[rs].astype(dtype, copy=False))
+    order = None
+    if groups is None:
+        rs = np.asarray(rs, dtype=np.int64)
+        order = np.argsort(rs, kind="stable")
+        hs, rs = np.asarray(hs, dtype=np.int64)[order], rs[order]
+        groups = RelationGroups(rs)
+    rows = groups.forward(params.transfer, params.entity_emb[hs].astype(dtype, copy=False))
+    rows -= params.relation_emb[rs]
+    if order is None:
+        return rows
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
 
 
 def save_checkpoint(out_dir, params: ModelParams, entity_vocab: Vocab,

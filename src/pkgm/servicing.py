@@ -184,7 +184,7 @@ class _Snapshot:
     keyrels: KeyRelationTable
     entity_vocab: Vocab
     relation_vocab: Vocab
-    # _resolve's key -> encoded vector answer line, least recently used first
+    # _resolve's key -> encoded answer line, least recently used first
     memo: OrderedDict = field(default_factory=OrderedDict, init=False)
     memo_bytes: int = field(default=0, init=False)
 
@@ -209,11 +209,7 @@ def _resolve(request, snap: _Snapshot) -> tuple | dict:
             return {"error": "bad_request"}
         if e not in snap.entity_vocab:
             return {"error": "unknown_id"}
-        e = snap.entity_vocab.id(e)
-        if variant != "item" and sorted_index(snap.keyrels.ids, [e])[0] < 0:
-            # in vocabulary but not serviceable (no key relations)
-            return {"error": "unknown_id"}
-        return op, e, variant
+        return op, snap.entity_vocab.id(e), variant
     return {"error": "bad_request"}
 
 
@@ -227,7 +223,10 @@ def _answer(snap: _Snapshot, key: tuple | dict) -> dict:
         return {"vector": fn(snap.params, [h], [arg])[0].tolist()}
     if arg == "item":
         return {"vectors": snap.params.entity_emb[[h]].astype(np.float32, copy=False).tolist()}
-    rels = snap.keyrels.rows[sorted_index(snap.keyrels.ids, [h])[0]]
+    at = sorted_index(snap.keyrels.ids, [h])[0]
+    if at < 0:  # in vocabulary but not serviceable (no key relations)
+        return {"error": "unknown_id"}
+    rels = snap.keyrels.rows[at]
     vecs = [fn(snap.params, [h] * len(rels), rels) for fn in _FORMULAS[arg]]
     return {"vectors": np.concatenate(vecs).tolist()}
 
@@ -256,12 +255,13 @@ class QueryService:
     def answer_line(self, request) -> bytes:
         """handle(request) encoded as one response line.
 
-        A vector answer's line is kept in the snapshot's memo, keyed by
-        _resolve(request), so a repeated request gets the same bytes without
-        being answered or encoded again; the memo holds at most MEMO_BYTES,
-        least recently used lines evicted first. A NaN or infinite vector
-        entry is answered {"error": "internal"}. The memo is not locked:
-        call this from one thread, as the server's event loop does.
+        The line of a request that resolves to ids, unknown_id for a bundle of
+        an entity with no key relations included, is kept in the snapshot's
+        memo, keyed by _resolve(request), so a repeated request gets the same
+        bytes without being answered or encoded again; the memo holds at most
+        MEMO_BYTES, least recently used lines evicted first. A NaN or
+        infinite vector entry is answered {"error": "internal"}. The memo is
+        not locked: call this from one thread, as the server's event loop does.
         """
         snap = self._snapshot
         key = _resolve(request, snap)

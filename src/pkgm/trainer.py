@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,12 +61,12 @@ class TrainReport:
     (positive, negative) pairs whose hinge is nonzero; phase_s holds wall
     seconds per step phase (PHASES) summed over all steps."""
 
-    epoch_losses: list[float] = field(default_factory=list)
-    active_fraction: list[float] = field(default_factory=list)
-    phase_s: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    checkpoint_path: str | None = None
-    config: dict = field(default_factory=dict)
+    epoch_losses: list[float]
+    active_fraction: list[float]
+    phase_s: dict
+    wall_time_s: float
+    checkpoint_path: str | None
+    config: dict
 
 
 def sample_negative(store: TripleStore, positives: np.ndarray,
@@ -145,7 +145,7 @@ def _scatter_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(table.reshape(-1), pos.ravel(), rows.ravel())
 
 
-def _accumulate(grads, params: ModelParams, hs, rs, ts, terms: BatchTerms, weight) -> None:
+def _accumulate(grads, params: ModelParams, hs, ts, terms: BatchTerms, weight) -> None:
     """Add weighted subgradients for a batch of triples into dense tables.
 
     weight is per-triple: positive for positives, negative for negatives,
@@ -246,7 +246,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
             pair_weight = hinge.astype(np.float32) / np.float32(n_pairs)
             weight = np.concatenate([pair_weight.reshape(n_pos, neg_k).sum(axis=1), -pair_weight])
             adam.grad.fill(0)
-            _accumulate(adam.grads, params, hs, rs, ts, terms, weight)
+            _accumulate(adam.grads, params, hs, ts, terms, weight)
             del terms  # spent; the next batch's terms must not share the peak with these
             stamps.append(time.perf_counter())
             adam.step()
@@ -271,6 +271,7 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
         active_fraction=active_fraction,
         phase_s=phase_s,
         wall_time_s=time.perf_counter() - start,
+        checkpoint_path=None,
         config=asdict(config),
     )
     return params, report

@@ -837,6 +837,20 @@ def test_memoized_line_is_the_encoded_handle_answer(query_service, request_obj):
     assert miss == hit == hit_with_rid == encoded(service, request_obj)
 
 
+@pytest.mark.parametrize("entity", ["apple", "fruit"])  # "fruit" has no key relations
+def test_bundle_looks_up_its_key_relation_row_on_a_miss_only(query_service, monkeypatch, entity):
+    service, *_ = query_service
+    request_obj = {"op": "bundle", "e": entity, "variant": "all"}
+    want = encoded(service, request_obj)
+    lookups = []
+    lookup = servicing.sorted_index
+    monkeypatch.setattr(servicing, "sorted_index", lambda *args: lookups.append(args) or lookup(*args))
+    assert service.answer_line(request_obj) == want
+    assert len(lookups) == 1
+    assert service.answer_line(request_obj) == service.answer_line(request_obj) == want
+    assert len(lookups) == 1
+
+
 def test_reload_drops_memoized_answers(query_service):
     service, params, keyrels, store = query_service
     req = {"op": "triple", "h": "apple", "r": "color"}

@@ -3,8 +3,8 @@
 SETTABLE lists every parameter with a default of every function and method
 defined in pkgm, dataclass fields with defaults (TrainConfig, RecConfig and
 the rest) as parameters of their generated __init__. Adding or removing an
-option is then a one-line edit of this list. SRC_LINES bounds the line count
-of src/pkgm, so a change that grows the library also edits that number.
+option is then a one-line edit of this list. SRC_LINES is the line count of
+src/pkgm, so a change that grows or shrinks the library also edits that number.
 """
 
 import importlib
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pkgm
 
-# newlines in src/pkgm/*.py; lower it when the library shrinks
-SRC_LINES = 2371
+# newlines in src/pkgm/*.py
+SRC_LINES = 2359
 
 SETTABLE = [
     "downstream.RecConfig.__init__(batch_size)",
@@ -27,8 +27,6 @@ SETTABLE = [
     "downstream.RecConfig.__init__(mlp_dim)",
     "downstream.RecConfig.__init__(neg_ratio)",
     "downstream.RecConfig.__init__(seed)",
-    "downstream.RecModel.__init__(service)",
-    "downstream.evaluate_leave_one_out(seed)",
     "downstream.leave_one_out_ranks(n_negatives)",
     "downstream.leave_one_out_ranks(seed)",
     "kgstore.TripleStore.__init__(category_relation)",
@@ -68,12 +66,6 @@ SETTABLE = [
     "trainer.TrainConfig.__init__(min_rel_count)",
     "trainer.TrainConfig.__init__(negatives_per_positive)",
     "trainer.TrainConfig.__init__(seed)",
-    "trainer.TrainReport.__init__(active_fraction)",
-    "trainer.TrainReport.__init__(checkpoint_path)",
-    "trainer.TrainReport.__init__(config)",
-    "trainer.TrainReport.__init__(epoch_losses)",
-    "trainer.TrainReport.__init__(phase_s)",
-    "trainer.TrainReport.__init__(wall_time_s)",
     "trainer.sample_negative(corrupt_relation_prob)",
 ]
 
@@ -110,4 +102,4 @@ def test_settable_library_values_are_pinned():
 def test_src_line_budget():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in Path(pkgm.__path__[0]).glob("*.py"))
-    assert lines <= SRC_LINES
+    assert lines == SRC_LINES, f"src/pkgm has {lines} lines; SRC_LINES is {SRC_LINES}"

@@ -284,7 +284,7 @@ def test_batched_gradients_match_per_triple(rng):
         hs, rs, ts = np.array(hs), np.array(rs), np.array(ts)
         terms = trainer._batch_terms(params, hs, rs, ts)
         got = zero_grads(params)
-        trainer._accumulate(got, params, hs, rs, ts, terms, weight)
+        trainer._accumulate(got, params, hs, ts, terms, weight)
 
         want = {k: np.zeros_like(v) for k, v in got.items()}
         for i in range(len(hs)):
@@ -307,7 +307,7 @@ def mixed_weights(rng, n):
 def assert_accumulate_is_add_at_form(params, hs, rs, ts, weight):
     hs, rs, ts = np.asarray(hs), np.asarray(rs), np.asarray(ts)
     got, want = zero_grads(params), zero_grads(params)
-    trainer._accumulate(got, params, hs, rs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
+    trainer._accumulate(got, params, hs, ts, trainer._batch_terms(params, hs, rs, ts), weight)
     accumulate_add_at(want, params, hs, rs, ts, weight)
     for name in got:
         assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
