@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -273,6 +275,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None for a BLAS without
+    them; dlsym on numpy's core extension also searches the OpenBLAS it links."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread, whatever OPENBLAS_NUM_THREADS says, and give
+    the caller's count back on every exit. Every product here is small; split
+    over two vCPUs it can stall for milliseconds while the second one wakes.
+    The count is global to the process, so dispatch must not run on two
+    threads at once."""
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    get, put = funcs
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -284,7 +319,8 @@ def dispatch(argv) -> int:
         return 2
     handler, _, spec = COMMANDS[args.command]
     try:
-        return handler(_merge_settings(args, spec))
+        with _one_blas_thread():
+            return handler(_merge_settings(args, spec))
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one has no text
         print(f"pkgm: error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -187,7 +187,7 @@ def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, label
     p, g = model.params, model.gmf_dim
     batch = len(labels)
 
-    dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
+    dlogit = (prob - labels) / np.float32(batch)
     np.matmul(feat.T, dlogit, out=grads["w_out"])
     dfeat = np.outer(dlogit, p["w_out"])
     dgmf = dfeat[:, :g]
@@ -278,8 +278,9 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
             u_b, i_b, y_b = users_arr[sel], items_arr[sel], labels_arr[sel]
             prob, rows, acts, feat = _forward(model, u_b, i_b)
             clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
-            loss_sum += float(-(y_b * np.log(clipped)
-                                + (1.0 - y_b) * np.log(1.0 - clipped)).sum())
+            # labels are exactly 0 or 1 and clipping keeps both logs finite, so this is
+            # bit-equal to -(y*log(c) + (1-y)*log(1-c)).sum(), whose terms add a -0.0
+            loss_sum += float(-np.log(np.where(y_b > 0, clipped, 1.0 - clipped)).sum())
             _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat, config.l2)
             adam.step()
         if not math.isfinite(loss_sum):

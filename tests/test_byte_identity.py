@@ -22,6 +22,10 @@ SkylakeX core (an AVX-512 host). Forced onto the Haswell core with
 OPENBLAS_CORETYPE=Haswell, the same wheel fails both pin tests, so a host
 without AVX-512 would likely fail them too. A change meant to alter these
 bytes updates the pins and says so.
+
+The pins are taken through cli.dispatch, which runs OpenBLAS on one thread;
+tests/test_blas_threads.py checks that two threads give the same bytes where
+OpenBLAS splits a product.
 """
 
 from __future__ import annotations

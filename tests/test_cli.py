@@ -188,6 +188,40 @@ def test_recsys_rejects_user_who_has_seen_every_item_before_training(tmp_path, c
     assert not report.exists()
 
 
+@pytest.mark.parametrize("raised", [None, ValueError, KeyError])
+def test_dispatch_runs_on_one_blas_thread_and_restores_the_callers_count(monkeypatch, capsys,
+                                                                          raised):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS has no scipy-openblas thread-count functions")
+    get, put = threads
+    seen = []
+
+    def handler(settings):
+        seen.append(get())
+        if raised:
+            raise raised("handler failed")
+        return 0
+
+    _, help_text, spec = cli.COMMANDS["eval-rel"]
+    monkeypatch.setitem(cli.COMMANDS, "eval-rel", (handler, help_text, spec))
+    argv = ["eval-rel", "--checkpoint", "c", "--pairs", "p", "--report", "r"]
+    saved = get()
+    put(2)
+    try:
+        if raised is KeyError:
+            with pytest.raises(KeyError):
+                dispatch(argv)
+        else:
+            assert dispatch(argv) == (1 if raised else 0)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        put(saved)
+    if raised is ValueError:
+        assert capsys.readouterr().err == "pkgm: error: handler failed\n"
+
+
 def test_recsys_order_index_beyond_int64_is_named_error(tmp_path, capsys):
     inter = tmp_path / "inter.tsv"
     inter.write_text("u1\ti1\t0\nu1\ti1\t99999999999999999999999\n", encoding="utf-8")

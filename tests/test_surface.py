@@ -15,7 +15,7 @@ from pathlib import Path
 import pkgm
 
 # newlines in src/pkgm/*.py
-SRC_LINES = 2359
+SRC_LINES = 2396
 
 SETTABLE = [
     "downstream.RecConfig.__init__(batch_size)",
