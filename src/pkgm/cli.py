@@ -91,8 +91,8 @@ def cmd_train(settings: dict) -> int:
     params, report = trainer.train(store, config)
     out_dir = Path(settings["out"])
     model.save_checkpoint(out_dir, params, store.entities, store.relations)
-    report.checkpoint_path = str(out_dir)
-    _write_report(out_dir / "train_report.json", asdict(report))
+    _write_report(out_dir / "train_report.json",
+                  {**asdict(report), "checkpoint_path": str(out_dir)})
     print(f"checkpoint written to {out_dir}")
     return 0
 

@@ -21,6 +21,8 @@ from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
 LOO_NEGATIVES, LOO_CUTOFFS = 100, (5, 10, 30)  # sampled negatives per user; hr@k, ndcg@k at k
+# GMF and MLP embedding widths, MLP hidden layer widths, weight decay on the batch's embedding rows
+GMF_DIM, MLP_DIM, HIDDEN, L2 = 8, 32, (32, 16, 8), 0.001
 
 
 @dataclass(eq=False)
@@ -88,21 +90,13 @@ def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
 
 @dataclass
 class RecConfig:
-    gmf_dim: int = 8
-    mlp_dim: int = 32
-    hidden: tuple[int, ...] = (32, 16, 8)
     learning_rate: float = 1e-4
     epochs: int = 100
     batch_size: int = 256
     neg_ratio: int = 4
-    l2: float = 0.001
     seed: int = 0
 
     def validate(self) -> None:
-        if self.gmf_dim < 1 or self.mlp_dim < 1:
-            raise ValueError("embedding dims must be positive")
-        if not self.hidden:
-            raise ValueError("hidden layer sizes must be non-empty")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
@@ -111,8 +105,6 @@ class RecConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.neg_ratio < 0:
             raise ValueError(f"neg_ratio must be >= 0, got {self.neg_ratio}")
-        if not 0 <= self.l2 < math.inf:
-            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
 
 
 @dataclass
@@ -120,8 +112,6 @@ class RecModel:
     """GMF + MLP recommender with an optional frozen service input."""
 
     params: dict[str, np.ndarray]
-    hidden: tuple[int, ...]
-    gmf_dim: int
     service: np.ndarray | None
     train_losses: list[float] = field(default_factory=list, init=False)
 
@@ -135,29 +125,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, np.float32(1), e) / (1 + e)
 
 
-def _init_rec_params(n_users: int, n_items: int, config: RecConfig,
-                     service_dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _init_rec_params(n_users: int, n_items: int, service_dim: int,
+                     rng: np.random.Generator) -> dict[str, np.ndarray]:
     def glorot(n_in, n_out):
         lim = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-lim, lim, size=(n_in, n_out)).astype(np.float32)
 
     gmf_user, gmf_item, mlp_user, mlp_item = (
         rng.normal(0.0, 0.01, size=(n, dim)).astype(np.float32)
-        for dim in (config.gmf_dim, config.mlp_dim) for n in (n_users, n_items))
+        for dim in (GMF_DIM, MLP_DIM) for n in (n_users, n_items))
     # one table per side, each row its GMF columns followed by its MLP columns
     params = {"user": np.hstack([gmf_user, mlp_user]), "item": np.hstack([gmf_item, mlp_item])}
-    in_dim = 2 * config.mlp_dim + service_dim
-    for layer, width in enumerate(config.hidden, start=1):
+    in_dim = 2 * MLP_DIM + service_dim
+    for layer, width in enumerate(HIDDEN, start=1):
         params[f"w{layer}"] = glorot(in_dim, width)
         params[f"b{layer}"] = np.zeros(width, dtype=np.float32)
         in_dim = width
-    out_dim = config.gmf_dim + config.hidden[-1]
-    params["w_out"] = glorot(out_dim, 1)[:, 0]
+    params["w_out"] = glorot(GMF_DIM + HIDDEN[-1], 1)[:, 0]
     return params
 
 
 def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
-    p, g = model.params, model.gmf_dim
+    p, g = model.params, GMF_DIM
     user_rows, item_rows = p["user"][users], p["item"][items]
     gmf = user_rows[:, :g] * item_rows[:, :g]
     parts = [user_rows[:, g:], item_rows[:, g:]]
@@ -166,7 +155,7 @@ def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
     mlp_in = np.concatenate(parts, axis=1)
     activations = [mlp_in]
     z = mlp_in
-    for layer in range(1, len(model.hidden) + 1):
+    for layer in range(1, len(HIDDEN) + 1):
         z = np.maximum(z @ p[f"w{layer}"] + p[f"b{layer}"], 0.0)
         activations.append(z)
     feat = np.concatenate([gmf, z], axis=1)
@@ -182,9 +171,9 @@ def _segment_sum(idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, labels, prob,
-              rows, activations, feat, l2: float) -> None:
+              rows, activations, feat) -> None:
     """Write the batch's gradient into grads, the optimizer's gradient views."""
-    p, g = model.params, model.gmf_dim
+    p, g = model.params, GMF_DIM
     batch = len(labels)
 
     dlogit = (prob - labels) / np.float32(batch)
@@ -192,22 +181,21 @@ def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, label
     dfeat = np.outer(dlogit, p["w_out"])
     dgmf = dfeat[:, :g]
     dz = dfeat[:, g:]
-    n_mlp = 2 * (rows[0].shape[1] - g)
-    for layer in range(len(model.hidden), 0, -1):
+    for layer in range(len(HIDDEN), 0, -1):
         dz = dz * (activations[layer] > 0)
         np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
         dz.sum(axis=0, out=grads[f"b{layer}"])
         w = p[f"w{layer}"]
         # layer 1 needs only the embedding rows' columns; a C-contiguous copy of
         # their weights keeps the product on OpenBLAS's single-threaded path
-        dz = dz @ (w.T if layer > 1 else np.ascontiguousarray(w[:n_mlp].T))
+        dz = dz @ (w.T if layer > 1 else np.ascontiguousarray(w[:2 * MLP_DIM].T))
     # rows are _forward's (user, item) rows; a side's GMF columns take dgmf times
     # the other side's, its MLP columns its half of dz (service vectors get no
-    # gradient); l2 is weight decay on the embedding rows seen in the batch
+    # gradient); L2 is weight decay on the embedding rows seen in the batch
     dmlp = np.split(dz, 2, axis=1)
     for side, (name, idx) in enumerate((("user", users), ("item", items))):
         block = np.concatenate([dgmf * rows[1 - side][:, :g], dmlp[side]], axis=1)
-        _segment_sum(idx, block + l2 * rows[side], grads[name])
+        _segment_sum(idx, block + L2 * rows[side], grads[name])
 
 
 def _sample_unobserved(users: np.ndarray, n_items: int, observed: np.ndarray,
@@ -250,11 +238,10 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
         service_table.setflags(write=False)
     rng = np.random.default_rng(config.seed)
     service_dim = 0 if service_table is None else service_table.shape[1]
-    adam = Adam(_init_rec_params(data.n_users, data.n_items, config, service_dim, rng),
+    adam = Adam(_init_rec_params(data.n_users, data.n_items, service_dim, rng),
                 lr=config.learning_rate)
     # the model's tables are views of the optimizer's flat buffer
-    model = RecModel(params=adam.params, hidden=tuple(config.hidden), gmf_dim=config.gmf_dim,
-                     service=service_table)
+    model = RecModel(params=adam.params, service=service_table)
 
     pos_users, pos_items, _ = data.interactions.T
     observed = _observed_keys(data)
@@ -281,7 +268,7 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
             # labels are exactly 0 or 1 and clipping keeps both logs finite, so this is
             # bit-equal to -(y*log(c) + (1-y)*log(1-c)).sum(), whose terms add a -0.0
             loss_sum += float(-np.log(np.where(y_b > 0, clipped, 1.0 - clipped)).sum())
-            _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat, config.l2)
+            _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat)
             adam.step()
         if not math.isfinite(loss_sum):
             raise RuntimeError(f"non-finite loss at epoch {epoch}")

@@ -28,7 +28,7 @@ import numpy as np
 class Vocab:
     """Dense string-to-id interning, ids assigned in first-appearance order."""
 
-    def __init__(self, tokens: Iterable[str] = ()):
+    def __init__(self, tokens: Iterable[str]):
         # one dict when the tokens are distinct, as a checkpoint's are; callers
         # with many repeats pass dict.fromkeys(tokens) to stay on that path
         self._tokens: list[str] = list(tokens)

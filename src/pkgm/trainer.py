@@ -65,13 +65,11 @@ class TrainReport:
     active_fraction: list[float]
     phase_s: dict
     wall_time_s: float
-    checkpoint_path: str | None
     config: dict
 
 
 def sample_negative(store: TripleStore, positives: np.ndarray,
-                    rng: np.random.Generator,
-                    corrupt_relation_prob: float = 1.0 / 3.0) -> np.ndarray:
+                    rng: np.random.Generator, corrupt_relation_prob: float) -> np.ndarray:
     """Corrupt exactly one slot of each row of an (n, 3) array of positives.
 
     Only slots with two or more values are drawn: per row, the relation slot
@@ -271,7 +269,6 @@ def train(store: TripleStore, config: TrainConfig) -> tuple[ModelParams, TrainRe
         active_fraction=active_fraction,
         phase_s=phase_s,
         wall_time_s=time.perf_counter() - start,
-        checkpoint_path=None,
         config=asdict(config),
     )
     return params, report

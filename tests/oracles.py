@@ -10,7 +10,9 @@ gradient scatter in its batch-order, row-wise np.add.at form: the
 addition order its faster form keeps. The four_table_* functions are the
 recommender's initialization, forward and backward with separate GMF and
 MLP embedding tables per side, which its one-table-per-side layout
-reproduces bit for bit; they use their own copies of the sigmoid (its
+reproduces bit for bit; they read the widths and L2 from pkgm.downstream's
+module constants when called, so a test that patches those constants
+patches both sides, and they use their own copies of the sigmoid (its
 boolean-mask form) and the float64 segment sum, so a change to either shows.
 keyrel_table builds a key relation table from an {entity: relations} dict,
 the form the brute-force key relation oracles give, same_table compares
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pkgm import servicing
+from pkgm import downstream, servicing
 from pkgm.downstream import InteractionSet
 from pkgm.keyrel import KeyRelationTable
 from pkgm.kgstore import TripleStore, Vocab
@@ -199,29 +201,30 @@ def _segment_sum(idx, rows, out) -> None:
     out[...] = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-def four_table_init(n_users, n_items, config, service_dim, rng) -> dict[str, np.ndarray]:
+def four_table_init(n_users, n_items, service_dim, rng) -> dict[str, np.ndarray]:
     """The recommender's parameters with gmf_user, gmf_item, mlp_user and mlp_item tables."""
     def glorot(n_in, n_out):
         lim = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-lim, lim, size=(n_in, n_out)).astype(np.float32)
 
+    gmf_dim, mlp_dim, hidden = downstream.GMF_DIM, downstream.MLP_DIM, downstream.HIDDEN
     params = {
-        "gmf_user": rng.normal(0.0, 0.01, size=(n_users, config.gmf_dim)).astype(np.float32),
-        "gmf_item": rng.normal(0.0, 0.01, size=(n_items, config.gmf_dim)).astype(np.float32),
-        "mlp_user": rng.normal(0.0, 0.01, size=(n_users, config.mlp_dim)).astype(np.float32),
-        "mlp_item": rng.normal(0.0, 0.01, size=(n_items, config.mlp_dim)).astype(np.float32),
+        "gmf_user": rng.normal(0.0, 0.01, size=(n_users, gmf_dim)).astype(np.float32),
+        "gmf_item": rng.normal(0.0, 0.01, size=(n_items, gmf_dim)).astype(np.float32),
+        "mlp_user": rng.normal(0.0, 0.01, size=(n_users, mlp_dim)).astype(np.float32),
+        "mlp_item": rng.normal(0.0, 0.01, size=(n_items, mlp_dim)).astype(np.float32),
     }
-    in_dim = 2 * config.mlp_dim + service_dim
-    for layer, width in enumerate(config.hidden, start=1):
+    in_dim = 2 * mlp_dim + service_dim
+    for layer, width in enumerate(hidden, start=1):
         params[f"w{layer}"] = glorot(in_dim, width)
         params[f"b{layer}"] = np.zeros(width, dtype=np.float32)
         in_dim = width
-    out_dim = config.gmf_dim + config.hidden[-1]
+    out_dim = gmf_dim + hidden[-1]
     params["w_out"] = glorot(out_dim, 1)[:, 0]
     return params
 
 
-def four_table_forward(p, hidden, service, users, items):
+def four_table_forward(p, service, users, items):
     gmf = p["gmf_user"][users] * p["gmf_item"][items]
     parts = [p["mlp_user"][users], p["mlp_item"][items]]
     if service is not None:
@@ -229,7 +232,7 @@ def four_table_forward(p, hidden, service, users, items):
     mlp_in = np.concatenate(parts, axis=1)
     activations = [mlp_in]
     z = mlp_in
-    for layer in range(1, len(hidden) + 1):
+    for layer in range(1, len(downstream.HIDDEN) + 1):
         z = np.maximum(z @ p[f"w{layer}"] + p[f"b{layer}"], 0.0)
         activations.append(z)
     feat = np.concatenate([gmf, z], axis=1)
@@ -237,8 +240,7 @@ def four_table_forward(p, hidden, service, users, items):
     return prob, gmf, activations, feat
 
 
-def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activations, feat,
-                        l2) -> None:
+def four_table_backward(p, grads, users, items, labels, prob, gmf, activations, feat) -> None:
     batch = len(labels)
     dlogit = (prob - labels).astype(np.float32) / np.float32(batch)
     np.matmul(feat.T, dlogit, out=grads["w_out"])
@@ -246,7 +248,7 @@ def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activ
     gdim = gmf.shape[1]
     dgmf = dfeat[:, :gdim]
     dz = dfeat[:, gdim:]
-    for layer in range(len(hidden), 0, -1):
+    for layer in range(len(downstream.HIDDEN), 0, -1):
         dz = dz * (activations[layer] > 0)
         np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
         dz.sum(axis=0, out=grads[f"b{layer}"])
@@ -259,7 +261,7 @@ def four_table_backward(p, hidden, grads, users, items, labels, prob, gmf, activ
         ("mlp_item", items, dz[:, mdim:2 * mdim]),
     )
     for name, idx, rows in row_grads:
-        _segment_sum(idx, rows + l2 * p[name][idx], grads[name])
+        _segment_sum(idx, rows + downstream.L2 * p[name][idx], grads[name])
 
 
 def keyrel_table(rows: dict[int, tuple[int, ...]]) -> KeyRelationTable:

@@ -44,7 +44,7 @@ def test_recommender_bytes_do_not_depend_on_blas_threads(set_threads):
     prefs = synth.preference_dataset(seed=3)
     data = downstream.interactions_from_rows(prefs.interactions)
     service = np.random.default_rng(4).normal(size=(data.n_items, 64)).astype(np.float32)
-    config = downstream.RecConfig(mlp_dim=32, learning_rate=1e-3, epochs=3, batch_size=256)
+    config = downstream.RecConfig(learning_rate=1e-3, epochs=3, batch_size=256)
     runs = []
     for count in (1, 2):
         set_threads(count)

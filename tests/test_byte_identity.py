@@ -20,8 +20,8 @@ the DYNAMIC_ARCH library picks when it loads, which the guard does not
 read: the build string names Haswell, but the pins were made on the
 SkylakeX core (an AVX-512 host). Forced onto the Haswell core with
 OPENBLAS_CORETYPE=Haswell, the same wheel fails both pin tests, so a host
-without AVX-512 would likely fail them too. A change meant to alter these
-bytes updates the pins and says so.
+without AVX-512 would likely fail them too; a mismatch names the core that
+ran. A change meant to alter these bytes updates the pins and says so.
 
 The pins are taken through cli.dispatch, which runs OpenBLAS on one thread;
 tests/test_blas_threads.py checks that two threads give the same bytes where
@@ -30,6 +30,7 @@ OpenBLAS splits a product.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -124,6 +125,17 @@ def build() -> str:
             f"({blas.get('openblas configuration')})")
 
 
+def core_note() -> str:
+    """A pin mismatch's note: the OpenBLAS core numpy's library picked when it
+    loaded, read as cli._openblas_threads reads the thread count."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "pins were taken on the SkylakeX core; this BLAS does not name its core"
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return f"pins were taken on the SkylakeX core; this ran on {get().decode()}"
+
+
 pytestmark = pytest.mark.skipif(build() != PINNED_BUILD,
                                 reason=f"pins were taken on {PINNED_BUILD}; this is {build()}")
 
@@ -205,7 +217,7 @@ def test_readme_pass_and_answer_stream_match_pins(tmp_path):
                for name in files)
     got["answer_line stream"] = hashlib.sha256(answer_stream(tmp_path)).hexdigest()
     print(json.dumps(got, indent=4))
-    assert got == PINS
+    assert got == PINS, core_note()
 
 
 def bench_exports(out: Path) -> dict[str, str]:
@@ -234,4 +246,4 @@ def test_bench_scale_training_matches_pins(tmp_path):
     got = {**checkpoint_hashes(tmp_path / "kg_pipeline", "kg_pipeline"),
            **checkpoint_hashes(tmp_path / "recsys", "recsys"), **bench_exports(tmp_path)}
     print(json.dumps(got, indent=4))
-    assert got == BENCH_PINS
+    assert got == BENCH_PINS, core_note()

@@ -96,13 +96,12 @@ def test_service_table_rejects_unserved_items(item_bundle):
 @pytest.mark.parametrize(
     "kwargs,msg",
     [
-        ({"gmf_dim": 0}, "embedding dims"),
-        ({"hidden": ()}, "hidden layer sizes"),
+        ({"learning_rate": -1e-4}, "learning_rate"),
+        ({"batch_size": -256}, "batch_size"),
         ({"learning_rate": 0.0}, "learning_rate"),
         ({"epochs": -1}, "epochs"),
         ({"batch_size": 0}, "batch_size"),
         ({"neg_ratio": -1}, "neg_ratio"),
-        ({"l2": -0.1}, "l2"),
     ],
 )
 def test_rec_config_validation(kwargs, msg):
@@ -110,8 +109,7 @@ def test_rec_config_validation(kwargs, msg):
         RecConfig(**kwargs).validate()
 
 
-@pytest.mark.parametrize("field,msg", [("learning_rate", "learning_rate must be positive"),
-                                       ("l2", "l2 must be >= 0")])
+@pytest.mark.parametrize("field,msg", [("learning_rate", "learning_rate must be positive")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_rec_config_rejects_non_finite(field, msg, value):
     with pytest.raises(ValueError, match=f"{msg} and finite"):
@@ -129,8 +127,7 @@ def block_interactions(n_users=24, n_items=18):
 
 
 def small_config(**overrides):
-    base = dict(gmf_dim=4, mlp_dim=8, hidden=(8,), learning_rate=1e-3,
-                epochs=12, batch_size=64, neg_ratio=2, seed=0)
+    base = dict(learning_rate=1e-3, epochs=12, batch_size=64, neg_ratio=2, seed=0)
     base.update(overrides)
     return RecConfig(**base)
 
@@ -255,23 +252,34 @@ def test_segment_sum_matches_add_at_on_repeated_indices():
     assert not got[5:].any()
 
 
-# (n_users, n_items, service width, config): ids repeated within a batch of
-# 256, a 12-wide service table, and batch 4 at odd widths without l2
+def patch_widths(monkeypatch, *values):
+    """Set the recommender's GMF_DIM, MLP_DIM, HIDDEN and L2 for one test."""
+    for name, value in zip(("GMF_DIM", "MLP_DIM", "HIDDEN", "L2"), values, strict=True):
+        monkeypatch.setattr(downstream, name, value)
+
+
+# (n_users, n_items, service width, (config, widths and L2 or None for the
+# constants)): ids repeated within a batch of 256, a 12-wide service table,
+# and batch 4 at odd widths without L2
 REFERENCE_CASES = [
-    (6, 9, 0, RecConfig()),
-    (30, 40, 12, RecConfig(seed=1)),
-    (5, 7, 0, RecConfig(gmf_dim=3, mlp_dim=5, hidden=(7, 4), l2=0.0, batch_size=4)),
+    (6, 9, 0, (RecConfig(), None)),
+    (30, 40, 12, (RecConfig(seed=1), None)),
+    (5, 7, 0, (RecConfig(batch_size=4), (3, 5, (7, 4), 0.0))),
 ]
 
 
 @pytest.mark.parametrize("n_users, n_items, service_dim, config", REFERENCE_CASES)
-def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_dim, config):
+def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_dim, config,
+                                                    monkeypatch):
+    config, widths = config
+    if widths is not None:
+        patch_widths(monkeypatch, *widths)
     rng = np.random.default_rng(config.seed)
     service = rng.normal(size=(n_items, service_dim)).astype(np.float32) if service_dim else None
-    new, old = (Adam(init(n_users, n_items, config, service_dim, np.random.default_rng(3)),
+    new, old = (Adam(init(n_users, n_items, service_dim, np.random.default_rng(3)),
                      lr=config.learning_rate)
                 for init in (downstream._init_rec_params, four_table_init))
-    model = RecModel(new.params, config.hidden, config.gmf_dim, service)
+    model = RecModel(new.params, service)
 
     def assert_bit_equal(got, four):
         want = {"user": np.hstack([four["gmf_user"], four["mlp_user"]]),
@@ -287,11 +295,9 @@ def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_di
         items = rng.integers(n_items, size=config.batch_size)
         labels = (rng.random(config.batch_size) < 0.2).astype(np.float32)
         prob, rows, acts, feat = downstream._forward(model, users, items)
-        downstream._backward(model, new.grads, users, items, labels, prob, rows, acts, feat,
-                             config.l2)
-        want = four_table_forward(old.params, config.hidden, service, users, items)
-        four_table_backward(old.params, config.hidden, old.grads, users, items, labels, *want,
-                            config.l2)
+        downstream._backward(model, new.grads, users, items, labels, prob, rows, acts, feat)
+        want = four_table_forward(old.params, service, users, items)
+        four_table_backward(old.params, old.grads, users, items, labels, *want)
         assert np.array_equal(prob.view(np.uint32), want[0].view(np.uint32))
         assert_bit_equal(new.grads, old.grads)
         new.step()
@@ -299,15 +305,16 @@ def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_di
         assert_bit_equal(new.params, old.params)
 
 
-def test_backward_matches_finite_differences():
-    """_backward is the gradient of mean BCE plus (l2 / 2) times the squared
+def test_backward_matches_finite_differences(monkeypatch):
+    """_backward is the gradient of mean BCE plus (L2 / 2) times the squared
     norm of every embedding row the batch gathers, repeats included."""
-    config = RecConfig(gmf_dim=3, mlp_dim=4, hidden=(5, 3), l2=0.3)
+    l2 = 0.3
+    patch_widths(monkeypatch, 3, 4, (5, 3), l2)
     n_users, n_items, service_dim = 4, 5, 2
     rng = np.random.default_rng(7)
-    shapes = downstream._init_rec_params(n_users, n_items, config, service_dim, rng)
+    shapes = downstream._init_rec_params(n_users, n_items, service_dim, rng)
     params = {name: rng.normal(0.0, 0.5, table.shape) for name, table in shapes.items()}
-    model = RecModel(params, config.hidden, config.gmf_dim, rng.normal(size=(n_items, service_dim)))
+    model = RecModel(params, rng.normal(size=(n_items, service_dim)))
     users = np.array([0, 2, 2, 1, 3, 0, 2])
     items = np.array([4, 4, 1, 0, 4, 2, 3])
     labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -316,11 +323,11 @@ def test_backward_matches_finite_differences():
         prob = model.predict(users, items)
         bce = -(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)).mean()
         norms = (params["user"][users] ** 2).sum() + (params["item"][items] ** 2).sum()
-        return bce + config.l2 / 2 * norms
+        return bce + l2 / 2 * norms
 
     grads = {name: np.zeros_like(table) for name, table in params.items()}
     prob, rows, acts, feat = downstream._forward(model, users, items)
-    downstream._backward(model, grads, users, items, labels, prob, rows, acts, feat, config.l2)
+    downstream._backward(model, grads, users, items, labels, prob, rows, acts, feat)
     eps = 1e-6
     for name, table in params.items():
         want = np.empty_like(table)

@@ -169,9 +169,9 @@ def test_id_rows_are_read_only_int64_arrays_whatever_they_are_built_from(rows):
     want = np.array(rows, dtype=np.int64).reshape(-1, 3)
     array = np.array(rows, dtype=np.int32).reshape(-1, 3)
     for given in (rows, array):
-        built = (kgstore.TripleStore(entities=Vocab(), relations=Vocab(), triples=given,
+        built = (kgstore.TripleStore(entities=Vocab(()), relations=Vocab(()), triples=given,
                                      category_of={}, relation_counts={}).triples,
-                 InteractionSet(users=Vocab(), items=Vocab(), interactions=given).interactions)
+                 InteractionSet(users=Vocab(()), items=Vocab(()), interactions=given).interactions)
         for got in built:
             assert got.dtype == np.int64 and got.shape == want.shape
             np.testing.assert_array_equal(got, want)

@@ -12,11 +12,14 @@ from pkgm.optim import SCRATCH_BYTES
 from pkgm.trainer import TrainConfig, sample_negative, train
 
 
+P_REL = TrainConfig.corrupt_relation_prob  # the relation-slot share train uses by default
+
+
 def hinge_loss(pos_score: float, neg_score: float, margin: float) -> float:
     return max(0.0, pos_score + margin - neg_score)
 
 
-def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=1.0 / 3.0):
+def sample_negative_oracle(store, positive, rng, corrupt_relation_prob=P_REL):
     """Per-triple reference for trainer.sample_negative (one row per call)."""
     h, r, t = positive
     n_e = store.n_entities
@@ -79,7 +82,7 @@ def repeated_positives(store, n=3000):
 
 def test_negative_differs_in_exactly_one_slot(toy_store):
     pos = repeated_positives(toy_store)
-    neg = sample_negative(toy_store, pos, np.random.default_rng(2))
+    neg = sample_negative(toy_store, pos, np.random.default_rng(2), P_REL)
     assert neg.shape == pos.shape and neg.dtype == np.int64
     assert ((neg != pos).sum(axis=1) == 1).all()
     assert set(map(tuple, neg.tolist())).isdisjoint(map(tuple, toy_store.triples.tolist()))
@@ -115,7 +118,7 @@ def test_negatives_match_scalar_oracle_in_distribution():
     store = random_store()
     positive = tuple(store.triples[0].tolist())
     n = 3000
-    neg = sample_negative(store, np.tile(positive, (n, 1)), np.random.default_rng(3))
+    neg = sample_negative(store, np.tile(positive, (n, 1)), np.random.default_rng(3), P_REL)
     rng = np.random.default_rng(4)
     want = np.array([sample_negative_oracle(store, positive, rng) for _ in range(n)])
     h, r, t = positive
@@ -137,7 +140,7 @@ def test_negative_falls_back_when_all_candidates_positive():
     rows = [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")]
     store = store_from_triples(rows)
     pos = repeated_positives(store)
-    neg = sample_negative(store, pos, np.random.default_rng(0))
+    neg = sample_negative(store, pos, np.random.default_rng(0), P_REL)
     stored = set(map(tuple, store.triples.tolist()))
     assert set(map(tuple, neg.tolist())) <= stored
     assert ((neg != pos).sum(axis=1) == 1).all()
@@ -185,11 +188,11 @@ def test_negative_impossible_on_single_triple_self_loop():
     store = store_from_triples([("a", "r", "a")])
     pos = repeated_positives(store)
     with pytest.raises(ValueError, match="no corrupted triple"):
-        sample_negative(store, pos, np.random.default_rng(0))
+        sample_negative(store, pos, np.random.default_rng(0), P_REL)
     with pytest.raises(ValueError, match="no corrupted triple"):
         sample_negative_oracle(store, store.triples[0], np.random.default_rng(0))
     # with no row to corrupt there is nothing to refuse
-    assert sample_negative(store, pos[:0], np.random.default_rng(0)).shape == (0, 3)
+    assert sample_negative(store, pos[:0], np.random.default_rng(0), P_REL).shape == (0, 3)
 
 
 def test_negatives_drawn_once_per_epoch_after_positives(monkeypatch):
@@ -326,7 +329,7 @@ def test_accumulate_is_bit_equal_to_add_at_form_on_planted_kg_batch(rng):
     params = init_params(store.n_entities, store.n_relations, 64, rng)
     triples = np.asarray(store.triples, dtype=np.int64)
     pos = triples[rng.permutation(len(triples))[:1000]]
-    rows = np.concatenate([pos, sample_negative(store, pos, rng)])
+    rows = np.concatenate([pos, sample_negative(store, pos, rng, P_REL)])
     assert_accumulate_is_add_at_form(params, rows[:, 0], rows[:, 1], rows[:, 2],
                                      mixed_weights(rng, len(rows)))
 
