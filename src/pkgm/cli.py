@@ -79,20 +79,23 @@ def _write_report(path, payload: dict) -> None:
 
 
 def cmd_train(settings: dict) -> int:
+    min_rel_count = settings["min_rel_count"]
+    if min_rel_count < 1:
+        raise ValueError(f"min_rel_count must be >= 1, got {min_rel_count}")
     store = kgstore.load_triples(settings["triples"], settings["category_relation"])
-    if settings["min_rel_count"] > 1:
-        store = kgstore.filter_rare_relations(store, settings["min_rel_count"])
+    if min_rel_count > 1:
+        store = kgstore.filter_rare_relations(store, min_rel_count)
     config = trainer.TrainConfig(
         dim=settings["dim"], margin=settings["margin"], learning_rate=settings["lr"],
         batch_size=settings["batch"], epochs=settings["epochs"],
         negatives_per_positive=settings["neg"], seed=settings["seed"],
-        corrupt_relation_prob=settings["corrupt_relation_prob"],
-        min_rel_count=settings["min_rel_count"])
+        corrupt_relation_prob=settings["corrupt_relation_prob"])
     params, report = trainer.train(store, config)
     out_dir = Path(settings["out"])
     model.save_checkpoint(out_dir, params, store.entities, store.relations)
     _write_report(out_dir / "train_report.json",
-                  {**asdict(report), "checkpoint_path": str(out_dir)})
+                  {**asdict(report), "checkpoint_path": str(out_dir),
+                   "min_rel_count": min_rel_count})
     print(f"checkpoint written to {out_dir}")
     return 0
 
@@ -213,7 +216,7 @@ COMMANDS = {
         "batch": (int, _T.batch_size, None),
         "epochs": (int, _T.epochs, None),
         "neg": (int, _T.negatives_per_positive, "negatives per positive"),
-        "min_rel_count": (int, _T.min_rel_count, "drop relations seen fewer times"),
+        "min_rel_count": (int, 1, "drop relations seen fewer times"),
         "seed": (int, _T.seed, None),
         "category_relation": _CATEGORY,
         "corrupt_relation_prob": (float, _T.corrupt_relation_prob, None),

@@ -185,14 +185,11 @@ def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, label
         dz = dz * (activations[layer] > 0)
         np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
         dz.sum(axis=0, out=grads[f"b{layer}"])
-        w = p[f"w{layer}"]
-        # layer 1 needs only the embedding rows' columns; a C-contiguous copy of
-        # their weights keeps the product on OpenBLAS's single-threaded path
-        dz = dz @ (w.T if layer > 1 else np.ascontiguousarray(w[:2 * MLP_DIM].T))
+        dz = dz @ p[f"w{layer}"].T
     # rows are _forward's (user, item) rows; a side's GMF columns take dgmf times
     # the other side's, its MLP columns its half of dz (service vectors get no
     # gradient); L2 is weight decay on the embedding rows seen in the batch
-    dmlp = np.split(dz, 2, axis=1)
+    dmlp = np.split(dz[:, :2 * MLP_DIM], 2, axis=1)
     for side, (name, idx) in enumerate((("user", users), ("item", items))):
         block = np.concatenate([dgmf * rows[1 - side][:, :g], dmlp[side]], axis=1)
         _segment_sum(idx, block + L2 * rows[side], grads[name])

@@ -27,7 +27,6 @@ class TrainConfig:
     negatives_per_positive: int = 1
     corrupt_relation_prob: float = 1.0 / 3.0
     seed: int = 0
-    min_rel_count: int = 1
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ValueError(
                 f"corrupt_relation_prob must be in [0, 1], got {self.corrupt_relation_prob}"
             )
-        if self.min_rel_count < 1:
-            raise ValueError(f"min_rel_count must be >= 1, got {self.min_rel_count}")
 
 
 PHASES = ("sample", "score", "accumulate", "adam", "project")

@@ -695,6 +695,9 @@ def test_serve_sigint_with_open_connection_exits_quietly(tmp_path, ckpt_and_keyr
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        # a pytest started with SIGINT ignored (a shell's background job) would
+        # pass that on, and the server would never see the signal
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         line = proc.stdout.readline().strip()

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,11 +264,15 @@ def patch_widths(monkeypatch, *values):
 
 # (n_users, n_items, service width, (config, widths and L2 or None for the
 # constants)): ids repeated within a batch of 256, a 12-wide service table,
-# and batch 4 at odd widths without L2
+# batch 4 at odd widths without L2, and batches of 4 and 7 at the constants
 REFERENCE_CASES = [
     (6, 9, 0, (RecConfig(), None)),
     (30, 40, 12, (RecConfig(seed=1), None)),
     (5, 7, 0, (RecConfig(batch_size=4), (3, 5, (7, 4), 0.0))),
+    (5, 7, 0, (RecConfig(batch_size=4), None)),
+    (6, 9, 0, (RecConfig(batch_size=4), None)),
+    (30, 40, 12, (RecConfig(batch_size=4), None)),
+    (30, 40, 12, (RecConfig(batch_size=7), None)),
 ]
 
 
@@ -303,6 +311,38 @@ def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_di
         new.step()
         old.step()
         assert_bit_equal(new.params, old.params)
+
+
+# argv[1] is a test's node id; the child prints the OpenBLAS core numpy's
+# library picked and, on the Haswell core, runs that test
+HASWELL_CHILD = """
+import ctypes, sys
+import numpy as np
+import pytest
+get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+get.argtypes, get.restype = [], ctypes.c_char_p
+core = get().decode()
+print(core, flush=True)
+if core == "Haswell":
+    sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_reference_cases_bit_equal_on_haswell_core():
+    """REFERENCE_CASES on OpenBLAS's Haswell core, the one an AVX2 host
+    without AVX-512 picks: a child process forced onto it reruns the test
+    above."""
+    if not np._core._multiarray_umath.__cpu_features__.get("AVX2"):
+        pytest.skip("this CPU has no AVX2, which OpenBLAS's Haswell core needs")
+    node = f"{__file__}::{test_recommender_steps_bit_equal_to_four_tables.__name__}"
+    child = subprocess.run([sys.executable, "-c", HASWELL_CHILD, node],
+                           env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+                           capture_output=True, text=True, timeout=300)
+    core, _, report = child.stdout.partition("\n")
+    if core != "Haswell":
+        said = core or child.stderr.strip()[-200:]
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell gave no Haswell core; the child said {said!r}")
+    assert child.returncode == 0, report
 
 
 def test_backward_matches_finite_differences(monkeypatch):
