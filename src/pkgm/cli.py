@@ -118,19 +118,23 @@ def cmd_export_services(settings: dict) -> int:
 
 def _triple_ids(path, entity_vocab, relation_vocab) -> np.ndarray:
     """(n, 3) int64 ids of a triple file's lines under a checkpoint's vocabularies."""
-    rows = kgstore.read_tsv(path, 3)
-    return np.stack([rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation"),
-                     rows.ids(2, entity_vocab, "entity")], axis=1)
+    return np.concatenate(kgstore.read_tsv(path, 3).map(lambda rows: np.stack([
+        rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation"),
+        rows.ids(2, entity_vocab, "entity")], axis=1)))
 
 
 def _labeled_pairs(path, entity_vocab, relation_vocab) -> tuple[np.ndarray, np.ndarray]:
     """(n, 2) int64 (h, r) ids and (n,) bool exists of "head<TAB>relation<TAB>0|1" lines."""
-    rows = kgstore.read_tsv(path, 3)
-    labels = rows.columns[2]
-    exists = np.fromiter(map({"0": 0, "1": 1}.get, labels, repeat(-1)), np.int64, len(rows))
-    rows.reject(exists < 0, lambda i: f"label must be 0 or 1, got {labels[i]!r}")
-    heads, rels = rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation")
-    return np.stack([heads, rels], axis=1), exists == 1
+
+    def read(rows):
+        labels = rows.columns[2]
+        exists = np.fromiter(map({"0": 0, "1": 1}.get, labels, repeat(-1)), np.int64, len(rows))
+        rows.reject(exists < 0, lambda i: f"label must be 0 or 1, got {labels[i]!r}")
+        heads, rels = rows.ids(0, entity_vocab, "entity"), rows.ids(1, relation_vocab, "relation")
+        return np.stack([heads, rels], axis=1), exists == 1
+
+    pairs, labels = zip(*kgstore.read_tsv(path, 3).map(read))
+    return np.concatenate(pairs), np.concatenate(labels)
 
 
 def cmd_eval_lp(settings: dict) -> int:

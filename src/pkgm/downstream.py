@@ -58,12 +58,20 @@ def interactions_from_rows(rows: Iterable[tuple[str, str, int]]) -> InteractionS
 
 def load_interactions(path) -> InteractionSet:
     """Parse "user<TAB>item<TAB>order_index" lines."""
-    rows = read_tsv(path, 3)
-    order = rows.ints(2, "order index must be an integer")
-    wide = np.array(order, dtype=object)
-    rows.reject((wide < -2**63) | (wide >= 2**63),
-                lambda i: f"order index {order[i]} is outside the int64 range")
-    return interactions_from_rows(zip(*rows.columns[:2], order))
+    users, items = Vocab([]), Vocab([])
+
+    def read(rows):
+        order = rows.ints(2, "order index must be an integer")
+        wide = np.array(order, dtype=object)
+        rows.reject((wide < -2**63) | (wide >= 2**63),
+                    lambda i: f"order index {order[i]} is outside the int64 range")
+        return np.stack([users.intern(rows.columns[0]), items.intern(rows.columns[1]),
+                         np.array(order, dtype=np.int64)], axis=1)
+
+    interactions = np.concatenate(read_tsv(path, 3).map(read))
+    if not len(interactions):
+        raise ValueError("no interactions")
+    return InteractionSet(users=users, items=items, interactions=interactions)
 
 
 def write_interactions(path, rows: Iterable[tuple[str, str, int]]) -> None:

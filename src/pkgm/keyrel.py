@@ -74,28 +74,33 @@ def read_keyrel_tsv(path, entity_vocab: Vocab, relation_vocab: Vocab) -> KeyRela
     """Read "entity<TAB>r1,...,rk" lines: every line lists k distinct
     relations, the same k on every line, and no entity is listed twice."""
     rows = read_tsv(path, 2, comments=False)
-    entities, lists = rows.columns
-    if not entities:
+    if not len(rows):
         raise ValueError(f"{path}: empty key relation table")
-    # every relation list split at once: row i's counts[i] tokens follow the rows before it
-    counts = np.fromiter(map(str.count, lists, repeat(",")), np.int64, len(lists)) + 1
-    tokens = ",".join(lists).split(",")
-    rels = relation_vocab.ids(tokens)
-    unknown = np.flatnonzero(rels < 0)
-    if len(unknown):
-        row = int(np.searchsorted(np.cumsum(counts), unknown[0], side="right"))
-        raise rows.error(row, f"unknown relation token {tokens[unknown[0]]!r}")
-    k = int(counts[0])  # the first line sets k
-    rows.reject(counts != k, lambda i: f"expected {k} relations, got {counts[i]}")
-    rels = rels.reshape(-1, k)
-    ranked = np.sort(rels, axis=1)
-    rows.reject((ranked[:, 1:] == ranked[:, :-1]).any(axis=1),
-                lambda i: f"relation {_repeated(lists[i].split(','))!r} listed twice")
-    ids = rows.ids(0, entity_vocab, "entity")
+    k = 0  # the first line sets k
+
+    def read(rows):
+        nonlocal k
+        lists = rows.columns[1]
+        # every relation list split at once: row i's counts[i] tokens follow the rows before it
+        counts = np.fromiter(map(str.count, lists, repeat(",")), np.int64, len(lists)) + 1
+        rels = relation_vocab.ids(",".join(lists).split(","))
+        unknown = np.zeros(len(lists), dtype=bool)
+        unknown[np.searchsorted(np.cumsum(counts), np.flatnonzero(rels < 0), side="right")] = True
+        rows.reject(unknown, lambda i: "unknown relation token "
+                    f"{next(tok for tok in lists[i].split(',') if tok not in relation_vocab)!r}")
+        k = k or int(counts[0])
+        rows.reject(counts != k, lambda i: f"expected {k} relations, got {counts[i]}")
+        rels = rels.reshape(-1, k)
+        ranked = np.sort(rels, axis=1)
+        rows.reject((ranked[:, 1:] == ranked[:, :-1]).any(axis=1),
+                    lambda i: f"relation {_repeated(lists[i].split(','))!r} listed twice")
+        return rows.ids(0, entity_vocab, "entity"), rels
+
+    ids, rels = map(np.concatenate, zip(*rows.map(read)))
     order = np.argsort(ids, kind="stable")
     repeated = np.zeros(len(ids), dtype=bool)
     repeated[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True  # all but the first
-    rows.reject(repeated, lambda i: f"entity {entities[i]!r} listed twice")
+    rows.reject(repeated, lambda i: f"entity {entity_vocab.token(ids[i])!r} listed twice")
     return KeyRelationTable(ids=ids[order], rows=rels[order])
 
 

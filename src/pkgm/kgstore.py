@@ -4,8 +4,11 @@ Triple files are UTF-8 text, one triple per line, fields separated by a
 single TAB, no header. Lines starting with "#" are ignored. read_tsv is
 the one parser of TAB files: these "#"-commented inputs (triples,
 existence pairs, interactions) and, with comments off, the vocabulary and
-key-relation files. It reads a whole file into columns of strings, which
-callers map to int64 ids a column at a time (Vocab.ids). Category membership
+key-relation files. It checks a whole file's bytes at once, then hands out
+its data lines CHUNK_LINES at a time as columns of strings, which callers
+map to int64 ids (Vocab.ids, Vocab.intern) before the next chunk; so a read
+holds the file's bytes, two int64 line indexes, one chunk's strings and the
+ids and distinct tokens kept so far. Category membership
 is encoded as ordinary triples under a configurable relation name (default
 "isA"), i.e. (entity, isA, category). Interned id rows are read-only (n, 3)
 int64 arrays; triple_keys alone encodes a triple's int64 key, and
@@ -16,13 +19,15 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import methodcaller
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, filterfalse, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+CHUNK_LINES = 4096  # data lines per chunk of a TAB file read
 
 
 class Vocab:
@@ -47,6 +52,14 @@ class Vocab:
         """int64 id of each of a sequence of tokens, -1 where a token is unknown."""
         return np.fromiter(map(self._ids.get, tokens, repeat(-1)), np.int64, len(tokens))
 
+    def intern(self, tokens) -> np.ndarray:
+        """Vocab.ids of a sequence of tokens after adding those not yet present,
+        in order of first appearance."""
+        new = list(filterfalse(self._ids.__contains__, dict.fromkeys(tokens)))
+        self._ids.update(zip(new, range(len(self._tokens), len(self._tokens) + len(new))))
+        self._tokens.extend(new)
+        return self.ids(tokens)
+
     def token(self, idx: int) -> str:
         return self._tokens[idx]
 
@@ -70,12 +83,26 @@ class Vocab:
         """Read "token<TAB>id" lines whose ids count up from 0."""
         message = "expected token<TAB>integer id"
         rows = read_tsv(path, 2, comments=False, miscount=message)
-        tokens = rows.columns[0]
-        ids = rows.ints(1, message)
+        tokens: list[str] = []
+        parsed: dict[int, list[int]] = {}  # from row lo, the ids that are not row numbers
+
+        def check(chunk: TsvRows) -> None:
+            lo = len(tokens)
+            tokens.extend(chunk.columns[0])
+            # int() accepts more than "%d" writes ("01", "+1"), so only a chunk
+            # whose id text is not its row numbers is parsed
+            written = "\n".join(chunk.columns[1]) + "\n"
+            if written != "%d\n" * len(chunk) % (*range(lo, len(tokens)),):
+                parsed[lo] = chunk.ints(1, message)
+
+        rows.map(check)
         vocab = cls(tokens)
         # ids count up in order of first appearance; a repeated token repeats its first id
-        dense = list(range(len(ids))) if len(vocab) == len(ids) else vocab.ids(tokens).tolist()
-        if ids != dense:
+        if parsed or len(vocab) < len(tokens):
+            ids = list(range(len(tokens)))
+            for lo, values in parsed.items():
+                ids[lo:lo + len(values)] = values
+            dense = vocab.ids(tokens).tolist()
             rows.reject(np.fromiter(map(int.__ne__, ids, dense), bool, len(ids)),
                         lambda i: f"ids are not dense: {tokens[i]} -> {ids[i]}")
         return vocab
@@ -83,15 +110,53 @@ class Vocab:
 
 @dataclass(eq=False)
 class TsvRows:
-    """The data lines of a TAB file as columns of strings: columns[j][i] is
-    field j of data row i, and lines[i] the file line that row came from."""
+    """Data lines of a TAB file, split into columns of strings on first use:
+    columns[j][i] is field j of row i, and lines[i] the file line that row
+    came from. ends[n] is the offset in data, the file's bytes, of the
+    newline that ends file line n (ends[0] = -1)."""
 
     path: object
+    data: bytes
+    ends: np.ndarray
     lines: np.ndarray
-    columns: list[list[str]]
+    n_fields: int
+    checks: int = field(default=0, init=False)  # reject and ints calls so far
 
     def __len__(self) -> int:
         return len(self.lines)
+
+    @cached_property
+    def columns(self) -> list[list[str]]:
+        if not len(self.lines):
+            return [[] for _ in range(self.n_fields)]
+        first, last = int(self.lines[0]), int(self.lines[-1])
+        text = self.data[self.ends[first - 1] + 1:self.ends[last]].decode("utf-8")
+        if "\r" in text:
+            text = re.sub("\r+$", "", text, flags=re.MULTILINE)
+        if last - first + 1 > len(self.lines):  # blank or comment lines among the rows
+            lines = text.split("\n")
+            text = "\n".join(map(lines.__getitem__, (self.lines - first).tolist()))
+        fields = text.replace("\n", "\t").split("\t")
+        return [fields[j::self.n_fields] for j in range(self.n_fields)]
+
+    def map(self, read: Callable[["TsvRows"], object]) -> list:
+        """read(chunk) of each chunk of at most CHUNK_LINES rows in order, one
+        empty chunk when there are no rows. A ValueError that read raises
+        ends only its chunk; after the last chunk the first of them in check
+        order is raised: a chunk's n-th check (its n-th reject or ints call)
+        ranks before any chunk's n+1-th, and an earlier chunk before a later."""
+        results, failure = [], None
+        for lo in range(0, max(len(self), 1), CHUNK_LINES):
+            chunk = TsvRows(self.path, self.data, self.ends, self.lines[lo:lo + CHUNK_LINES],
+                            self.n_fields)
+            try:
+                results.append(read(chunk))
+            except ValueError as exc:
+                if failure is None or chunk.checks < failure[0]:
+                    failure = chunk.checks, exc.with_traceback(None)
+        if failure:
+            raise failure[1]
+        return results
 
     def error(self, row: int, message: str) -> ValueError:
         """The ValueError of a fault in data row row, prefixed with "path: line N:"."""
@@ -100,6 +165,7 @@ class TsvRows:
     def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
         """Raise the error of the first row where the bool array bad holds,
         with text message(row); do nothing where it holds nowhere."""
+        self.checks += 1
         if bad.any():
             row = int(np.argmax(bad))
             raise self.error(row, message(row))
@@ -107,6 +173,7 @@ class TsvRows:
     def ints(self, column: int, message: str) -> list[int]:
         """int() of each field of a column; the error message at the first
         field that int() refuses."""
+        self.checks += 1
         values: list[int] = []
         try:
             values.extend(map(int, self.columns[column]))
@@ -198,18 +265,26 @@ def store_from_triples(
     triples keep the lexicographically smallest category token; the paper
     setting assumes one category per entity, so this is only a tie-break.
     """
-    return _store_from_columns(*(list(zip(*rows)) or [(), (), ()]), category_relation)
+    heads, rels, tails = list(zip(*rows)) or [(), (), ()]
+    entities, relations = Vocab([]), Vocab([])
+    return _store_from_ids(entities, relations, _intern_triples(entities, relations, heads, rels,
+                                                                tails), category_relation)
 
 
-def _store_from_columns(heads, rels, tails, category_relation: str) -> TripleStore:
-    """store_from_triples of the rows zip(heads, rels, tails)."""
-    if not heads:
-        raise ValueError("no triples")
-    ends = [None] * (2 * len(heads))  # h0, t0, h1, t1, ...: entities in order of appearance
+def _intern_triples(entities: Vocab, relations: Vocab, heads, rels, tails) -> np.ndarray:
+    """(n, 3) int64 ids of the rows zip(heads, rels, tails), interning their
+    entities in order of appearance h0, t0, h1, t1, ... and their relations."""
+    ends = [None] * (2 * len(heads))
     ends[::2], ends[1::2] = heads, tails
-    entities, relations = Vocab(dict.fromkeys(ends)), Vocab(dict.fromkeys(rels))
-    ht = entities.ids(ends).reshape(-1, 2)
-    ids = np.stack([ht[:, 0], relations.ids(rels), ht[:, 1]], axis=1)
+    ht = entities.intern(ends).reshape(-1, 2)
+    return np.stack([ht[:, 0], relations.intern(rels), ht[:, 1]], axis=1)
+
+
+def _store_from_ids(entities: Vocab, relations: Vocab, ids: np.ndarray,
+                    category_relation: str) -> TripleStore:
+    """The TripleStore of (n, 3) id rows under the vocabularies they were interned in."""
+    if not len(ids):
+        raise ValueError("no triples")
     # a repeated row holds no token's first appearance, so keeping first
     # occurrences leaves every id as it is
     _, first = np.unique(triple_keys(ids, len(entities), len(relations)), return_index=True)
@@ -235,18 +310,21 @@ def _store_from_columns(heads, rels, tails, category_relation: str) -> TripleSto
 def read_tsv(path, n_fields: int, comments: bool = True, miscount: str | None = None) -> TsvRows:
     """The data lines of a TAB-separated UTF-8 file, as n_fields columns.
 
-    The file is read and decoded whole and split into fields at once.
-    Carriage returns before a line's newline are dropped. Blank lines are
-    skipped, and so are lines starting with "#" unless comments is False.
-    A file that is not UTF-8 ends the read in ValueError naming the line of
-    its first bad byte with the error of decoding that line alone; a line
-    with other than n_fields fields, in ValueError with text miscount, by
-    default "expected <n_fields> TAB-separated fields, got <count>". Both
-    are prefixed with "path: line N:".
+    The whole file's bytes are checked at once; rows.map then splits its
+    data lines into fields CHUNK_LINES lines at a time, so no more than one
+    chunk's fields are held as strings at once. Carriage returns before a
+    line's newline are dropped. Blank lines are skipped, and so are lines
+    starting with "#" unless comments is False. A file that is not UTF-8
+    ends the read in ValueError naming the line of its first bad byte with
+    the error of decoding that line alone; a line with other than n_fields
+    fields, in ValueError with text miscount, by default "expected
+    <n_fields> TAB-separated fields, got <count>". Both are prefixed with
+    "path: line N:".
     """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         start = data.rfind(b"\n", 0, exc.start) + 1
         line = data[start:data.find(b"\n", exc.start) + 1 or len(data)]
@@ -256,28 +334,24 @@ def read_tsv(path, n_fields: int, comments: bool = True, miscount: str | None = 
         except UnicodeDecodeError as line_exc:
             reason = line_exc
         raise ValueError(f"{path}: line {lineno}: {reason}") from None
-    if "\r" in text:
-        text = re.sub("\r+$", "", text, flags=re.MULTILINE)
-    # the TAB count of each line, from the bytes, where TAB and newline are
-    # single bytes; what follows a last newline is no line
+    # each line's end and its TAB and CR counts, from the bytes, where TAB, CR
+    # and newline are single bytes; an empty last line after a newline is no line
     raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(raw == 10), len(raw))
-    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
-    numbers = np.arange(1, len(tabs) + (0 if text.endswith("\n") or not text else 1))
-    if text.startswith("\n") or "\n\n" in text or comments and (
-            text.startswith("#") or "\n#" in text):
-        lines = text.split("\n")[:len(numbers)]
-        keep = np.fromiter(map(bool, lines), bool, len(lines))
-        if comments:
-            keep &= ~np.fromiter(map(methodcaller("startswith", "#"), lines), bool, len(lines))
-        text, numbers = "\n".join(compress(lines, keep)), numbers[keep]
+    ends = np.flatnonzero(raw == 10)
+    if not data.endswith(b"\n") and data:
+        ends = np.append(ends, len(raw))
+    ends = np.insert(ends, 0, -1)
 
-    rows = TsvRows(path, numbers, [])
-    rows.reject(tabs[numbers - 1] != n_fields - 1, lambda i: miscount
-                or f"expected {n_fields} TAB-separated fields, got {tabs[numbers[i] - 1] + 1}")
-    fields = text.replace("\n", "\t").split("\t")
-    del fields[n_fields * len(rows):]  # the empty line after a last newline
-    rows.columns = [fields[j::n_fields] for j in range(n_fields)]
+    def count(byte: int) -> np.ndarray:
+        return np.diff(np.searchsorted(np.flatnonzero(raw == byte), ends))
+
+    tabs = count(9)
+    keep = np.diff(ends) - 1 > (count(13) if b"\r" in data else 0)  # not blank
+    if comments:
+        keep &= raw[ends[:-1] + 1] != ord("#")
+    rows = TsvRows(path, data, ends, np.flatnonzero(keep) + 1, n_fields)
+    rows.reject(tabs[rows.lines - 1] != n_fields - 1, lambda i: miscount
+                or f"expected {n_fields} TAB-separated fields, got {tabs[rows.lines[i] - 1] + 1}")
     return rows
 
 
@@ -287,7 +361,9 @@ def load_triples(path, category_relation: str = "isA") -> TripleStore:
     Raises ValueError naming the line number for malformed lines and
     ValueError("no triples") when the file holds no data lines.
     """
-    return _store_from_columns(*read_tsv(path, 3).columns, category_relation)
+    entities, relations = Vocab([]), Vocab([])
+    return _store_from_ids(entities, relations, np.concatenate(read_tsv(path, 3).map(
+        lambda rows: _intern_triples(entities, relations, *rows.columns))), category_relation)
 
 
 def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:

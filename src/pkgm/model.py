@@ -63,7 +63,7 @@ def init_params(n_entities: int, n_relations: int, dim: int,
     rel = rng.uniform(-bound, bound, size=(n_relations, dim)).astype(np.float32)
     rel /= np.linalg.norm(rel, axis=1, keepdims=True)
     transfer = np.tile(np.eye(dim, dtype=np.float32), (n_relations, 1, 1))
-    transfer += rng.uniform(-0.01, 0.01, size=(n_relations, dim, dim)).astype(np.float32)
+    for m in transfer: m += rng.uniform(-0.01, 0.01, size=(dim, dim)).astype(np.float32)
     return ModelParams(dim=dim, entity_emb=ent, relation_emb=rel, transfer=transfer)
 
 
