@@ -117,14 +117,23 @@ class RecConfig:
 
 @dataclass
 class RecModel:
-    """GMF + MLP recommender with an optional frozen service input."""
+    """GMF + MLP recommender with an optional frozen service input.
+
+    params["embeddings"] holds a row per user and then a row per item (user u
+    is row u, item i row n_users + i), each its GMF_DIM GMF columns followed by
+    its MLP_DIM MLP columns; the two towers keep separate weights as column
+    blocks.
+    """
 
     params: dict[str, np.ndarray]
     service: np.ndarray | None
+    n_users: int
     train_losses: list[float] = field(default_factory=list, init=False)
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return _forward(self, np.asarray(users), np.asarray(items))[0]
+        """The scores of the (user, item) pairs, in a new array."""
+        keys = _keys(self, users, items)
+        return _Pass(self, len(keys), None).forward(keys)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -142,8 +151,8 @@ def _init_rec_params(n_users: int, n_items: int, service_dim: int,
     gmf_user, gmf_item, mlp_user, mlp_item = (
         rng.normal(0.0, 0.01, size=(n, dim)).astype(np.float32)
         for dim in (GMF_DIM, MLP_DIM) for n in (n_users, n_items))
-    # one table per side, each row its GMF columns followed by its MLP columns
-    params = {"user": np.hstack([gmf_user, mlp_user]), "item": np.hstack([gmf_item, mlp_item])}
+    params = {"embeddings": np.vstack([np.hstack([gmf_user, mlp_user]),
+                                       np.hstack([gmf_item, mlp_item])])}
     in_dim = 2 * MLP_DIM + service_dim
     for layer, width in enumerate(HIDDEN, start=1):
         params[f"w{layer}"] = glorot(in_dim, width)
@@ -153,54 +162,110 @@ def _init_rec_params(n_users: int, n_items: int, service_dim: int,
     return params
 
 
-def _forward(model: RecModel, users: np.ndarray, items: np.ndarray):
-    p, g = model.params, GMF_DIM
-    user_rows, item_rows = p["user"][users], p["item"][items]
-    gmf = user_rows[:, :g] * item_rows[:, :g]
-    parts = [user_rows[:, g:], item_rows[:, g:]]
-    if model.service is not None:
-        parts.append(model.service[items])
-    mlp_in = np.concatenate(parts, axis=1)
-    activations = [mlp_in]
-    z = mlp_in
-    for layer in range(1, len(HIDDEN) + 1):
-        z = np.maximum(z @ p[f"w{layer}"] + p[f"b{layer}"], 0.0)
-        activations.append(z)
-    feat = np.concatenate([gmf, z], axis=1)
-    prob = _sigmoid(feat @ p["w_out"])
-    return prob, (user_rows, item_rows), activations, feat
+def _keys(model: RecModel, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The (n, 2) embedding rows of the (user, item) pairs. Each side's ids
+    index its own rows as numpy indexes an array: IndexError outside [-n, n),
+    a negative id counting back from that side's last row."""
+    rows = np.arange(len(model.params["embeddings"]))
+    keys = np.empty((len(users), 2), dtype=np.int64)
+    keys[:, 0] = rows[:model.n_users][users]
+    keys[:, 1] = rows[model.n_users:][items]
+    return keys
 
 
-def _segment_sum(idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Write into the (n_rows, d) table out, row k the sum of the rows where idx == k."""
-    n_rows, d = out.shape
-    flat = (idx[:, None] * d + np.arange(d)).ravel()
-    out[...] = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+class _Pass:
+    """The forward and backward passes over batches of at most size examples.
+
+    The matrices a pass writes are allocated here, once, and a batch of n <
+    size examples works in views of their first n rows; only the vectors of
+    per-example scores are new each call. grads, the optimizer's gradient
+    views, is None for a pass that only scores, which allocates nothing for
+    the backward pass.
+    """
+
+    def __init__(self, model: RecModel, size: int, grads: dict[str, np.ndarray] | None):
+        self.model, self.grads = model, grads
+        dtype, emb = model.params["embeddings"].dtype, GMF_DIM + MLP_DIM
+        in_dim = 2 * MLP_DIM + (0 if model.service is None else model.service.shape[1])
+        self.rows = np.empty((size, 2, emb), dtype)  # each example's user row, then item row
+        # the MLP input, then each hidden layer's output
+        self.acts = [np.empty((size, width), dtype) for width in (in_dim, *HIDDEN)]
+        self.feat = np.empty((size, GMF_DIM + HIDDEN[-1]), dtype)  # GMF product, last output
+        if model.service is not None:
+            self.service_rows = np.empty((size, in_dim - 2 * MLP_DIM), dtype)
+        if grads is not None:
+            self.dfeat = np.empty_like(self.feat)
+            # the gradient of each layer's input; the MLP input's overwrites it
+            self.dacts = [self.acts[0], *(np.empty((size, width), dtype) for width in HIDDEN)]
+            self.masks = [np.empty((size, width), dtype=bool) for width in HIDDEN]
+            # the embedding rows' gradient, then as the float64 weights of bincount's bins
+            self.block = np.empty((size, 2, emb), dtype)
+            self.weights = np.empty((size, 2, emb))
+            self.bins = np.empty((size, 2, emb), dtype=np.int64)
+            self.cols = np.broadcast_to(np.arange(emb), self.bins.shape).copy()
+
+    def forward(self, keys: np.ndarray) -> np.ndarray:
+        """The scores, in a new array, of the examples of keys, _keys' rows."""
+        p, g, n = self.model.params, GMF_DIM, len(keys)
+        rows, feat, mlp_in = self.rows[:n], self.feat[:n], self.acts[0][:n]
+        # _keys has checked the ids, and take writes straight into out only
+        # when it need not raise; the default mode copies out first
+        np.take(p["embeddings"], keys, axis=0, out=rows, mode="clip")
+        # each side's MLP columns, user then item, then the service columns
+        np.copyto(mlp_in[:, :2 * MLP_DIM].reshape(n, 2, MLP_DIM), rows[:, :, g:])
+        if self.model.service is not None:
+            np.take(self.model.service, keys[:, 1] - self.model.n_users, axis=0,
+                    out=self.service_rows[:n], mode="clip")
+            mlp_in[:, 2 * MLP_DIM:] = self.service_rows[:n]
+        np.multiply(rows[:, 0, :g], rows[:, 1, :g], out=feat[:, :g])
+        z = mlp_in
+        for layer in range(1, len(HIDDEN) + 1):
+            x, z = z, self.acts[layer][:n]
+            np.matmul(x, p[f"w{layer}"], out=z)
+            z += p[f"b{layer}"]
+            np.maximum(z, 0.0, out=z)
+        feat[:, g:] = z
+        self.keys, self.prob = keys, _sigmoid(feat @ p["w_out"])
+        return self.prob
+
+    def backward(self, labels: np.ndarray) -> None:
+        """Write the gradient of the last forward batch, with these labels,
+        into grads."""
+        p, g, grads, n = self.model.params, GMF_DIM, self.grads, len(self.keys)
+        dfeat = self.dfeat[:n]
+        dlogit = (self.prob - labels) / np.float32(n)
+        np.matmul(self.feat[:n].T, dlogit, out=grads["w_out"])
+        np.multiply(dlogit[:, None], p["w_out"], out=dfeat)
+        dact = dfeat[:, g:]
+        for layer in range(len(HIDDEN), 0, -1):
+            dz, mask = self.dacts[layer][:n], self.masks[layer - 1][:n]
+            np.greater(self.acts[layer][:n], 0, out=mask)
+            np.multiply(dact, mask, out=dz)
+            np.matmul(self.acts[layer - 1][:n].T, dz, out=grads[f"w{layer}"])
+            dz.sum(axis=0, out=grads[f"b{layer}"])
+            dact = self.dacts[layer - 1][:n]
+            np.matmul(dz, p[f"w{layer}"].T, out=dact)
+        # a side's GMF columns take dgmf times the other side's, its MLP columns
+        # its half of the MLP input's gradient (service vectors get none); L2 is
+        # weight decay on the rows the batch gathered
+        rows, block, weights = self.rows[:n], self.block[:n], self.weights[:n]
+        np.multiply(dfeat[:, None, :g], rows[:, ::-1, :g], out=block[:, :, :g])
+        np.copyto(block[:, :, g:], dact[:, :2 * MLP_DIM].reshape(n, 2, MLP_DIM))
+        rows *= L2
+        block += rows
+        np.copyto(weights, block)
+        _segment_sum(self.keys, weights, self.bins[:n], self.cols[:n], grads["embeddings"])
 
 
-def _backward(model: RecModel, grads: dict[str, np.ndarray], users, items, labels, prob,
-              rows, activations, feat) -> None:
-    """Write the batch's gradient into grads, the optimizer's gradient views."""
-    p, g = model.params, GMF_DIM
-    batch = len(labels)
-
-    dlogit = (prob - labels) / np.float32(batch)
-    np.matmul(feat.T, dlogit, out=grads["w_out"])
-    dfeat = np.outer(dlogit, p["w_out"])
-    dgmf = dfeat[:, :g]
-    dz = dfeat[:, g:]
-    for layer in range(len(HIDDEN), 0, -1):
-        dz = dz * (activations[layer] > 0)
-        np.matmul(activations[layer - 1].T, dz, out=grads[f"w{layer}"])
-        dz.sum(axis=0, out=grads[f"b{layer}"])
-        dz = dz @ p[f"w{layer}"].T
-    # rows are _forward's (user, item) rows; a side's GMF columns take dgmf times
-    # the other side's, its MLP columns its half of dz (service vectors get no
-    # gradient); L2 is weight decay on the embedding rows seen in the batch
-    dmlp = np.split(dz[:, :2 * MLP_DIM], 2, axis=1)
-    for side, (name, idx) in enumerate((("user", users), ("item", items))):
-        block = np.concatenate([dgmf * rows[1 - side][:, :g], dmlp[side]], axis=1)
-        _segment_sum(idx, block + L2 * rows[side], grads[name])
+def _segment_sum(keys: np.ndarray, rows: np.ndarray, bins: np.ndarray, cols: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Write into the (n_rows, d) table out, row k the float64 sum, in order,
+    of the rows (keys.shape + (d,), float64) whose key is k. bins is int64
+    scratch of the rows' shape and cols each entry's column, 0 to d - 1."""
+    np.copyto(bins, (keys * out.shape[1])[..., None])
+    bins += cols
+    out[...] = np.bincount(bins.ravel(), weights=rows.ravel(),
+                           minlength=out.size).reshape(out.shape)
 
 
 def _sample_unobserved(users: np.ndarray, n_items: int, observed: np.ndarray,
@@ -246,7 +311,7 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     adam = Adam(_init_rec_params(data.n_users, data.n_items, service_dim, rng),
                 lr=config.learning_rate)
     # the model's tables are views of the optimizer's flat buffer
-    model = RecModel(params=adam.params, service=service_table)
+    model = RecModel(params=adam.params, service=service_table, n_users=data.n_users)
 
     pos_users, pos_items, _ = data.interactions.T
     observed = _observed_keys(data)
@@ -258,22 +323,24 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     items_ep = np.empty((len(pos_items), width), dtype=np.int64)
     items_ep[:, 0] = pos_items
     items_arr = items_ep.ravel()  # a view: each epoch refills the negative columns
+    step = _Pass(model, min(config.batch_size, len(labels_arr)), adam.grads)
 
     for epoch in range(config.epochs):
         items_ep[:, 1:] = _sample_unobserved(
             neg_users, data.n_items, observed, rng).reshape(len(pos_items), config.neg_ratio)
         order = rng.permutation(len(labels_arr))
+        keys = _keys(model, users_arr[order], items_arr[order])
+        labels = labels_arr[order]
 
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
-            sel = order[lo:lo + config.batch_size]
-            u_b, i_b, y_b = users_arr[sel], items_arr[sel], labels_arr[sel]
-            prob, rows, acts, feat = _forward(model, u_b, i_b)
+            prob = step.forward(keys[lo:lo + config.batch_size])
+            y_b = labels[lo:lo + config.batch_size]
             clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
             # labels are exactly 0 or 1 and clipping keeps both logs finite, so this is
             # bit-equal to -(y*log(c) + (1-y)*log(1-c)).sum(), whose terms add a -0.0
             loss_sum += float(-np.log(np.where(y_b > 0, clipped, 1.0 - clipped)).sum())
-            _backward(model, adam.grads, u_b, i_b, y_b, prob, rows, acts, feat)
+            step.backward(y_b)
             adam.step()
         if not math.isfinite(loss_sum):
             raise RuntimeError(f"non-finite loss at epoch {epoch}")
@@ -350,9 +417,11 @@ def ndcg_at(ranks: np.ndarray, k: int) -> float:
 
 
 def evaluate_leave_one_out(model: RecModel, data: InteractionSet, seed: int) -> EvalReport:
+    # one pass's arrays serve every user's candidates, at most LOO_NEGATIVES + 1
+    scorer = _Pass(model, LOO_NEGATIVES + 1, None)
+
     def score_fn(u: int, item_ids: np.ndarray) -> np.ndarray:
-        users = np.full(len(item_ids), u, dtype=np.int64)
-        return model.predict(users, np.asarray(item_ids, dtype=np.int64))
+        return scorer.forward(_keys(model, np.full(len(item_ids), u), item_ids))
 
     ranks = leave_one_out_ranks(score_fn, data, seed=seed)
     metrics = {}

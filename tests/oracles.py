@@ -9,8 +9,8 @@ terms without its relation sort, and accumulate_add_at the trainer's
 gradient scatter in its batch-order, row-wise np.add.at form: the
 addition order its faster form keeps. The four_table_* functions are the
 recommender's initialization, forward and backward with separate GMF and
-MLP embedding tables per side, which its one-table-per-side layout
-reproduces bit for bit; they read the widths and L2 from pkgm.downstream's
+MLP embedding tables per side, which its one table of user rows then item
+rows reproduces bit for bit; they read the widths and L2 from pkgm.downstream's
 module constants when called, so a test that patches those constants
 patches both sides, and they use their own copies of the sigmoid (its
 boolean-mask form) and the float64 segment sum, so a change to either shows.

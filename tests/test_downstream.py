@@ -244,16 +244,28 @@ def test_recommender_draws_negatives_once_per_epoch(monkeypatch):
 
 
 def test_segment_sum_matches_add_at_on_repeated_indices():
+    # keys as a step makes them: column 0 user rows in [0, 5), column 1 item
+    # rows in [5, 7); row 4 (the last user) and row 5 (the first item) are
+    # both hit, so a bin that strayed across the boundary would show
     rng = np.random.default_rng(8)
-    idx = rng.integers(5, size=400)
-    rows = rng.normal(size=(400, 6)).astype(np.float32)
-    want = np.zeros((7, 6), dtype=np.float32)
-    np.add.at(want, idx, rows)
-    # every row of out is written, the rows no index names with zeros
-    got = np.full((7, 6), np.nan, dtype=np.float32)
-    downstream._segment_sum(idx, rows, got)
+    keys = np.stack([rng.integers(5, size=400), 5 + rng.integers(2, size=400)], axis=1)
+    keys[:3] = [[4, 5], [4, 5], [0, 6]]
+    rows = rng.normal(size=(400, 2, 6))
+    want = np.zeros((9, 6), dtype=np.float32)
+    np.add.at(want, keys[:, 0], rows[:, 0])
+    np.add.at(want, keys[:, 1], rows[:, 1])
+    # every row of out is written, the rows no key names with zeros
+    got = np.full((9, 6), np.nan, dtype=np.float32)
+    downstream._segment_sum(keys, rows, np.empty(rows.shape, dtype=np.int64), np.arange(6), got)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-    assert not got[5:].any()
+    assert not got[7:].any()
+    # each bin adds its rows in batch order, in float64: the per-table sums
+    for side, table in ((0, range(5)), (1, range(5, 7))):
+        for k in table:
+            total = 0.0
+            for row in rows[keys[:, side] == k, side]:
+                total = total + row
+            assert np.array_equal(got[k], np.float32(total)), (side, k)
 
 
 def patch_widths(monkeypatch, *values):
@@ -264,7 +276,8 @@ def patch_widths(monkeypatch, *values):
 
 # (n_users, n_items, service width, (config, widths and L2 or None for the
 # constants)): ids repeated within a batch of 256, a 12-wide service table,
-# batch 4 at odd widths without L2, and batches of 4 and 7 at the constants
+# batch 4 at odd widths without L2, and batches of 4 and 7 at the constants;
+# each case steps a full batch, one of half its size and a full one again
 REFERENCE_CASES = [
     (6, 9, 0, (RecConfig(), None)),
     (30, 40, 12, (RecConfig(seed=1), None)),
@@ -287,23 +300,25 @@ def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_di
     new, old = (Adam(init(n_users, n_items, service_dim, np.random.default_rng(3)),
                      lr=config.learning_rate)
                 for init in (downstream._init_rec_params, four_table_init))
-    model = RecModel(new.params, service)
+    model = RecModel(new.params, service, n_users)
+    step = downstream._Pass(model, config.batch_size, new.grads)
 
     def assert_bit_equal(got, four):
-        want = {"user": np.hstack([four["gmf_user"], four["mlp_user"]]),
-                "item": np.hstack([four["gmf_item"], four["mlp_item"]])}
+        want = {"embeddings": np.vstack([np.hstack([four["gmf_user"], four["mlp_user"]]),
+                                         np.hstack([four["gmf_item"], four["mlp_item"]])])}
         want.update((k, v) for k, v in four.items() if not k.startswith(("gmf_", "mlp_")))
         assert list(got) == list(want)
         for name in got:
             assert np.array_equal(got[name].view(np.uint32), want[name].view(np.uint32)), name
 
     assert_bit_equal(new.params, old.params)
-    for _ in range(2):
-        users = rng.integers(n_users, size=config.batch_size)
-        items = rng.integers(n_items, size=config.batch_size)
-        labels = (rng.random(config.batch_size) < 0.2).astype(np.float32)
-        prob, rows, acts, feat = downstream._forward(model, users, items)
-        downstream._backward(model, new.grads, users, items, labels, prob, rows, acts, feat)
+    # the short step works in views of buffers sized for the full batch
+    for batch in (config.batch_size, config.batch_size // 2, config.batch_size):
+        users = rng.integers(n_users, size=batch)
+        items = rng.integers(n_items, size=batch)
+        labels = (rng.random(batch) < 0.2).astype(np.float32)
+        prob = step.forward(downstream._keys(model, users, items))
+        step.backward(labels)
         want = four_table_forward(old.params, service, users, items)
         four_table_backward(old.params, old.grads, users, items, labels, *want)
         assert np.array_equal(prob.view(np.uint32), want[0].view(np.uint32))
@@ -346,28 +361,29 @@ def test_reference_cases_bit_equal_on_haswell_core():
 
 
 def test_backward_matches_finite_differences(monkeypatch):
-    """_backward is the gradient of mean BCE plus (L2 / 2) times the squared
-    norm of every embedding row the batch gathers, repeats included."""
+    """_Pass.backward is the gradient of mean BCE plus (L2 / 2) times the
+    squared norm of every embedding row the batch gathers, repeats included."""
     l2 = 0.3
     patch_widths(monkeypatch, 3, 4, (5, 3), l2)
     n_users, n_items, service_dim = 4, 5, 2
     rng = np.random.default_rng(7)
     shapes = downstream._init_rec_params(n_users, n_items, service_dim, rng)
     params = {name: rng.normal(0.0, 0.5, table.shape) for name, table in shapes.items()}
-    model = RecModel(params, rng.normal(size=(n_items, service_dim)))
+    model = RecModel(params, rng.normal(size=(n_items, service_dim)), n_users)
     users = np.array([0, 2, 2, 1, 3, 0, 2])
     items = np.array([4, 4, 1, 0, 4, 2, 3])
     labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    keys = downstream._keys(model, users, items)
 
     def loss():
         prob = model.predict(users, items)
         bce = -(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)).mean()
-        norms = (params["user"][users] ** 2).sum() + (params["item"][items] ** 2).sum()
-        return bce + l2 / 2 * norms
+        return bce + l2 / 2 * (params["embeddings"][keys] ** 2).sum()
 
     grads = {name: np.zeros_like(table) for name, table in params.items()}
-    prob, rows, acts, feat = downstream._forward(model, users, items)
-    downstream._backward(model, grads, users, items, labels, prob, rows, acts, feat)
+    step = downstream._Pass(model, len(users), grads)
+    step.forward(keys)
+    step.backward(labels)
     eps = 1e-6
     for name, table in params.items():
         want = np.empty_like(table)
@@ -379,6 +395,24 @@ def test_backward_matches_finite_differences(monkeypatch):
             want[at] = (up - loss()) / (2 * eps)
             table[at] = keep
         np.testing.assert_allclose(grads[name], want, rtol=1e-5, atol=1e-8, err_msg=name)
+
+
+def test_predict_returns_new_arrays_and_rejects_unknown_ids():
+    data = block_interactions()
+    model = train_recommender(data, None, small_config(epochs=1))
+    users, items = np.array([0, 1, 2]), np.array([0, 5, 7])
+    first = model.predict(users, items)
+    kept = first.copy()
+    second = model.predict(users[::-1], items[::-1])
+    assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+    # ids index each side's own rows as numpy indexes: a negative id counts
+    # back from that side's last row, and no id reaches the other side's rows
+    np.testing.assert_array_equal(model.predict([-1, -data.n_users], [-1, -data.n_items]),
+                                  model.predict([data.n_users - 1, 0], [data.n_items - 1, 0]))
+    for bad_users, bad_items in (([data.n_users], [0]), ([0], [data.n_items]),
+                                 ([-data.n_users - 1], [0]), ([0], [-data.n_items - 1])):
+        with pytest.raises(IndexError):
+            model.predict(np.array(bad_users), np.array(bad_items))
 
 
 def row_wise_split(rows):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pkgm
 
 # newlines in src/pkgm/*.py
-SRC_LINES = 2470
+SRC_LINES = 2539
 
 SETTABLE = [
     "downstream.RecConfig.__init__(batch_size)",
