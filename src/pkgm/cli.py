@@ -206,7 +206,7 @@ def cmd_serve(settings: dict) -> int:
 
 
 _T, _R = trainer.TrainConfig, downstream.RecConfig
-_CATEGORY = (str, "isA", None)
+_CATEGORY = (str, kgstore.CATEGORY_RELATION, None)
 
 # subcommand: (handler, help, {setting: (type, default, help)}); a setting
 # is the flag --setting-name and the config key setting_name

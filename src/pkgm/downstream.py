@@ -46,16 +46,6 @@ class InteractionSet:
         return len(self.items)
 
 
-def interactions_from_rows(rows: Iterable[tuple[str, str, int]]) -> InteractionSet:
-    users, items, order = list(zip(*rows)) or [(), (), ()]
-    if not users:
-        raise ValueError("no interactions")
-    user_vocab, item_vocab = Vocab(dict.fromkeys(users)), Vocab(dict.fromkeys(items))
-    return InteractionSet(users=user_vocab, items=item_vocab, interactions=np.stack(
-        [user_vocab.ids(users), item_vocab.ids(items), np.array(order, dtype=np.int64)],
-        axis=1))
-
-
 def load_interactions(path) -> InteractionSet:
     """Parse "user<TAB>item<TAB>order_index" lines."""
     users, items = Vocab([]), Vocab([])
@@ -85,13 +75,16 @@ def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,
     """Condensed service vector per interaction item, item id order.
 
     Items are matched to KG entities by token. Raises when any item has
-    no service vector.
+    no service vector or a non-finite one.
     """
     tokens = list(data.items)
     at = sorted_index(bundle.ids, entity_vocab.ids(tokens))
     if (at < 0).any():
         raise ValueError(f"item {tokens[np.argmax(at < 0)]!r} has no service vector")
     table = condense_single(bundle)[at]
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValueError(f"item {tokens[np.argmax(bad)]!r} has a non-finite service vector")
     table.setflags(write=False)
     return table
 
@@ -117,16 +110,18 @@ class RecConfig:
 
 @dataclass
 class RecModel:
-    """GMF + MLP recommender with an optional frozen service input.
+    """GMF + MLP recommender with a frozen service input.
 
     params["embeddings"] holds a row per user and then a row per item (user u
     is row u, item i row n_users + i), each its GMF_DIM GMF columns followed by
     its MLP_DIM MLP columns; the two towers keep separate weights as column
-    blocks.
+    blocks. service, read-only float32, holds item i's service vector in row
+    i, which follows its MLP columns in the MLP input; without services it
+    has zero columns, and the model runs the same pass.
     """
 
     params: dict[str, np.ndarray]
-    service: np.ndarray | None
+    service: np.ndarray
     n_users: int
     train_losses: list[float] = field(default_factory=list, init=False)
 
@@ -186,13 +181,12 @@ class _Pass:
     def __init__(self, model: RecModel, size: int, grads: dict[str, np.ndarray] | None):
         self.model, self.grads = model, grads
         dtype, emb = model.params["embeddings"].dtype, GMF_DIM + MLP_DIM
-        in_dim = 2 * MLP_DIM + (0 if model.service is None else model.service.shape[1])
+        in_dim = 2 * MLP_DIM + model.service.shape[1]
         self.rows = np.empty((size, 2, emb), dtype)  # each example's user row, then item row
         # the MLP input, then each hidden layer's output
         self.acts = [np.empty((size, width), dtype) for width in (in_dim, *HIDDEN)]
         self.feat = np.empty((size, GMF_DIM + HIDDEN[-1]), dtype)  # GMF product, last output
-        if model.service is not None:
-            self.service_rows = np.empty((size, in_dim - 2 * MLP_DIM), dtype)
+        self.service_rows = np.empty((size, model.service.shape[1]), dtype)
         if grads is not None:
             self.dfeat = np.empty_like(self.feat)
             # the gradient of each layer's input; the MLP input's overwrites it
@@ -213,10 +207,9 @@ class _Pass:
         np.take(p["embeddings"], keys, axis=0, out=rows, mode="clip")
         # each side's MLP columns, user then item, then the service columns
         np.copyto(mlp_in[:, :2 * MLP_DIM].reshape(n, 2, MLP_DIM), rows[:, :, g:])
-        if self.model.service is not None:
-            np.take(self.model.service, keys[:, 1] - self.model.n_users, axis=0,
-                    out=self.service_rows[:n], mode="clip")
-            mlp_in[:, 2 * MLP_DIM:] = self.service_rows[:n]
+        np.take(self.model.service, keys[:, 1] - self.model.n_users, axis=0,
+                out=self.service_rows[:n], mode="clip")
+        mlp_in[:, 2 * MLP_DIM:] = self.service_rows[:n]
         np.multiply(rows[:, 0, :g], rows[:, 1, :g], out=feat[:, :g])
         z = mlp_in
         for layer in range(1, len(HIDDEN) + 1):
@@ -294,21 +287,22 @@ def train_recommender(data: InteractionSet, service_table: np.ndarray | None,
     """Train on the given interactions (callers hold out test data first).
 
     Per positive, neg_ratio unobserved items are sampled fresh each epoch
-    (one draw for the whole epoch) and labeled 0. Updates use Adam with weight decay on the embedding
-    rows of each batch. When service_table is given, row i is the frozen
-    condensed service vector of item i.
+    (one draw for the whole epoch) and labeled 0. Updates use Adam with
+    weight decay on the embedding rows of each batch. Row i of service_table
+    is the frozen condensed service vector of item i; None trains without
+    services, as a table of zero columns.
     """
     config.validate()
-    if service_table is not None:
-        if service_table.shape[0] != data.n_items:
-            raise ValueError(
-                f"service table has {service_table.shape[0]} rows for {data.n_items} items"
-            )
-        service_table = np.array(service_table, dtype=np.float32)  # the caller's stays writable
-        service_table.setflags(write=False)
+    if service_table is None:
+        service_table = np.empty((data.n_items, 0), np.float32)
+    if service_table.shape[0] != data.n_items:
+        raise ValueError(
+            f"service table has {service_table.shape[0]} rows for {data.n_items} items"
+        )
+    service_table = np.array(service_table, dtype=np.float32)  # the caller's stays writable
+    service_table.setflags(write=False)
     rng = np.random.default_rng(config.seed)
-    service_dim = 0 if service_table is None else service_table.shape[1]
-    adam = Adam(_init_rec_params(data.n_users, data.n_items, service_dim, rng),
+    adam = Adam(_init_rec_params(data.n_users, data.n_items, service_table.shape[1], rng),
                 lr=config.learning_rate)
     # the model's tables are views of the optimizer's flat buffer
     model = RecModel(params=adam.params, service=service_table, n_users=data.n_users)
@@ -385,9 +379,9 @@ def require_unobserved_items(data: InteractionSet) -> None:
 
 
 def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
-                        data: InteractionSet, n_negatives: int = LOO_NEGATIVES,
-                        seed: int = 0) -> np.ndarray:
-    """Rank each user's held-out item against sampled unobserved items.
+                        data: InteractionSet, seed: int) -> np.ndarray:
+    """Rank each user's held-out item against LOO_NEGATIVES sampled
+    unobserved items, or all of a user's unobserved items if fewer.
 
     Negative candidates depend only on (data, seed), never on the model,
     so comparisons across models with a shared seed are paired. Ranks are
@@ -401,8 +395,8 @@ def leave_one_out_ranks(score_fn: Callable[[int, np.ndarray], np.ndarray],
     items = np.arange(data.n_items)
     for u in range(data.n_users):
         pool = items[sorted_index(keys, u * data.n_items + items) < 0]  # u's unobserved items
-        if len(pool) > n_negatives:
-            negatives = rng.choice(pool, size=n_negatives, replace=False)
+        if len(pool) > LOO_NEGATIVES:
+            negatives = rng.choice(pool, size=LOO_NEGATIVES, replace=False)
         else:
             negatives = pool
         candidates = np.concatenate([[held[u]], negatives])
@@ -434,5 +428,5 @@ def evaluate_leave_one_out(model: RecModel, data: InteractionSet, seed: int) -> 
         sizes={"n_users": data.n_users, "n_items": data.n_items,
                "n_interactions": len(data.interactions)},
         config={"cutoffs": list(LOO_CUTOFFS), "n_negatives": LOO_NEGATIVES, "seed": seed,
-                "with_services": model.service is not None},
+                "with_services": model.service.shape[1] > 0},
     )

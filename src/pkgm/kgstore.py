@@ -28,14 +28,15 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 CHUNK_LINES = 4096  # data lines per chunk of a TAB file read
+CATEGORY_RELATION = "isA"  # the default relation of category triples
 
 
 class Vocab:
     """Dense string-to-id interning, ids assigned in first-appearance order."""
 
     def __init__(self, tokens: Iterable[str]):
-        # one dict when the tokens are distinct, as a checkpoint's are; callers
-        # with many repeats pass dict.fromkeys(tokens) to stay on that path
+        # one dict when the tokens are distinct, as a checkpoint's are; tokens
+        # with repeats take a second pass that keeps each first appearance
         self._tokens: list[str] = list(tokens)
         self._ids: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
         if len(self._ids) < len(self._tokens):
@@ -213,7 +214,7 @@ class TripleStore:
     triples: np.ndarray
     category_of: dict[int, int]
     relation_counts: dict[int, int]
-    category_relation: str = "isA"
+    category_relation: str = CATEGORY_RELATION
 
     def __post_init__(self) -> None:
         self.triples = id_rows(self.triples)
@@ -257,7 +258,7 @@ def sorted_index(keys: np.ndarray, queries) -> np.ndarray:
 
 def store_from_triples(
     rows: Iterable[tuple[str, str, str]],
-    category_relation: str = "isA",
+    category_relation: str = CATEGORY_RELATION,
 ) -> TripleStore:
     """Build a TripleStore from (head, relation, tail) token rows.
 
@@ -355,7 +356,7 @@ def read_tsv(path, n_fields: int, comments: bool = True, miscount: str | None = 
     return rows
 
 
-def load_triples(path, category_relation: str = "isA") -> TripleStore:
+def load_triples(path, category_relation: str = CATEGORY_RELATION) -> TripleStore:
     """Parse a TAB-separated triple file into a TripleStore.
 
     Raises ValueError naming the line number for malformed lines and

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kgstore import CATEGORY_RELATION
+
 
 @dataclass
 class PlantedKG:
@@ -37,7 +39,7 @@ class PlantedKG:
     entity_tokens: list[str]
     relation_tokens: list[str]
     covered: dict[str, set[str]]
-    category_relation: str = "isA"
+    category_relation: str = CATEGORY_RELATION
 
 
 DEFAULT_POWERS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -77,7 +79,7 @@ def planted_kg(n_entities: int = 200, powers: tuple[int, ...] = DEFAULT_POWERS,
             relation_triples.append((entities[i], rel, entities[i + j]))
 
     if n_categories > 0:
-        cat_triples = [(entities[i], "isA", f"c{i % n_categories}")
+        cat_triples = [(entities[i], CATEGORY_RELATION, f"c{i % n_categories}")
                        for i in range(n_entities)]
     else:
         cat_triples = []
@@ -136,7 +138,7 @@ def preference_dataset(n_users: int = 500, n_items: int = 300, n_values: int = 4
     for i, item in enumerate(items):
         for rel in attr_rels:
             kg_triples.append((item, rel, values[rel][item_attr[rel][i]]))
-        kg_triples.append((item, "isA", f"cat{item_cat[i]}"))
+        kg_triples.append((item, CATEGORY_RELATION, f"cat{item_cat[i]}"))
 
     pools = {
         (rel, v): [i for i in range(n_items) if item_attr[rel][i] == v]

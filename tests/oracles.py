@@ -10,13 +10,17 @@ gradient scatter in its batch-order, row-wise np.add.at form: the
 addition order its faster form keeps. The four_table_* functions are the
 recommender's initialization, forward and backward with separate GMF and
 MLP embedding tables per side, which its one table of user rows then item
-rows reproduces bit for bit; they read the widths and L2 from pkgm.downstream's
-module constants when called, so a test that patches those constants
-patches both sides, and they use their own copies of the sigmoid (its
-boolean-mask form) and the float64 segment sum, so a change to either shows.
-keyrel_table builds a key relation table from an {entity: relations} dict,
-the form the brute-force key relation oracles give, same_table compares
-two tables and same_vocab two vocabularies. one_call_build_bundle,
+rows reproduces bit for bit; four_table_forward takes the service table,
+zero columns wide without services, as the recommender does. They read the
+widths and L2 from pkgm.downstream's module constants when called, so a
+test that patches those constants patches both sides, and they use their
+own copies of the sigmoid (its boolean-mask form) and the float64 segment
+sum, so a change to either shows. interactions_from_rows builds an
+InteractionSet from (user, item, order index) token rows, the tests' own
+form of interactions, which no pipeline stage reads. keyrel_table builds a
+key relation table from an {entity: relations} dict, the form the
+brute-force key relation oracles give, same_table compares two tables and
+same_vocab two vocabularies. one_call_build_bundle,
 one_array_write_services and concatenated_condense are the service
 export's forms that hold the whole table at once: one kernel call per
 module over every (entity, slot) pair, one records array the size of the
@@ -226,10 +230,7 @@ def four_table_init(n_users, n_items, service_dim, rng) -> dict[str, np.ndarray]
 
 def four_table_forward(p, service, users, items):
     gmf = p["gmf_user"][users] * p["gmf_item"][items]
-    parts = [p["mlp_user"][users], p["mlp_item"][items]]
-    if service is not None:
-        parts.append(service[items])
-    mlp_in = np.concatenate(parts, axis=1)
+    mlp_in = np.concatenate([p["mlp_user"][users], p["mlp_item"][items], service[items]], axis=1)
     activations = [mlp_in]
     z = mlp_in
     for layer in range(1, len(downstream.HIDDEN) + 1):
@@ -262,6 +263,17 @@ def four_table_backward(p, grads, users, items, labels, prob, gmf, activations, 
     )
     for name, idx, rows in row_grads:
         _segment_sum(idx, rows + downstream.L2 * p[name][idx], grads[name])
+
+
+def interactions_from_rows(rows) -> InteractionSet:
+    """The InteractionSet of (user, item, order index) token rows."""
+    users, items, order = list(zip(*rows)) or [(), (), ()]
+    if not users:
+        raise ValueError("no interactions")
+    user_vocab, item_vocab = Vocab(dict.fromkeys(users)), Vocab(dict.fromkeys(items))
+    return InteractionSet(users=user_vocab, items=item_vocab, interactions=np.stack(
+        [user_vocab.ids(users), item_vocab.ids(items), np.array(order, dtype=np.int64)],
+        axis=1))
 
 
 def keyrel_table(rows: dict[int, tuple[int, ...]]) -> KeyRelationTable:

@@ -12,6 +12,7 @@ import pytest
 from conftest import record_acceptance
 from oracles import (
     gradients,
+    interactions_from_rows,
     keyrel_table,
     one_array_write_services,
     same_table,
@@ -284,7 +285,7 @@ def test_criterion_07_downstream_direction():
         table = select_key_relations(store, k=2)
         bundle = build_bundle(params, table, "all")
 
-        inter = downstream.interactions_from_rows(pref.interactions)
+        inter = interactions_from_rows(pref.interactions)
         services = downstream.service_table_for_items(inter, bundle, store.entities)
         train_rows, _ = downstream.leave_one_out_split(inter)
         train_set = InteractionSet(inter.users, inter.items, train_rows)
@@ -328,7 +329,7 @@ def test_criterion_08_frozen_services(tmp_path):
     for u in range(12):
         for j in range(3):
             rows.append((f"u{u}", f"e{(u + j) % 16:03d}", j))
-    inter = downstream.interactions_from_rows(rows)
+    inter = interactions_from_rows(rows)
     services = downstream.service_table_for_items(inter, bundle, store.entities)
     train_rows, _ = downstream.leave_one_out_split(inter)
     train_set = InteractionSet(inter.users, inter.items, train_rows)
@@ -382,7 +383,7 @@ def test_criterion_09_serialization_round_trips(tmp_path):
     assert svc_ok
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     kg = synth.planted_kg(n_entities=40, powers=(1, 2), n_categories=3, seed=1)
     triples = tmp_path / "kg.tsv"
     triples.write_text(
@@ -406,7 +407,7 @@ def test_criterion_10_determinism(tmp_path):
     for u in range(20):
         for j in range(3):
             rows.append((f"u{u}", f"i{(u + j) % 30}", j))
-    data = downstream.interactions_from_rows(rows)
+    data = interactions_from_rows(rows)
     candidate_logs = []
 
     def make_score_fn(salt):
@@ -420,8 +421,9 @@ def test_criterion_10_determinism(tmp_path):
 
         return score_fn
 
-    downstream.leave_one_out_ranks(make_score_fn(1), data, n_negatives=20, seed=9)
-    downstream.leave_one_out_ranks(make_score_fn(2), data, n_negatives=20, seed=9)
+    monkeypatch.setattr(downstream, "LOO_NEGATIVES", 20)
+    downstream.leave_one_out_ranks(make_score_fn(1), data, seed=9)
+    downstream.leave_one_out_ranks(make_score_fn(2), data, seed=9)
     eval_ok = all(
         np.array_equal(a, b) for a, b in zip(candidate_logs[0], candidate_logs[1])
     )

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from oracles import interactions_from_rows
 from pkgm import cli, downstream, synth, trainer
 from pkgm.kgstore import store_from_triples
 
@@ -42,7 +43,7 @@ def table_bytes(tables) -> bytes:
 
 def test_recommender_bytes_do_not_depend_on_blas_threads(set_threads):
     prefs = synth.preference_dataset(seed=3)
-    data = downstream.interactions_from_rows(prefs.interactions)
+    data = interactions_from_rows(prefs.interactions)
     service = np.random.default_rng(4).normal(size=(data.n_items, 64)).astype(np.float32)
     config = downstream.RecConfig(learning_rate=1e-3, epochs=3, batch_size=256)
     runs = []

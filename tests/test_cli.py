@@ -188,6 +188,37 @@ def test_recsys_rejects_user_who_has_seen_every_item_before_training(tmp_path, c
     assert not report.exists()
 
 
+def test_recsys_rejects_non_finite_service_vector_before_training(tmp_path, capsys,
+                                                                  monkeypatch, ckpt_and_keyrels):
+    ckpt, keyrels = ckpt_and_keyrels
+    services = tmp_path / "services.bin"
+    assert dispatch(["export-services", "--checkpoint", str(ckpt), "--keyrel", str(keyrels),
+                     "--variant", "all", "--out", str(services)]) == 0
+    bundle, (_, entity_vocab, _) = read_services(services), load_checkpoint(ckpt)
+    raw = bytearray(services.read_bytes())
+    start, size = raw.index(b"\n") + 1, 4 + bundle.block[0].nbytes  # uint32 id, float32 rows
+    # NaN into the first float of e005's and e003's records; e003 comes
+    # first in item id order, which follows first appearance below
+    for token in ("e005", "e003"):
+        at = start + size * int(np.flatnonzero(bundle.ids == entity_vocab.id(token))[0])
+        raw[at + 4:at + 8] = np.float32(np.nan).tobytes()
+    services.write_bytes(bytes(raw))
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("".join(f"u{u}\te{(u + j) % 8:03d}\t{j}\n"
+                             for u in range(6) for j in range(3)), encoding="utf-8")
+
+    def train_recommender(*args):
+        raise AssertionError("trained before the service vectors were checked")
+
+    monkeypatch.setattr(downstream, "train_recommender", train_recommender)
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", str(services),
+                     "--checkpoint", str(ckpt), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "pkgm: error: item 'e003' has a non-finite service vector\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("raised", [None, ValueError, KeyError])
 def test_dispatch_runs_on_one_blas_thread_and_restores_the_callers_count(monkeypatch, capsys,
                                                                           raised):

@@ -5,14 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import four_table_backward, four_table_forward, four_table_init, keyrel_table
+from oracles import (
+    four_table_backward,
+    four_table_forward,
+    four_table_init,
+    interactions_from_rows,
+    keyrel_table,
+)
 from pkgm import downstream
 from pkgm.downstream import (
     InteractionSet,
     RecConfig,
     RecModel,
     evaluate_leave_one_out,
-    interactions_from_rows,
     leave_one_out_ranks,
     leave_one_out_split,
     load_interactions,
@@ -296,7 +301,7 @@ def test_recommender_steps_bit_equal_to_four_tables(n_users, n_items, service_di
     if widths is not None:
         patch_widths(monkeypatch, *widths)
     rng = np.random.default_rng(config.seed)
-    service = rng.normal(size=(n_items, service_dim)).astype(np.float32) if service_dim else None
+    service = rng.normal(size=(n_items, service_dim)).astype(np.float32)
     new, old = (Adam(init(n_users, n_items, service_dim, np.random.default_rng(3)),
                      lr=config.learning_rate)
                 for init in (downstream._init_rec_params, four_table_init))
@@ -457,31 +462,33 @@ def ranking_data(n_users=30, n_items=40):
     return interactions_from_rows(rows)
 
 
-def test_perfect_scorer_ranks_first():
+def test_perfect_scorer_ranks_first(monkeypatch):
+    monkeypatch.setattr(downstream, "LOO_NEGATIVES", 20)
     data = ranking_data()
     _, held = leave_one_out_split(data)
 
     def score_fn(u, candidates):
         return (np.asarray(candidates) == held[u]).astype(float)
 
-    ranks = leave_one_out_ranks(score_fn, data, n_negatives=20, seed=0)
+    ranks = leave_one_out_ranks(score_fn, data, seed=0)
     np.testing.assert_array_equal(ranks, np.ones(data.n_users))
     assert ndcg_at(ranks, 10) == 1.0
 
 
-def test_anti_scorer_ranks_last_and_ties_count_against():
+def test_anti_scorer_ranks_last_and_ties_count_against(monkeypatch):
+    monkeypatch.setattr(downstream, "LOO_NEGATIVES", 20)
     data = ranking_data()
     _, held = leave_one_out_split(data)
 
     def anti(u, candidates):
         return -(np.asarray(candidates) == held[u]).astype(float)
 
-    ranks = leave_one_out_ranks(anti, data, n_negatives=20, seed=0)
+    ranks = leave_one_out_ranks(anti, data, seed=0)
     np.testing.assert_array_equal(ranks, np.full(data.n_users, 21))
     assert ndcg_at(ranks, 10) == 0.0
 
     constant = lambda u, candidates: np.zeros(len(candidates))
-    ranks = leave_one_out_ranks(constant, data, n_negatives=20, seed=0)
+    ranks = leave_one_out_ranks(constant, data, seed=0)
     np.testing.assert_array_equal(ranks, np.full(data.n_users, 21))
 
 
@@ -492,12 +499,13 @@ def test_random_scorer_hits_closed_form_ndcg():
     def score_fn(u, candidates):
         return rng.random(len(candidates))
 
-    ranks = leave_one_out_ranks(score_fn, data, n_negatives=100, seed=0)
+    ranks = leave_one_out_ranks(score_fn, data, seed=0)
     want = sum(1.0 / np.log2(r + 1.0) for r in range(1, 11)) / 101.0
     assert ndcg_at(ranks, 10) == pytest.approx(want, abs=0.015)
 
 
-def test_candidates_are_paired_across_models():
+def test_candidates_are_paired_across_models(monkeypatch):
+    monkeypatch.setattr(downstream, "LOO_NEGATIVES", 15)
     data = ranking_data()
     seen: list[list[np.ndarray]] = []
 
@@ -512,16 +520,17 @@ def test_candidates_are_paired_across_models():
 
         return score_fn
 
-    leave_one_out_ranks(make_score_fn(1), data, n_negatives=15, seed=7)
-    leave_one_out_ranks(make_score_fn(2), data, n_negatives=15, seed=7)
+    leave_one_out_ranks(make_score_fn(1), data, seed=7)
+    leave_one_out_ranks(make_score_fn(2), data, seed=7)
     assert len(seen[0]) == len(seen[1]) == data.n_users
     for a, b in zip(seen[0], seen[1]):
         np.testing.assert_array_equal(a, b)
 
 
-def test_candidate_pool_matches_setdiff_formulation():
+def test_candidate_pool_matches_setdiff_formulation(monkeypatch):
     # the reference builds each user's pool with np.setdiff1d; both draw
     # the same candidates from the same seed, so the ranks agree
+    monkeypatch.setattr(downstream, "LOO_NEGATIVES", 15)
     data = ranking_data()
     _, held = leave_one_out_split(data)
     observed = {}
@@ -538,7 +547,7 @@ def test_candidate_pool_matches_setdiff_formulation():
         negatives = rng.choice(pool, size=15, replace=False)
         scores = score_fn(u, np.concatenate([[held[u]], negatives]))
         want.append(1 + int((scores[1:] >= scores[0]).sum()))
-    got = leave_one_out_ranks(score_fn, data, n_negatives=15, seed=7)
+    got = leave_one_out_ranks(score_fn, data, seed=7)
     np.testing.assert_array_equal(got, want)
 
 
@@ -563,6 +572,6 @@ def test_evaluate_leave_one_out_report():
         users = np.full(len(candidates), u, dtype=np.int64)
         return model.predict(users, np.asarray(candidates, dtype=np.int64))
 
-    ranks = leave_one_out_ranks(score_fn, data, n_negatives=100, seed=3)
+    ranks = leave_one_out_ranks(score_fn, data, seed=3)
     assert report.metrics["ndcg@10"] == pytest.approx(ndcg_at(ranks, 10))
     assert report.metrics["hr@10"] == pytest.approx(float((ranks <= 10).mean()))
