@@ -125,11 +125,6 @@ class RecModel:
     n_users: int
     train_losses: list[float] = field(default_factory=list, init=False)
 
-    def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """The scores of the (user, item) pairs, in a new array."""
-        keys = _keys(self, users, items)
-        return _Pass(self, len(keys), None).forward(keys)
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of -|x| only, so no branch overflows

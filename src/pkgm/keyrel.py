@@ -64,7 +64,13 @@ def select_key_relations(store: TripleStore, k: int) -> KeyRelationTable:
 
 def write_keyrel_tsv(path, table: KeyRelationTable, entity_vocab: Vocab,
                      relation_vocab: Vocab) -> None:
-    """Write one "entity<TAB>r1,...,rk" line per entity in id order, atomically."""
+    """Write one "entity<TAB>r1,...,rk" line per entity in id order, atomically;
+    ValueError, before anything is written, naming the first relation token
+    to write that holds a comma, which the file uses to separate relations."""
+    comma = np.array(["," in tok for tok in relation_vocab], dtype=bool)[table.rows]
+    if comma.any():
+        token = relation_vocab.token(table.rows.flat[np.argmax(comma)])
+        raise ValueError(f"relation token {token!r} contains ',', the key relation separator")
     text = "".join(f"{entity_vocab.token(e)}\t{','.join(map(relation_vocab.token, rels))}\n"
                    for e, rels in zip(table.ids.tolist(), table.rows.tolist()))
     write_atomically([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))])

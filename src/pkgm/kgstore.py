@@ -8,7 +8,10 @@ key-relation files. It checks a whole file's bytes at once, then hands out
 its data lines CHUNK_LINES at a time as columns of strings, which callers
 map to int64 ids (Vocab.ids, Vocab.intern) before the next chunk; so a read
 holds the file's bytes, two int64 line indexes, one chunk's strings and the
-ids and distinct tokens kept so far. Category membership
+ids and distinct tokens kept so far. Every TripleStore the library builds
+takes one path, token columns -> _intern_triples -> _store_from_ids:
+load_triples for each chunk of a file, and filter_rare_relations for the
+kept id rows turned back into their tokens. Category membership
 is encoded as ordinary triples under a configurable relation name (default
 "isA"), i.e. (entity, isA, category). Interned id rows are read-only (n, 3)
 int64 arrays; triple_keys alone encodes a triple's int64 key, and
@@ -21,7 +24,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, filterfalse, repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -244,32 +247,11 @@ def triple_keys(rows: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
     return (rows[:, 0] * n_r + rows[:, 1]) * n_e + rows[:, 2]
 
 
-def stored_keys(store: TripleStore) -> np.ndarray:
-    """Sorted int64 keys (triple_keys) of the stored triples."""
-    return np.sort(triple_keys(store.triples, store.n_entities, store.n_relations))
-
-
 def sorted_index(keys: np.ndarray, queries) -> np.ndarray:
     """Position in keys, a sorted int array, of each of the queries; -1 where absent."""
     at = np.searchsorted(keys, queries)
     found = len(keys) > 0 and keys[np.minimum(at, len(keys) - 1)] == queries
     return np.where(found, at, -1)
-
-
-def store_from_triples(
-    rows: Iterable[tuple[str, str, str]],
-    category_relation: str = CATEGORY_RELATION,
-) -> TripleStore:
-    """Build a TripleStore from (head, relation, tail) token rows.
-
-    Duplicate rows collapse to one triple. Entities with several category
-    triples keep the lexicographically smallest category token; the paper
-    setting assumes one category per entity, so this is only a tie-break.
-    """
-    heads, rels, tails = list(zip(*rows)) or [(), (), ()]
-    entities, relations = Vocab([]), Vocab([])
-    return _store_from_ids(entities, relations, _intern_triples(entities, relations, heads, rels,
-                                                                tails), category_relation)
 
 
 def _intern_triples(entities: Vocab, relations: Vocab, heads, rels, tails) -> np.ndarray:
@@ -283,7 +265,12 @@ def _intern_triples(entities: Vocab, relations: Vocab, heads, rels, tails) -> np
 
 def _store_from_ids(entities: Vocab, relations: Vocab, ids: np.ndarray,
                     category_relation: str) -> TripleStore:
-    """The TripleStore of (n, 3) id rows under the vocabularies they were interned in."""
+    """The TripleStore of (n, 3) id rows under the vocabularies they were interned in.
+
+    Duplicate rows collapse to one triple. Entities with several category
+    triples keep the lexicographically smallest category token; the paper
+    setting assumes one category per entity, so this is only a tie-break.
+    """
     if not len(ids):
         raise ValueError("no triples")
     # a repeated row holds no token's first appearance, so keeping first
@@ -371,16 +358,22 @@ def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
     """Drop triples whose relation occurs fewer than min_count times.
 
     The category relation always survives because key-relation selection
-    depends on it. Vocabularies are re-interned densely.
+    depends on it. Vocabularies are re-interned densely, in the order
+    load_triples would intern a file of the kept rows.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    keep = [store.relation_counts[rid] >= min_count or rel == store.category_relation
-            for rid, rel in enumerate(store.relations)]
-    rows = list(compress(store.token_triples(), np.array(keep)[store.triples[:, 1]]))
-    if not rows:
+    keep = np.array([store.relation_counts[rid] >= min_count or rel == store.category_relation
+                     for rid, rel in enumerate(store.relations)])
+    rows = store.triples[keep[store.triples[:, 1]]]
+    if not len(rows):
         raise ValueError("all relations filtered")
-    return store_from_triples(rows, category_relation=store.category_relation)
+    # the kept rows' token columns live only while they are interned
+    entities, relations = Vocab([]), Vocab([])
+    ids = _intern_triples(entities, relations, *(
+        list(map(vocab.token, column))
+        for vocab, column in zip((store.entities, store.relations, store.entities), rows.T)))
+    return _store_from_ids(entities, relations, ids, store.category_relation)
 
 
 def write_triples(path, rows: Iterable[tuple[str, str, str]]) -> None:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kgstore import TripleStore, sorted_index, stored_keys, triple_keys
+from .kgstore import TripleStore, sorted_index, triple_keys
 from .model import ModelParams, RelationGroups, init_params, relation_service, triple_service
 from .optim import SCRATCH_BYTES, Adam
 
@@ -81,7 +81,7 @@ def sample_negative(store: TripleStore, positives: np.ndarray,
     n_r = store.n_relations
     if n_e < 2 and n_r < 2 and len(positives):
         raise ValueError("store admits no corrupted triple")
-    keys = stored_keys(store)
+    keys = np.sort(triple_keys(store.triples, n_e, n_r))
     p = 0.0 if n_r < 2 else 1.0 if n_e < 2 else corrupt_relation_prob
     neg = positives.copy()
     rows = np.arange(len(neg))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pkgm import kgstore
+from oracles import store_of
 from pkgm.model import init_params
 
 ACCEPTANCE_LINES: list[str] = []
@@ -36,7 +36,7 @@ def toy_rows():
 
 @pytest.fixture
 def toy_store(toy_rows):
-    return kgstore.store_from_triples(toy_rows)
+    return store_of(toy_rows)
 
 
 @pytest.fixture

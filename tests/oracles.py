@@ -15,9 +15,14 @@ zero columns wide without services, as the recommender does. They read the
 widths and L2 from pkgm.downstream's module constants when called, so a
 test that patches those constants patches both sides, and they use their
 own copies of the sigmoid (its boolean-mask form) and the float64 segment
-sum, so a change to either shows. interactions_from_rows builds an
-InteractionSet from (user, item, order index) token rows, the tests' own
-form of interactions, which no pipeline stage reads. keyrel_table builds a
+sum, so a change to either shows. predict scores (user, item) pairs with
+the recommender's own forward pass sized to the call, a scoring no
+pipeline stage asks for. interactions_from_rows builds an InteractionSet
+from (user, item, order index) token rows, the tests' own form of
+interactions, which no pipeline stage reads. store_of builds a TripleStore
+from (head, relation, tail) token rows through the library: it writes them
+to a file and reads it with kgstore.load_triples. line_store_from_triples
+is that store built one row at a time. keyrel_table builds a
 key relation table from an {entity: relations} dict, the form the
 brute-force key relation oracles give, same_table compares two tables and
 same_vocab two vocabularies. one_call_build_bundle,
@@ -31,11 +36,13 @@ forms in pkgm.servicing reproduce their bytes.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from pkgm import downstream, servicing
+from pkgm import downstream, kgstore, servicing
 from pkgm.downstream import InteractionSet
 from pkgm.keyrel import KeyRelationTable
 from pkgm.kgstore import TripleStore, Vocab
@@ -265,6 +272,13 @@ def four_table_backward(p, grads, users, items, labels, prob, gmf, activations, 
         _segment_sum(idx, rows + downstream.L2 * p[name][idx], grads[name])
 
 
+def predict(model: downstream.RecModel, users, items) -> np.ndarray:
+    """The recommender's scores of the (user, item) pairs, in a new array:
+    its scoring pass sized to the call."""
+    keys = downstream._keys(model, users, items)
+    return downstream._Pass(model, len(keys), None).forward(keys)
+
+
 def interactions_from_rows(rows) -> InteractionSet:
     """The InteractionSet of (user, item, order index) token rows."""
     users, items, order = list(zip(*rows)) or [(), (), ()]
@@ -372,8 +386,17 @@ def _intern(ids: dict, token) -> int:
     return ids.setdefault(token, len(ids))
 
 
+def store_of(rows, category_relation="isA") -> TripleStore:
+    """kgstore.load_triples of a file of the (head, relation, tail) token rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "triples.tsv"
+        kgstore.write_triples(path, rows)
+        return kgstore.load_triples(path, category_relation)
+
+
 def line_store_from_triples(rows, category_relation="isA") -> TripleStore:
-    """kgstore.store_from_triples, one dict insert per token of each distinct row."""
+    """kgstore.load_triples of a file of the token rows, one dict insert per
+    token of each distinct row."""
     unique = list(dict.fromkeys((h, r, t) for h, r, t in rows))
     if not unique:
         raise ValueError("no triples")

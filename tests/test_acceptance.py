@@ -17,6 +17,7 @@ from oracles import (
     one_array_write_services,
     same_table,
     service_triple,
+    store_of,
 )
 
 from pkgm import downstream, keyrel, servicing, synth, trainer
@@ -24,7 +25,6 @@ from pkgm.downstream import InteractionSet, RecConfig
 from pkgm.evaluation import existence_prediction, link_prediction_ranks
 from pkgm.cli import dispatch
 from pkgm.keyrel import select_key_relations
-from pkgm.kgstore import store_from_triples
 from pkgm.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from pkgm.servicing import build_bundle, read_services, write_services
 
@@ -97,7 +97,7 @@ def sort_rank(kept_scores, target):
 
 def test_criterion_02_oracle_ranking_equivalence():
     kg = synth.planted_kg(n_entities=20, powers=(1, 2, 3, 4), coverage=0.8, seed=2)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     assert store.n_entities == 20 and store.n_relations == 4
     params = init_params(20, 4, 8, np.random.default_rng(7))
 
@@ -131,7 +131,7 @@ def test_criterion_02_oracle_ranking_equivalence():
 def test_criterion_03_learning_separation():
     start = time.perf_counter()
     kg = synth.planted_kg()
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     config = trainer.TrainConfig(
         dim=32, margin=1.0, learning_rate=1e-3, batch_size=4, epochs=50,
         negatives_per_positive=4, corrupt_relation_prob=1.0 / 3.0, seed=1,
@@ -177,7 +177,7 @@ def completion_config():
 def test_criterion_04_completion_capability():
     kg = synth.planted_kg()
     train_rows, held_rows = synth.split_triples(kg.relation_triples, 0.10, seed=3)
-    store = store_from_triples(train_rows)
+    store = store_of(train_rows)
     params, _ = trainer.train(store, completion_config())
 
     ent = params.entity_emb.astype(np.float64)
@@ -205,7 +205,7 @@ def test_criterion_04_completion_capability():
 
 def test_criterion_05_existence_encoding():
     kg = synth.planted_kg()
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     params, _ = trainer.train(store, completion_config())
 
     pairs, labels = [], []
@@ -257,7 +257,7 @@ def test_criterion_06_key_relation_oracle():
             rows.append(
                 (f"e{rng.integers(8)}", f"q{rng.integers(4)}", f"e{rng.integers(8)}")
             )
-        store = store_from_triples(sorted(set(rows)))
+        store = store_of(sorted(set(rows)))
         k = int(rng.integers(1, store.n_relations + 1))
         table = select_key_relations(store, k)
         if not same_table(table, keyrel_table(keyrel_oracle(store, k))):
@@ -280,7 +280,7 @@ def test_criterion_07_downstream_direction():
     pkgm_scores = []
     for seed in range(5):
         pref = synth.preference_dataset(seed=seed)
-        store = store_from_triples(pref.kg_triples)
+        store = store_of(pref.kg_triples)
         params, _ = trainer.train(store, kg_config)
         table = select_key_relations(store, k=2)
         bundle = build_bundle(params, table, "all")
@@ -317,7 +317,7 @@ def test_criterion_07_downstream_direction():
 def test_criterion_08_frozen_services(tmp_path):
     kg = synth.planted_kg(n_entities=40, powers=(1, 2), coverage=1.0,
                           n_categories=3, seed=0)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     config = trainer.TrainConfig(dim=8, learning_rate=1e-2, batch_size=32,
                                  epochs=3, seed=0)
     params, _ = trainer.train(store, config)
@@ -350,7 +350,7 @@ def test_criterion_08_frozen_services(tmp_path):
 
 def test_criterion_09_serialization_round_trips(tmp_path):
     kg = synth.planted_kg(n_entities=30, powers=(1, 3), n_categories=3, seed=4)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     params, _ = trainer.train(
         store, trainer.TrainConfig(dim=8, learning_rate=1e-2, batch_size=16,
                                    epochs=2, seed=2)

@@ -13,9 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from oracles import interactions_from_rows
+from oracles import interactions_from_rows, store_of
 from pkgm import cli, downstream, synth, trainer
-from pkgm.kgstore import store_from_triples
 
 
 @pytest.fixture
@@ -56,7 +55,7 @@ def test_recommender_bytes_do_not_depend_on_blas_threads(set_threads):
 
 
 def test_trainer_bytes_do_not_depend_on_blas_threads(set_threads):
-    store = store_from_triples(synth.planted_kg(n_entities=1000, seed=3).triples)
+    store = store_of(synth.planted_kg(n_entities=1000, seed=3).triples)
     config = trainer.TrainConfig(dim=64, batch_size=1000, epochs=2, learning_rate=1e-3)
     assert len(store.triples) > 2 * config.batch_size
     runs = []

@@ -98,19 +98,44 @@ def test_eval_lp_names_an_unknown_entity_past_the_first_chunk_before_an_earlier_
     assert not (tmp_path / "lp.json").exists()
 
 
-def test_load_triples_peak_memory_is_bounded(tmp_path):
-    # 60,000 lines over 20,000 entities; the whole-file reader peaked at 18.6 MiB
+def random_kg(path, extra=""):
+    """(h, r, t) of 60,000 random lines over 20,000 entities and 50
+    relations, written to path with the text extra after them."""
     rng = np.random.default_rng(1)
     h, r, t = rng.integers(0, 20_000, 60_000), rng.integers(0, 50, 60_000), rng.integers(
         0, 20_000, 60_000)
-    path = tmp_path / "kg.tsv"
     path.write_text("".join(f"e{a}\tr{b}\te{c}\n" for a, b, c in zip(h.tolist(), r.tolist(),
-                                                                      t.tolist())))
+                                                                      t.tolist())) + extra)
+    return h, r, t
+
+
+def traced_peak(run):
+    """(run(), the tracemalloc peak in bytes while it ran)."""
     tracemalloc.start()
     try:
-        store = kgstore.load_triples(path)
+        result = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_load_triples_peak_memory_is_bounded(tmp_path):
+    # 60,000 lines over 20,000 entities; the whole-file reader peaked at 18.6 MiB
+    path = tmp_path / "kg.tsv"
+    h, r, t = random_kg(path)
+    store, peak = traced_peak(lambda: kgstore.load_triples(path))
     assert len(store.triples) == len(set(zip(h.tolist(), r.tolist(), t.tolist())))
+    assert peak < 9.3 * 2**20
+
+
+def test_filter_rare_relations_costs_no_more_memory_than_loading(tmp_path):
+    # the same file plus 5 lines under once-used relations; a filter that
+    # rebuilt the store from token tuples peaked at 12.8 MiB
+    path = tmp_path / "kg.tsv"
+    h, r, t = random_kg(path, "".join(f"e{i}\trare{i}\te{i + 1}\n" for i in range(5)))
+    store = kgstore.load_triples(path)
+    filtered, peak = traced_peak(lambda: kgstore.filter_rare_relations(store, 2))
+    assert list(filtered.relations) == list(store.relations)[:50]
+    assert len(filtered.triples) == len(set(zip(h.tolist(), r.tolist(), t.tolist())))
     assert peak < 9.3 * 2**20

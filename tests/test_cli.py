@@ -352,6 +352,19 @@ def test_keyrel_rejects_kg_without_category_triples(tmp_path, capsys):
     assert not keyrels.exists()
 
 
+def test_keyrel_rejects_relation_token_with_comma(tmp_path, capsys):
+    # the file separates relations with commas, so its own reader would
+    # split "x,y" into the unknown tokens "x" and "y"
+    path = tmp_path / "comma.tsv"
+    write_triples(path, [("a", "isA", "c"), ("b", "isA", "c"), ("a", "x,y", "b"),
+                         ("b", "x,y", "a"), ("a", "r", "b")])
+    keyrels = tmp_path / "keyrels.tsv"
+    assert dispatch(["keyrel", "--triples", str(path), "--k", "2", "--out", str(keyrels)]) == 1
+    err = capsys.readouterr().err
+    assert err == "pkgm: error: relation token 'x,y' contains ',', the key relation separator\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comma.tsv"]
+
+
 def test_min_rel_count_filters_relations(tmp_path, toy_rows):
     path = tmp_path / "toy.tsv"
     write_triples(path, toy_rows)

@@ -11,6 +11,7 @@ from oracles import (
     four_table_init,
     interactions_from_rows,
     keyrel_table,
+    predict,
 )
 from pkgm import downstream
 from pkgm.downstream import (
@@ -149,7 +150,7 @@ def test_training_reduces_loss_and_is_deterministic():
     b = train_recommender(data, None, small_config())
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name])
-    probs = a.predict(np.array([0, 1]), np.array([0, 5]))
+    probs = predict(a, np.array([0, 1]), np.array([0, 5]))
     assert ((probs > 0) & (probs < 1)).all()
 
 
@@ -381,7 +382,7 @@ def test_backward_matches_finite_differences(monkeypatch):
     keys = downstream._keys(model, users, items)
 
     def loss():
-        prob = model.predict(users, items)
+        prob = predict(model, users, items)
         bce = -(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)).mean()
         return bce + l2 / 2 * (params["embeddings"][keys] ** 2).sum()
 
@@ -406,18 +407,18 @@ def test_predict_returns_new_arrays_and_rejects_unknown_ids():
     data = block_interactions()
     model = train_recommender(data, None, small_config(epochs=1))
     users, items = np.array([0, 1, 2]), np.array([0, 5, 7])
-    first = model.predict(users, items)
+    first = predict(model, users, items)
     kept = first.copy()
-    second = model.predict(users[::-1], items[::-1])
+    second = predict(model, users[::-1], items[::-1])
     assert np.array_equal(first, kept) and not np.shares_memory(first, second)
     # ids index each side's own rows as numpy indexes: a negative id counts
     # back from that side's last row, and no id reaches the other side's rows
-    np.testing.assert_array_equal(model.predict([-1, -data.n_users], [-1, -data.n_items]),
-                                  model.predict([data.n_users - 1, 0], [data.n_items - 1, 0]))
+    np.testing.assert_array_equal(predict(model, [-1, -data.n_users], [-1, -data.n_items]),
+                                  predict(model, [data.n_users - 1, 0], [data.n_items - 1, 0]))
     for bad_users, bad_items in (([data.n_users], [0]), ([0], [data.n_items]),
                                  ([-data.n_users - 1], [0]), ([0], [-data.n_items - 1])):
         with pytest.raises(IndexError):
-            model.predict(np.array(bad_users), np.array(bad_items))
+            predict(model, np.array(bad_users), np.array(bad_items))
 
 
 def row_wise_split(rows):
@@ -570,7 +571,7 @@ def test_evaluate_leave_one_out_report():
 
     def score_fn(u, candidates):
         users = np.full(len(candidates), u, dtype=np.int64)
-        return model.predict(users, np.asarray(candidates, dtype=np.int64))
+        return predict(model, users, np.asarray(candidates, dtype=np.int64))
 
     ranks = leave_one_out_ranks(score_fn, data, seed=3)
     assert report.metrics["ndcg@10"] == pytest.approx(ndcg_at(ranks, 10))

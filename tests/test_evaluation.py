@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import score_relation
+from oracles import score_relation, store_of
 from pkgm import evaluation
 from pkgm.evaluation import (
     choose_threshold,
@@ -12,7 +12,7 @@ from pkgm.evaluation import (
     link_prediction_ranks,
     relation_scores,
 )
-from pkgm.kgstore import TripleStore, store_from_triples
+from pkgm.kgstore import TripleStore
 from pkgm.model import ModelParams, init_params
 
 
@@ -25,7 +25,7 @@ def random_graph(rng, n_entities=12, n_relations=3, n_rows=25):
         )
         for _ in range(n_rows)
     }
-    return store_from_triples(sorted(rows))
+    return store_of(sorted(rows))
 
 
 def oracle_ranks(params, store, test):
@@ -61,7 +61,7 @@ def adversarial_setup(dtype):
     rows = [(f"e{i:02d}", "r0", f"e{i + 1:02d}") for i in range(39)]
     rows += [("e00", "r1", "e02"), ("e05", "r1", "e01"), ("e00", "r2", "e01"),
              ("e00", "r2", "e02"), ("e00", "r2", "e10"), ("e05", "r2", "e03")]
-    store = store_from_triples(rows)
+    store = store_of(rows)
     ent = rng.normal(scale=0.3, size=(40, d)).astype(dtype)
     rel = rng.normal(scale=0.3, size=(3, d)).astype(dtype)
     ent[0], rel[2] = 0.25, 0.0
@@ -96,7 +96,7 @@ def test_ranks_match_oracle_on_near_ties(dtype):
 def test_filtered_tails_never_count_at_infinite_target():
     # every score is 0 except the target's, which is +inf; the known tail c
     # of (a, r) must be left out under the filter, not tie the target
-    store = store_from_triples([("a", "r", "b"), ("a", "r", "c"), ("c", "r", "d")])
+    store = store_of([("a", "r", "b"), ("a", "r", "c"), ("c", "r", "d")])
     ent = np.zeros((4, 3), dtype=np.float32)
     ent[store.entities.id("b"), 0] = np.inf
     params = ModelParams(dim=3, entity_emb=ent, relation_emb=np.zeros((1, 3), dtype=np.float32),

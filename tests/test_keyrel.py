@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from oracles import keyrel_table, same_table
+from oracles import keyrel_table, same_table, store_of
 
 from pkgm import keyrel
-from pkgm.kgstore import store_from_triples
 
 
 def relation_frequency(store, r, e):
@@ -70,7 +69,7 @@ def test_thin_category_padded_from_global_ranking():
         ("b", "r3", "x"),
         ("b", "isA", "c2"),
     ]
-    store = store_from_triples(rows)
+    store = store_of(rows)
     table = keyrel.select_key_relations(store, k=3)
     for rels in table.rows.tolist():
         assert len(rels) == 3
@@ -84,7 +83,7 @@ def random_store(rng):
         rows.append(
             (f"e{rng.integers(8)}", f"q{rng.integers(4)}", f"e{rng.integers(8)}")
         )
-    return store_from_triples(sorted(set(rows)))
+    return store_of(sorted(set(rows)))
 
 
 def test_selection_matches_oracle_on_random_stores():
@@ -116,7 +115,7 @@ def test_tsv_read_sorts_by_entity_id(tmp_path, toy_store):
 
 
 def test_select_rejects_store_without_category_triples():
-    store = store_from_triples([("a", "r", "b"), ("b", "r", "c")], category_relation="type")
+    store = store_of([("a", "r", "b"), ("b", "r", "c")], category_relation="type")
     with pytest.raises(ValueError, match="no triples under the category relation 'type'"):
         keyrel.select_key_relations(store, k=1)
 
@@ -151,7 +150,7 @@ def test_tsv_read_errors(tmp_path, toy_store):
 @pytest.fixture
 def arq_store():
     # relations r, isA, q over entities a, b, c
-    return store_from_triples([("a", "r", "b"), ("a", "isA", "c"), ("a", "q", "b")])
+    return store_of([("a", "r", "b"), ("a", "isA", "c"), ("a", "q", "b")])
 
 
 def test_tsv_rejects_relation_listed_twice(tmp_path, arq_store):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import store_of
 from pkgm import kgstore
 from pkgm.downstream import InteractionSet
 from pkgm.kgstore import (
@@ -12,7 +13,6 @@ from pkgm.kgstore import (
     filter_rare_relations,
     load_triples,
     read_tsv,
-    store_from_triples,
 )
 
 
@@ -129,7 +129,7 @@ def test_store_interning_and_counts(toy_store):
 
 def test_store_duplicates_collapse():
     rows = [("a", "r", "b")] * 5 + [("a", "isA", "c")]
-    store = store_from_triples(rows)
+    store = store_of(rows)
     assert len(store.triples) == 2
     assert store.relation_counts[store.relations.id("r")] == 1
 
@@ -146,19 +146,19 @@ def test_store_category_index(toy_store):
 
 def test_store_category_tie_break():
     rows = [("e", "isA", "zoo"), ("e", "isA", "ark")]
-    store = store_from_triples(rows)
+    store = store_of(rows)
     e = store.entities.id("e")
     assert store.entities.token(store.category_of[e]) == "ark"
 
 
 def test_store_empty_rows_rejected():
     with pytest.raises(ValueError, match="no triples"):
-        store_from_triples([])
+        store_of([])
 
 
 def test_store_custom_category_relation():
     rows = [("a", "memberOf", "g"), ("a", "isA", "x")]
-    store = store_from_triples(rows, category_relation="memberOf")
+    store = store_of(rows, category_relation="memberOf")
     a = store.entities.id("a")
     assert store.entities.token(store.category_of[a]) == "g"
     assert store.category_relation == "memberOf"
@@ -236,12 +236,12 @@ def test_filter_rare_relations(toy_store):
 
 def test_filter_keeps_category_relation():
     rows = [("a", "isA", "c"), ("x", "r", "y"), ("x2", "r", "y2")]
-    filtered = filter_rare_relations(store_from_triples(rows), min_count=2)
+    filtered = filter_rare_relations(store_of(rows), min_count=2)
     assert "isA" in filtered.relations
 
 
 def test_filter_all_relations_rejected():
-    store = store_from_triples([("a", "r", "b")])
+    store = store_of([("a", "r", "b")])
     with pytest.raises(ValueError, match="all relations filtered"):
         filter_rare_relations(store, min_count=99)
 

@@ -11,6 +11,7 @@ each names one of the faulty lines, and the same message when the same line.
 """
 
 import re
+from collections import Counter
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -198,12 +199,19 @@ def test_load_triples_matches_line_reader(tmp_path_factory, case):
 
 
 @SMALL
-@given(rows=st.lists(st.tuples(token, st.sampled_from(["r", "isA"]), token), max_size=12))
-def test_store_from_triples_matches_line_form(rows):
-    (got, error), (want, want_error) = (outcome(lambda: kgstore.store_from_triples(rows)),
-                                        outcome(lambda: oracles.line_store_from_triples(rows)))
-    assert error == want_error
-    assert error is not None or same_store(got, want)
+@given(rows=st.lists(st.tuples(head, st.sampled_from(["r", "s", "t", "isA"]), token),
+                     min_size=1, max_size=12),
+       min_count=st.integers(1, 4))
+def test_filter_rare_relations_matches_line_form(rows, min_count):
+    distinct = list(dict.fromkeys(rows))
+    counts = Counter(rel for _, rel, _ in distinct)
+    kept = [row for row in distinct if counts[row[1]] >= min_count or row[1] == "isA"]
+    got, error = outcome(lambda: kgstore.filter_rare_relations(oracles.store_of(rows),
+                                                               min_count))
+    if kept:
+        assert error is None and same_store(got, oracles.line_store_from_triples(kept))
+    else:
+        assert error == "all relations filtered"
 
 
 @st.composite

@@ -17,6 +17,7 @@ from oracles import (
     relation_error_bound,
     service_relation,
     service_triple,
+    store_of,
 )
 
 from pkgm import servicing, synth
@@ -27,7 +28,7 @@ from pkgm.keyrel import (
     select_key_relations,
     write_keyrel_tsv,
 )
-from pkgm.kgstore import Vocab, sorted_index, store_from_triples
+from pkgm.kgstore import Vocab, sorted_index
 from pkgm.model import (
     ModelParams,
     init_params,
@@ -197,7 +198,7 @@ def test_condense_single_bit_equal_to_concatenated_mean(count, k, dim, seed):
 def planted_case():
     """A 2,000 x 64 model with k = 10 key relations per entity of the planted KG."""
     kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=5)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     params = init_params(store.n_entities, store.n_relations, 64, np.random.default_rng(5))
     return params, select_key_relations(store, k=10)
 
@@ -272,7 +273,7 @@ def test_export_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, planted_
 def planted_export(tmp_path):
     """A d = 64 checkpoint and k = 10 key relation file of planted_case's KG."""
     kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=5)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     params = init_params(store.n_entities, store.n_relations, 64, np.random.default_rng(5))
     save_checkpoint(tmp_path / "ckpt", params, store.entities, store.relations)
     write_keyrel_tsv(tmp_path / "keyrels.tsv", select_key_relations(store, k=10),

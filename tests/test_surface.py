@@ -20,10 +20,9 @@ from pathlib import Path
 import pkgm
 
 # newlines in src/pkgm/*.py
-SRC_LINES = 2536
+SRC_LINES = 2530
 
-# the public scoring API, which no pipeline stage calls
-TEST_ONLY = ["downstream.RecModel.predict"]
+TEST_ONLY: list[str] = []
 
 SETTABLE = [
     "downstream.RecConfig.__init__(batch_size)",
@@ -36,7 +35,6 @@ SETTABLE = [
     "kgstore.load_triples(category_relation)",
     "kgstore.read_tsv(comments)",
     "kgstore.read_tsv(miscount)",
-    "kgstore.store_from_triples(category_relation)",
     "model.relation_service(dtype)",
     "model.relation_service(groups)",
     "model.triple_service(dtype)",

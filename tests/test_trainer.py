@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import accumulate_add_at, batch_order_terms, gradients, score_combined
+from oracles import accumulate_add_at, batch_order_terms, gradients, score_combined, store_of
 from pkgm import synth, trainer
-from pkgm.kgstore import store_from_triples
 from pkgm.model import init_params
 from pkgm.optim import SCRATCH_BYTES
 from pkgm.trainer import TrainConfig, sample_negative, train
@@ -98,7 +97,7 @@ def random_store():
         (f"e{rng.integers(30)}", f"r{rng.integers(5)}", f"e{rng.integers(30)}")
         for _ in range(60)
     }
-    return store_from_triples(sorted(rows))
+    return store_of(sorted(rows))
 
 
 def test_negative_slot_frequencies():
@@ -138,7 +137,7 @@ def test_negatives_match_scalar_oracle_in_distribution():
 def test_negative_falls_back_when_all_candidates_positive():
     # every one-slot corruption is itself stored, so the filter must give up
     rows = [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")]
-    store = store_from_triples(rows)
+    store = store_of(rows)
     pos = repeated_positives(store)
     neg = sample_negative(store, pos, np.random.default_rng(0), P_REL)
     stored = set(map(tuple, store.triples.tolist()))
@@ -153,7 +152,7 @@ def test_negative_degenerate_slots_take_first_other_value():
     # one entity: only the relation slot can change, so it is drawn whatever
     # corrupt_relation_prob says, and with two relations its one other value
     # is relation 1
-    store = store_from_triples([("a", "r", "a"), ("a", "q", "a")])
+    store = store_of([("a", "r", "a"), ("a", "q", "a")])
     pos = np.zeros((5, 3), dtype=np.int64)
     neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=0.0)
     np.testing.assert_array_equal(neg, [[0, 1, 0]] * 5)
@@ -163,7 +162,7 @@ def test_negative_degenerate_slots_take_first_other_value():
 def test_negative_one_relation_draws_entities_only():
     # one relation: even at corrupt_relation_prob 1 only head and tail are
     # drawn, so the filter sees many candidates per positive
-    store = store_from_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
+    store = store_of([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
                                 ("d", "r", "e")])
     pos = np.repeat(store.triples, 50, axis=0)
     neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=1.0)
@@ -177,7 +176,7 @@ def test_negative_one_entity_draws_every_other_relation():
     # one entity: even at corrupt_relation_prob 0 only the relation is drawn,
     # uniformly over the other two; every candidate is stored, so each row
     # keeps its last one
-    store = store_from_triples([("a", "r", "a"), ("a", "q", "a"), ("a", "s", "a")])
+    store = store_of([("a", "r", "a"), ("a", "q", "a"), ("a", "s", "a")])
     pos = np.zeros((200, 3), dtype=np.int64)
     neg = sample_negative(store, pos, np.random.default_rng(0), corrupt_relation_prob=0.0)
     assert (neg[:, [0, 2]] == 0).all()
@@ -185,7 +184,7 @@ def test_negative_one_entity_draws_every_other_relation():
 
 
 def test_negative_impossible_on_single_triple_self_loop():
-    store = store_from_triples([("a", "r", "a")])
+    store = store_of([("a", "r", "a")])
     pos = repeated_positives(store)
     with pytest.raises(ValueError, match="no corrupted triple"):
         sample_negative(store, pos, np.random.default_rng(0), P_REL)
@@ -325,7 +324,7 @@ def test_accumulate_is_bit_equal_to_add_at_form_on_batches(rng):
 
 def test_accumulate_is_bit_equal_to_add_at_form_on_planted_kg_batch(rng):
     kg = synth.planted_kg(n_entities=2000, n_categories=20, seed=4)
-    store = store_from_triples(kg.triples)
+    store = store_of(kg.triples)
     params = init_params(store.n_entities, store.n_relations, 64, rng)
     triples = np.asarray(store.triples, dtype=np.int64)
     pos = triples[rng.permutation(len(triples))[:1000]]
@@ -346,7 +345,7 @@ def test_accumulate_is_bit_equal_to_add_at_form_on_group_sizes(rng, dim):
 
 def planted_store(n_entities=20):
     kg = synth.planted_kg(n_entities=n_entities, powers=(1, 2), coverage=1.0, seed=0)
-    return store_from_triples(kg.triples)
+    return store_of(kg.triples)
 
 
 def test_projection_is_bit_equal_to_whole_table_form_in_small_blocks(rng):
@@ -370,7 +369,7 @@ def test_projection_is_bit_equal_to_whole_table_form_in_small_blocks(rng):
 def test_steps_hold_four_model_buffers_and_one_batch(monkeypatch):
     # 400 relations make the transfer tensor most of the model, and 2,000
     # triples keep the epoch's order and negatives small next to one batch
-    store = store_from_triples([(f"e{i}", f"r{i % 400}", f"e{i + 1}") for i in range(2000)])
+    store = store_of([(f"e{i}", f"r{i % 400}", f"e{i + 1}") for i in range(2000)])
     config = TrainConfig(dim=32, batch_size=1000)
     train(store, config)  # numpy's lazy imports stay out of the count
     draw = trainer.sample_negative
