@@ -168,6 +168,9 @@ def cmd_recsys(settings: dict) -> int:
             raise ValueError("--checkpoint is required when --services is a file "
                              "(it supplies the entity vocabulary)")
         bundle = servicing.read_services(settings["services"])
+        if bundle.variant != "all":
+            raise ValueError(f"{settings['services']}: recsys needs an 'all' export, "
+                             f"got variant {bundle.variant!r}")
         _, entity_vocab, _ = model.load_checkpoint(settings["checkpoint"])
         service_table = downstream.service_table_for_items(data, bundle, entity_vocab)
     config = downstream.RecConfig(

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .evaluation import EvalReport
 from .kgstore import Vocab, id_rows, read_tsv, sorted_index
+# interaction files are rows of three fields; bench/offline.py writes them by this name
+from .kgstore import write_triples as write_interactions  # noqa: F401
 from .optim import Adam
 from .servicing import ServiceBundle, condense_single
 
@@ -62,12 +64,6 @@ def load_interactions(path) -> InteractionSet:
     if not len(interactions):
         raise ValueError("no interactions")
     return InteractionSet(users=users, items=items, interactions=interactions)
-
-
-def write_interactions(path, rows: Iterable[tuple[str, str, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for user, item, order in rows:
-            fh.write(f"{user}\t{item}\t{order}\n")
 
 
 def service_table_for_items(data: InteractionSet, bundle: ServiceBundle,

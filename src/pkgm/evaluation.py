@@ -52,18 +52,18 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples)
     keys = np.sort(triple_keys(np.concatenate([store.triples, test]), n_e, n_r))
     bases = triple_keys(test, n_e, n_r) - test[:, 2]
     runs = np.searchsorted(keys, np.stack([bases, bases + n_e], axis=1))
-    ent = params.entity_emb.astype(np.float64)
+    ent = params.entity_emb  # float64 rows are cast from it as they are gathered, exactly
     queries = triple_service(params, test[:, 0], test[:, 1], dtype=np.float64)
     ent_t = np.ascontiguousarray(ent.T, dtype=np.float32)
     buf = np.empty_like(ent_t)
-    screen = np.empty(len(ent), dtype=np.float32)
+    screen = np.empty(n_e, dtype=np.float32)
     slack = np.float32(4 * (params.dim + 2) * 2.0 ** -24)
 
     ranks = np.zeros(len(test), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # these only leave non-finite bounds
         # a row's sum does not depend on the row count, so these equal per-query
         # sums; the offsets are Python floats, which keep tol float32
-        targets = np.abs(queries - ent[test[:, 2]]).sum(axis=1)
+        targets = np.abs(queries - ent[test[:, 2]].astype(np.float64)).sum(axis=1)
         offsets = (np.abs(queries).sum(axis=1) + 2.0 ** -126).tolist()
         for i, target in enumerate(targets):
             q = queries[i]
@@ -77,8 +77,8 @@ def link_prediction_ranks(params: ModelParams, store: TripleStore, test_triples)
             tails = keys[runs[i, 0]:runs[i, 1]] - bases[i]
             below[tails] = unsure[tails] = False
             idx = np.flatnonzero(unsure)
-            ranks[i] = (np.count_nonzero(below) + int(target <= target)
-                        + np.count_nonzero(np.abs(q - ent[idx]).sum(axis=1) <= target))
+            ranks[i] = (np.count_nonzero(below) + int(target <= target) + np.count_nonzero(
+                np.abs(q - ent[idx].astype(np.float64)).sum(axis=1) <= target))
     return ranks
 
 

@@ -376,8 +376,8 @@ def filter_rare_relations(store: TripleStore, min_count: int) -> TripleStore:
     return _store_from_ids(entities, relations, ids, store.category_relation)
 
 
-def write_triples(path, rows: Iterable[tuple[str, str, str]]) -> None:
-    """Write token triples in the TAB-separated file format."""
+def write_triples(path, rows: Iterable[tuple]) -> None:
+    """Write rows of three fields TAB-separated: triples, and downstream.write_interactions."""
     with open(path, "w", encoding="utf-8") as fh:
         for head, rel, tail in rows:
             fh.write(f"{head}\t{rel}\t{tail}\n")

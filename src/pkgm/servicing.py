@@ -21,7 +21,6 @@ from .keyrel import KeyRelationTable
 from .kgstore import Vocab, sorted_index, write_atomically
 from .model import ModelParams, relation_service, triple_service
 
-VARIANTS = ("item", "all", "T", "R")
 # encoded response bytes one snapshot's answer memo keeps; the least
 # recently used lines go first
 MEMO_BYTES = 16 << 20
@@ -36,8 +35,9 @@ def _relation_rows(params: ModelParams, hs, rs) -> np.ndarray:
 
 # each variant's service formulas in record order, k rows apiece; "item"
 # has none and serves the entity's own embedding as its one row
-_FORMULAS = {"item": (), "T": (triple_service,), "R": (_relation_rows,),
-             "all": (triple_service, _relation_rows)}
+_FORMULAS = {"item": (), "all": (triple_service, _relation_rows),
+             "T": (triple_service,), "R": (_relation_rows,)}
+VARIANTS = tuple(_FORMULAS)  # a tuple, so `in` compares an unhashable request value
 
 
 def _record_dtype(variant: str, k: int, dim: int) -> np.dtype:

@@ -39,7 +39,7 @@ class PlantedKG:
     entity_tokens: list[str]
     relation_tokens: list[str]
     covered: dict[str, set[str]]
-    category_relation: str = CATEGORY_RELATION
+    category_relation: str = field(default=CATEGORY_RELATION, init=False)
 
 
 DEFAULT_POWERS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -110,7 +110,7 @@ class PreferenceData:
     interactions: list[tuple[str, str, int]]
     user_tokens: list[str]
     item_tokens: list[str]
-    preferences: dict[str, tuple[str, str]] = field(default_factory=dict)
+    preferences: dict[str, tuple[str, str]]
 
 
 def preference_dataset(n_users: int = 500, n_items: int = 300, n_values: int = 4,

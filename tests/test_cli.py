@@ -15,6 +15,7 @@ import pytest
 
 from pkgm import cli, downstream, servicing, synth
 from pkgm.cli import build_parser, dispatch
+from pkgm.kgstore import write_triples
 from pkgm.model import load_checkpoint
 from pkgm.servicing import read_services
 
@@ -80,10 +81,6 @@ def test_readme_commands_parse():
         assert argv[0] == "pkgm"
         args = parser.parse_args(argv[1:])  # an unknown flag exits
         assert args.command == argv[1]
-
-
-def write_triples(path, rows):
-    path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows), encoding="utf-8")
 
 
 @pytest.fixture
@@ -216,6 +213,26 @@ def test_recsys_rejects_non_finite_service_vector_before_training(tmp_path, caps
     assert dispatch(["recsys", "--interactions", str(inter), "--services", str(services),
                      "--checkpoint", str(ckpt), "--report", str(report)]) == 1
     assert capsys.readouterr().err == "pkgm: error: item 'e003' has a non-finite service vector\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("variant", ["item", "T", "R"])
+def test_recsys_rejects_an_export_that_is_not_all(tmp_path, capsys, ckpt_and_keyrels,
+                                                  variant):
+    # the recommender condenses "all" records; any other variant is named with its file
+    ckpt, keyrels = ckpt_and_keyrels
+    services = tmp_path / "services.bin"
+    assert dispatch(["export-services", "--checkpoint", str(ckpt), "--keyrel", str(keyrels),
+                     "--variant", variant, "--out", str(services)]) == 0
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("".join(f"u{u}\te{(u + j) % 8:03d}\t{j}\n"
+                             for u in range(6) for j in range(3)), encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert dispatch(["recsys", "--interactions", str(inter), "--services", str(services),
+                     "--checkpoint", str(ckpt), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (f"pkgm: error: {services}: recsys needs an 'all' "
+                                       f"export, got variant '{variant}'\n")
     assert not report.exists()
 
 

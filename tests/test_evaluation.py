@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ from pkgm.evaluation import (
     link_prediction_ranks,
     relation_scores,
 )
-from pkgm.kgstore import TripleStore
+from pkgm.kgstore import TripleStore, Vocab
 from pkgm.model import ModelParams, init_params
 
 
@@ -105,6 +106,27 @@ def test_filtered_tails_never_count_at_infinite_target():
     got = link_prediction_ranks(params, store, test)
     np.testing.assert_array_equal(got, [3])
     np.testing.assert_array_equal(got, oracle_ranks(params, store, test))
+
+
+def test_link_prediction_holds_no_float64_copy_of_the_entity_table():
+    # the step holds the float32 table, its transposed float32 copy and one
+    # scratch array of that size; a float64 copy of the table would add two more
+    rng = np.random.default_rng(0)
+    n_e, n_r = 20_000, 12
+    params = init_params(n_e, n_r, 64, rng)
+    rows = np.stack([rng.integers(n_e, size=60), rng.integers(n_r, size=60),
+                     rng.integers(n_e, size=60)], axis=1)
+    store = TripleStore(entities=Vocab(map(str, range(n_e))),
+                        relations=Vocab(map(str, range(n_r))), triples=rows[:40],
+                        category_of={}, relation_counts={})
+    tracemalloc.start()
+    try:
+        ranks = link_prediction_ranks(params, store, rows[40:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (20,) and (ranks >= 1).all()
+    assert peak < 2.5 * params.entity_emb.nbytes, peak / params.entity_emb.nbytes
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from pathlib import Path
 import pkgm
 
 # newlines in src/pkgm/*.py
-SRC_LINES = 2530
+SRC_LINES = 2529
 
 TEST_ONLY: list[str] = []
 
@@ -41,8 +41,6 @@ SETTABLE = [
     "servicing.QueryService.handle(snap)",
     "servicing.serve(host)",
     "servicing.serve(port)",
-    "synth.PlantedKG.__init__(category_relation)",
-    "synth.PreferenceData.__init__(preferences)",
     "synth.planted_kg(coverage)",
     "synth.planted_kg(n_categories)",
     "synth.planted_kg(n_entities)",
